@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 type or derivation error, 2 syntax error, 3 step or
-node budget exceeded, 4 usage error.  Reads from standard input when the file
-argument is ``-``.
+node budget exceeded, or input nested too deeply for Python's recursion limit,
+4 usage error.  Every error is one line on standard error.  Reads from
+standard input when the file argument is ``-``.
 """
 
 from __future__ import annotations
@@ -189,6 +190,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_TYPE_ERROR
     except (StepBudgetExceeded, BudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:
+        # every walk over terms and types recurses; the limit is left as is
+        print("budget exceeded: input nested too deeply", file=sys.stderr)
         return EXIT_BUDGET
     except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

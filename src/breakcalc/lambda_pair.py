@@ -14,20 +14,28 @@ from .reduction import (
     PERMUTING_RULES, Redex, RuleName, StepBudgetExceeded, apply_step, is_silent,
 )
 from .syntax import (
-    App, Arrow, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var,
-    annotated_type, canonicalize, fresh_name, replace_at, subterm_at,
+    App, Arrow, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var, all_names,
+    alpha_eq, alpha_key, annotated_type, binders, canonicalize, children,
+    constructor, free_positions, fresh_name, graft, replace_at, subterm_at,
+    substitute, subterms,
 )
+
+# This module's names for three of the shared term operations.
+l_children, l_alpha_eq, l_alpha_key = children, alpha_eq, alpha_key
 
 
 class LTerm:
     __slots__ = ()
 
 
+@constructor("v", var="name")
 @dataclass(frozen=True, slots=True)
 class LVar(LTerm):
     name: str
 
 
+@constructor("l", kids=("body",), binders=("binder",), over="body",
+             annots=("binder_type",))
 @dataclass(frozen=True, slots=True)
 class LLam(LTerm):
     binder: str
@@ -35,23 +43,27 @@ class LLam(LTerm):
     body: LTerm
 
 
+@constructor("a", kids=("fun", "arg"))
 @dataclass(frozen=True, slots=True)
 class LApp(LTerm):
     fun: LTerm
     arg: LTerm
 
 
+@constructor("p", kids=("first", "second"))
 @dataclass(frozen=True, slots=True)
 class LPair(LTerm):
     first: LTerm
     second: LTerm
 
 
+@constructor("p0", kids=("arg",))
 @dataclass(frozen=True, slots=True)
 class LProj0(LTerm):
     arg: LTerm
 
 
+@constructor("p1", kids=("arg",))
 @dataclass(frozen=True, slots=True)
 class LProj1(LTerm):
     arg: LTerm
@@ -66,162 +78,8 @@ class MappingFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Basic operations
+# Typing
 # ---------------------------------------------------------------------------
-
-def l_children(e: LTerm) -> tuple[LTerm, ...]:
-    match e:
-        case LVar():
-            return ()
-        case LLam(_, _, body):
-            return (body,)
-        case LApp(fun, arg):
-            return (fun, arg)
-        case LPair(a, b):
-            return (a, b)
-        case LProj0(a) | LProj1(a):
-            return (a,)
-    raise TypeError(f"not a lambda-pair term: {e!r}")
-
-
-def l_free_names(e: LTerm) -> set[str]:
-    match e:
-        case LVar(name):
-            return {name}
-        case LLam(b, _, body):
-            return l_free_names(body) - {b}
-        case _:
-            out: set[str] = set()
-            for c in l_children(e):
-                out |= l_free_names(c)
-            return out
-
-
-def l_count_free(e: LTerm, name: str) -> int:
-    match e:
-        case LVar(n):
-            return 1 if n == name else 0
-        case LLam(b, _, body):
-            return 0 if b == name else l_count_free(body, name)
-        case _:
-            return sum(l_count_free(c, name) for c in l_children(e))
-
-
-def l_var_positions(e: LTerm, name: str) -> list[tuple[int, ...]]:
-    """Positions of free occurrences of name."""
-    out: list[tuple[int, ...]] = []
-
-    def walk(e: LTerm, path: tuple[int, ...]) -> None:
-        match e:
-            case LVar(n):
-                if n == name:
-                    out.append(path)
-            case LLam(b, _, body):
-                if b != name:
-                    walk(body, path + (0,))
-            case _:
-                for i, c in enumerate(l_children(e)):
-                    walk(c, path + (i,))
-
-    walk(e, ())
-    return out
-
-
-def l_substitute(e: LTerm, bindings) -> LTerm:
-    """Simultaneous capture-avoiding substitution."""
-    sub = dict(bindings)
-
-    def go(e: LTerm, sub: dict[str, LTerm]) -> LTerm:
-        if not sub:
-            return e
-        match e:
-            case LVar(name):
-                return sub.get(name, e)
-            case LLam(b, bt, body):
-                inner = {k: v for k, v in sub.items()
-                         if k != b and k in l_free_names(body)}
-                if not inner:
-                    return e
-                value_fns = set().union(*(l_free_names(v) for v in inner.values()))
-                if b in value_fns:
-                    b2 = fresh_name(b, value_fns | l_free_names(body) | set(inner))
-                    body = go(body, {b: LVar(b2)})
-                    b = b2
-                return LLam(b, bt, go(body, inner))
-            case LApp(fun, arg):
-                return LApp(go(fun, sub), go(arg, sub))
-            case LPair(a, b):
-                return LPair(go(a, sub), go(b, sub))
-            case LProj0(a):
-                return LProj0(go(a, sub))
-            case LProj1(a):
-                return LProj1(go(a, sub))
-        raise TypeError(f"not a lambda-pair term: {e!r}")
-
-    return go(e, sub)
-
-
-def l_alpha_eq(e1: LTerm, e2: LTerm) -> bool:
-    def go(a: LTerm, b: LTerm, m1: dict[str, int], m2: dict[str, int],
-           depth: int) -> bool:
-        match a, b:
-            case LVar(n1), LVar(n2):
-                b1, b2 = n1 in m1, n2 in m2
-                if b1 != b2:
-                    return False
-                return m1[n1] == m2[n2] if b1 else n1 == n2
-            case LLam(x1, t1, c1), LLam(x2, t2, c2):
-                return t1 == t2 and go(c1, c2, m1 | {x1: depth},
-                                       m2 | {x2: depth}, depth + 1)
-            case LApp(f1, a1), LApp(f2, a2):
-                return go(f1, f2, m1, m2, depth) and go(a1, a2, m1, m2, depth)
-            case LPair(x1, y1), LPair(x2, y2):
-                return go(x1, x2, m1, m2, depth) and go(y1, y2, m1, m2, depth)
-            case LProj0(a1), LProj0(a2):
-                return go(a1, a2, m1, m2, depth)
-            case LProj1(a1), LProj1(a2):
-                return go(a1, a2, m1, m2, depth)
-            case _:
-                return False
-
-    return go(e1, e2, {}, {}, 0)
-
-
-def l_alpha_key(e: LTerm) -> str:
-    parts: list[str] = []
-
-    def walk(e: LTerm, env: dict[str, int], depth: int) -> None:
-        match e:
-            case LVar(n):
-                parts.append(f"v{env[n]}" if n in env else f"f:{n}")
-            case LLam(b, bt, body):
-                parts.append(f"l{bt!r}(")
-                walk(body, env | {b: depth}, depth + 1)
-                parts.append(")")
-            case LApp(f, a):
-                parts.append("a(")
-                walk(f, env, depth)
-                parts.append(",")
-                walk(a, env, depth)
-                parts.append(")")
-            case LPair(a, b):
-                parts.append("p(")
-                walk(a, env, depth)
-                parts.append(",")
-                walk(b, env, depth)
-                parts.append(")")
-            case LProj0(a):
-                parts.append("p0(")
-                walk(a, env, depth)
-                parts.append(")")
-            case LProj1(a):
-                parts.append("p1(")
-                walk(a, env, depth)
-                parts.append(")")
-
-    walk(e, {}, 0)
-    return "".join(parts)
-
 
 def l_check(e: LTerm, env: dict[str, TypeExpr] | None = None) -> TypeExpr:
     """Simple type checking; contraction and weakening are both fine here."""
@@ -243,16 +101,11 @@ def l_check(e: LTerm, env: dict[str, TypeExpr] | None = None) -> TypeExpr:
                 return ft.cod
             case LPair(a, b):
                 return Tensor(go(a, env), go(b, env))
-            case LProj0(a):
+            case LProj0(a) | LProj1(a):
                 ty = go(a, env)
                 if not isinstance(ty, Tensor):
                     raise LTypeError(f"projection from non-pair type {ty!r}")
-                return ty.left
-            case LProj1(a):
-                ty = go(a, env)
-                if not isinstance(ty, Tensor):
-                    raise LTypeError(f"projection from non-pair type {ty!r}")
-                return ty.right
+                return ty.left if isinstance(e, LProj0) else ty.right
         raise TypeError(f"not a lambda-pair term: {e!r}")
 
     return go(e, env)
@@ -272,58 +125,21 @@ def _l_is_redex(e: LTerm) -> bool:
 
 
 def l_find_redexes(e: LTerm) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def walk(e: LTerm, path: tuple[int, ...]) -> None:
-        if _l_is_redex(e):
-            out.append(path)
-        for i, c in enumerate(l_children(e)):
-            walk(c, path + (i,))
-
-    walk(e, ())
-    return out
-
-
-def l_subterm_at(e: LTerm, path: tuple[int, ...]) -> LTerm:
-    for i in path:
-        e = l_children(e)[i]
-    return e
-
-
-def l_replace_at(e: LTerm, path: tuple[int, ...], new: LTerm) -> LTerm:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    match e, i:
-        case LLam(b, bt, body), 0:
-            return LLam(b, bt, l_replace_at(body, rest, new))
-        case LApp(f, a), 0:
-            return LApp(l_replace_at(f, rest, new), a)
-        case LApp(f, a), 1:
-            return LApp(f, l_replace_at(a, rest, new))
-        case LPair(a, b), 0:
-            return LPair(l_replace_at(a, rest, new), b)
-        case LPair(a, b), 1:
-            return LPair(a, l_replace_at(b, rest, new))
-        case LProj0(a), 0:
-            return LProj0(l_replace_at(a, rest, new))
-        case LProj1(a), 0:
-            return LProj1(l_replace_at(a, rest, new))
-    raise IndexError(f"no child {i} at {e!r}")
+    return [path for path, sub in subterms(e) if _l_is_redex(sub)]
 
 
 def l_contract_at(e: LTerm, path: tuple[int, ...]) -> LTerm:
-    node = l_subterm_at(e, path)
+    node = subterm_at(e, path)
     match node:
         case LApp(fun=LLam(binder=b, body=body), arg=arg):
-            new = l_substitute(body, {b: arg})
+            new = substitute(body, {b: arg})
         case LProj0(arg=LPair(first=a)):
             new = a
         case LProj1(arg=LPair(second=b)):
             new = b
         case _:
             raise ValueError(f"no redex at {list(path)}")
-    return l_replace_at(e, path, new)
+    return replace_at(e, path, new)
 
 
 def l_step(e: LTerm) -> list[LTerm]:
@@ -331,7 +147,7 @@ def l_step(e: LTerm) -> list[LTerm]:
     seen: dict[str, LTerm] = {}
     for path in l_find_redexes(e):
         u = l_contract_at(e, path)
-        seen.setdefault(l_alpha_key(u), u)
+        seen.setdefault(alpha_key(u), u)
     return list(seen.values())
 
 
@@ -382,24 +198,22 @@ def _star(t: Term) -> LTerm:
             return LPair(_star(a), _star(b))
         case Let(x, _, y, _, scrut, body):
             s_img = _star(scrut)
-            return l_substitute(_star(body), {x: LProj0(s_img),
-                                              y: LProj1(s_img)})
+            return substitute(_star(body), {x: LProj0(s_img),
+                                            y: LProj1(s_img)})
         case Break(scrut, phi, f, residue, body):
             a = annotated_type(scrut)
             s_img = _star(scrut)
-            return l_substitute(_star(body),
-                                {phi: LApp(_k0(a, residue), s_img),
-                                 f: LApp(_k1(a, residue), s_img)})
+            return substitute(_star(body),
+                              {phi: LApp(_k0(a, residue), s_img),
+                               f: LApp(_k1(a, residue), s_img)})
     raise TypeError(f"not a term: {t!r}")
 
 
 def check_substitution_lemma(s: Term, t: Term, x: str) -> bool:
     """Translation first or substitution first must agree up to alpha."""
-    from .syntax import substitute
-
     lhs = star_translate(substitute(s, [(x, t)]))
-    rhs = l_substitute(star_translate(s), {x: star_translate(t)})
-    return l_alpha_eq(lhs, rhs)
+    rhs = substitute(star_translate(s), {x: star_translate(t)})
+    return alpha_eq(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -415,28 +229,6 @@ class StepMappingVerdict:
     dead_context: bool = False
 
 
-def l_plug(e: LTerm, name: str, value: LTerm) -> LTerm:
-    """Grafting: replace free occurrences of name verbatim, capturing on purpose.
-
-    Used to place a subterm image back into a context image whose binders are
-    supposed to bind the image's free variables.
-    """
-    match e:
-        case LVar(n):
-            return value if n == name else e
-        case LLam(b, bt, body):
-            return e if b == name else LLam(b, bt, l_plug(body, name, value))
-        case LApp(fun, arg):
-            return LApp(l_plug(fun, name, value), l_plug(arg, name, value))
-        case LPair(a, b):
-            return LPair(l_plug(a, name, value), l_plug(b, name, value))
-        case LProj0(a):
-            return LProj0(l_plug(a, name, value))
-        case LProj1(a):
-            return LProj1(l_plug(a, name, value))
-    raise TypeError(f"not a lambda-pair term: {e!r}")
-
-
 def _local_spots(node: Term, rule: RuleName) -> list[tuple[int, ...]]:
     """Paths, within the image of the redex, of the contractions its step maps to.
 
@@ -449,16 +241,9 @@ def _local_spots(node: Term, rule: RuleName) -> list[tuple[int, ...]]:
     match rule:
         case RuleName.BETA:
             return [()]
-        case RuleName.L_CONV:
-            assert isinstance(node, Let)
+        case RuleName.L_CONV | RuleName.B_CONV:
             body_img = _star(node.body)
-            return (l_var_positions(body_img, node.x)
-                    + l_var_positions(body_img, node.y))
-        case RuleName.B_CONV:
-            assert isinstance(node, Break)
-            body_img = _star(node.body)
-            return (l_var_positions(body_img, node.phi)
-                    + l_var_positions(body_img, node.f))
+            return [p for b in binders(node) for p in free_positions(body_img, b)]
     raise MappingFailure(f"{rule} is not a standard conversion")
 
 
@@ -484,14 +269,12 @@ def check_step_mapping(t: Term, r: Redex) -> StepMappingVerdict:
 
     silent = r.rule in (RuleName.L_CONV, RuleName.B_CONV) and is_silent(t, r)
     if r.rule in PERMUTING_RULES or silent:
-        if l_alpha_eq(img_before, img_after):
+        if alpha_eq(img_before, img_after):
             return StepMappingVerdict("equal")
         raise MappingFailure(f"image changed under {r.rule}")
 
-    from .syntax import all_names
-
     def equal_verdict() -> StepMappingVerdict:
-        if l_alpha_eq(img_before, img_after):
+        if alpha_eq(img_before, img_after):
             return StepMappingVerdict("equal", dead_context=True)
         raise MappingFailure("erased redex changed the image")
 
@@ -499,14 +282,14 @@ def check_step_mapping(t: Term, r: Redex) -> StepMappingVerdict:
     hole = fresh_name("hole", all_names(t))
     ctx = replace_at(t, r.position, Var(hole, annotated_type(node)))
     ctx_img = _star(ctx)
-    hole_paths = l_var_positions(ctx_img, hole)
+    hole_paths = free_positions(ctx_img, hole)
     if not hole_paths:
         return equal_verdict()
 
     # every copy received the same pending substitutions, so the subtree at
     # the first hole path is the common image of the redex
-    copy_img = l_subterm_at(img_before, hole_paths[0])
-    if l_plug(ctx_img, hole, copy_img) != img_before:
+    copy_img = subterm_at(img_before, hole_paths[0])
+    if graft(ctx_img, hole, copy_img) != img_before:
         raise MappingFailure("context decomposition disagrees with image")
 
     spots = _local_spots(node, r.rule)
@@ -515,7 +298,7 @@ def check_step_mapping(t: Term, r: Redex) -> StepMappingVerdict:
     stepped_copy = copy_img
     for path in spots:
         stepped_copy = l_contract_at(stepped_copy, path)
-    if not l_alpha_eq(l_plug(ctx_img, hole, stepped_copy), img_after):
+    if not alpha_eq(graft(ctx_img, hole, stepped_copy), img_after):
         raise MappingFailure("recomposed image differs from the step image")
     return StepMappingVerdict("reduced",
                               steps=len(hole_paths) * len(spots))

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 from .syntax import (
     App, Arrow, Break, Lam, Let, Pair, Term, Var, alpha_key, annotated_type,
-    children, free_names, fresh_name, ks_types, replace_at, subterm_at,
-    substitute, term_size, type_size,
+    avoid_capture, binders, free_names, fresh_name, replace_at,
+    subterm_at, substitute, subterms, term_size, type_size,
 )
 
 
@@ -76,9 +76,6 @@ class TraceStep:
     after: Term
 
 
-Trace = list
-
-
 # ---------------------------------------------------------------------------
 # Redex discovery
 # ---------------------------------------------------------------------------
@@ -94,11 +91,11 @@ def _node_rules(t: Term, experimental: bool) -> list[RuleName]:
             rules.append(RuleName.AP_B_CONV)
         case Let(scrutinee=Pair()):
             rules.append(RuleName.L_CONV)
-        case Let(scrutinee=Let(x=ix, y=iy), body=body):
-            if ix not in free_names(body) and iy not in free_names(body):
+        case Let(scrutinee=Let() as inner, body=body):
+            if free_names(body).isdisjoint(binders(inner)):
                 rules.append(RuleName.L_L_CONV)
-        case Let(scrutinee=Break(phi=ip, f=if_), body=body):
-            if ip not in free_names(body) and if_ not in free_names(body):
+        case Let(scrutinee=Break() as inner, body=body):
+            if free_names(body).isdisjoint(binders(inner)):
                 rules.append(RuleName.L_B_CONV)
         case Break(scrutinee=scrut, phi=phi, f=f, body=body):
             fns = free_names(body)
@@ -111,16 +108,8 @@ def _node_rules(t: Term, experimental: bool) -> list[RuleName]:
 
 def find_redexes(t: Term, experimental: bool = False) -> list[Redex]:
     """All redexes in preorder; at one position, standard rules come first."""
-    out: list[Redex] = []
-
-    def walk(t: Term, path: tuple[int, ...]) -> None:
-        for rule in _node_rules(t, experimental):
-            out.append(Redex(path, rule))
-        for i, c in enumerate(children(t)):
-            walk(c, path + (i,))
-
-    walk(t, ())
-    return out
+    return [Redex(path, rule) for path, sub in subterms(t)
+            for rule in _node_rules(sub, experimental)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +149,12 @@ def _contract(t: Term, rule: RuleName) -> Term:
             return substitute(t.body, [(t.phi, k_term), (t.f, s_term)])
         case RuleName.AP_L_CONV:
             assert isinstance(t, App) and isinstance(t.fun, Let)
-            inner = _avoid_capture_let(t.fun, free_names(t.arg))
+            inner = avoid_capture(t.fun, free_names(t.arg))
             return Let(inner.x, inner.x_type, inner.y, inner.y_type,
                        inner.scrutinee, App(inner.body, t.arg))
         case RuleName.AP_B_CONV:
             assert isinstance(t, App) and isinstance(t.fun, Break)
-            inner = _avoid_capture_break(t.fun, free_names(t.arg))
+            inner = avoid_capture(t.fun, free_names(t.arg))
             return Break(inner.scrutinee, inner.phi, inner.f, inner.residue,
                          App(inner.body, t.arg))
         case RuleName.L_L_CONV:
@@ -181,36 +170,11 @@ def _contract(t: Term, rule: RuleName) -> Term:
                          Let(t.x, t.x_type, t.y, t.y_type, inner.body, t.body))
         case RuleName.B_L_CONV:
             assert isinstance(t, Break) and isinstance(t.scrutinee, Let)
-            inner = _avoid_capture_let(t.scrutinee, free_names(t.body))
+            inner = avoid_capture(t.scrutinee, free_names(t.body))
             return Let(inner.x, inner.x_type, inner.y, inner.y_type,
                        inner.scrutinee,
                        Break(inner.body, t.phi, t.f, t.residue, t.body))
     raise InvalidRedex(f"unknown rule {rule}")
-
-
-def _avoid_capture_let(inner: Let, moving_names: set[str]) -> Let:
-    """Rename a let's binders when a term about to enter their scope uses them."""
-    if inner.x not in moving_names and inner.y not in moving_names:
-        return inner
-    avoid = moving_names | free_names(inner.body) | {inner.x, inner.y}
-    x2 = fresh_name(inner.x, avoid)
-    y2 = fresh_name(inner.y, avoid | {x2})
-    body = substitute(inner.body, [(inner.x, Var(x2, inner.x_type)),
-                                   (inner.y, Var(y2, inner.y_type))])
-    return Let(x2, inner.x_type, y2, inner.y_type, inner.scrutinee, body)
-
-
-def _avoid_capture_break(inner: Break, moving_names: set[str]) -> Break:
-    if inner.phi not in moving_names and inner.f not in moving_names:
-        return inner
-    a = annotated_type(inner.scrutinee)
-    k, s = ks_types(a, inner.residue)
-    avoid = moving_names | free_names(inner.body) | {inner.phi, inner.f}
-    p2 = fresh_name(inner.phi, avoid)
-    f2 = fresh_name(inner.f, avoid | {p2})
-    body = substitute(inner.body, [(inner.phi, Var(p2, k)),
-                                   (inner.f, Var(f2, s))])
-    return Break(inner.scrutinee, p2, f2, inner.residue, body)
 
 
 def is_silent(t: Term, r: Redex) -> bool:
@@ -218,16 +182,10 @@ def is_silent(t: Term, r: Redex) -> bool:
 
     Only defined for the pair and break contractions; permuting rules raise.
     """
+    if r.rule not in (RuleName.L_CONV, RuleName.B_CONV):
+        raise ValueError(f"silence undefined for {r.rule}")
     node = subterm_at(t, r.position)
-    if r.rule == RuleName.L_CONV:
-        assert isinstance(node, Let)
-        fns = free_names(node.body)
-        return node.x not in fns and node.y not in fns
-    if r.rule == RuleName.B_CONV:
-        assert isinstance(node, Break)
-        fns = free_names(node.body)
-        return node.phi not in fns and node.f not in fns
-    raise ValueError(f"silence undefined for {r.rule}")
+    return free_names(node.body).isdisjoint(binders(node))
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +194,11 @@ def is_silent(t: Term, r: Redex) -> bool:
 
 def measure(t: Term) -> Measure:
     """Measure that strictly decreases on silent and permuting steps."""
-    first_load = 0
-    type_load = 0
-
-    def walk(t: Term) -> None:
-        nonlocal first_load, type_load
-        match t:
-            case Let(scrutinee=s, body=b) | Break(scrutinee=s, body=b):
-                first_load += term_size(s)
-                type_load += type_size(annotated_type(b))
-        for c in children(t):
-            walk(c)
-
-    walk(t)
+    first_load = type_load = 0
+    for _, sub in subterms(t):
+        if isinstance(sub, (Let, Break)):
+            first_load += term_size(sub.scrutinee)
+            type_load += type_size(annotated_type(sub.body))
     return Measure(term_size(t), first_load, type_load)
 
 

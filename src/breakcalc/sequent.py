@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .printer import print_type
 from .syntax import (
     App, Arrow, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var,
-    canonicalize, free_names, ks_types,
+    canonicalize, free_names, ks_types, substitute,
 )
 from .typecheck import check
 
@@ -358,7 +358,6 @@ def sequent_to_term(d: SDerivation) -> Term:
                 x = fresh("cutv")
                 t2 = go(p2, rest + [(x, a)])
                 t1 = go(p1, ctx1)
-                from .syntax import substitute
                 return substitute(t2, [(x, t1)])
             case SRule.BRK:
                 p1, p2 = d.premises
@@ -382,7 +381,6 @@ def sequent_to_term(d: SDerivation) -> Term:
                 x = fresh("r")
                 t2 = go(p2, rest + [(x, principal.cod)])
                 t1 = go(p1, ctx1)
-                from .syntax import substitute
                 return substitute(t2, [(x, App(Var(g, principal), t1))])
             case SRule.TensR:
                 p1, p2 = d.premises
@@ -411,8 +409,11 @@ def eliminate_cuts(d: SDerivation, node_budget: int = 1_000_000) -> SDerivation:
 
     Principal cuts split into smaller cuts, other cuts ride up whichever
     premise carries the cut formula (break nodes included), and cuts against
-    axioms vanish into weakening.  Break nodes are never removed.  Terminates
-    by the usual (cut formula size, combined premise height) measure.
+    axioms vanish into weakening.  No break node is ever added.  A break node
+    is dropped only inside a premise that is discarded whole, when the cut
+    formula it derives meets a weakened axiom (the sequent form of a beta
+    step whose bound variable is unused).  Terminates by the usual (cut
+    formula size, combined premise height) measure.
     """
     built = [0]
 

@@ -2,12 +2,22 @@
 
 Terms are Church style: every variable occurrence carries its type, binders are
 annotated, and a break node stores its residue type.  All values are immutable.
+
+The binder-aware operations (navigation, free names, substitution, alpha
+equivalence, canonical renaming, affinity) are written once, over the Spec
+that each constructor declares with @constructor.  They serve Term, the
+untyped terms of typecheck and the lambda-pair terms of lambda_pair alike:
+lambda binds one name over its body, let and break bind two names over their
+body only.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import dataclasses
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 
 class IllFormedTermError(Exception):
@@ -71,6 +81,90 @@ def type_size(ty: TypeExpr) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Constructor specs
+# ---------------------------------------------------------------------------
+
+def _tuple_getter(names: tuple[str, ...]):
+    """Getter returning the named fields as a tuple (attrgetter unwraps one)."""
+    if not names:
+        return lambda t: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda t: (get(t),)
+    return attrgetter(*names)
+
+
+class Spec:
+    """What the shared term operations read off one constructor.
+
+    `kids` are the child fields in source order.  The `binders` fields name
+    the variables bound over the child field `over` (and over no other child).
+    `annots` are the type annotations, which alpha_key (and so alpha_eq)
+    takes into account.  `var` is the name field of a variable.  `tag` names the
+    constructor in alpha_key.  The getters are precomputed per class because
+    free_names, alpha_key and the redex walk call them at every node.
+    """
+
+    __slots__ = ("cls", "tag", "kids", "binders", "annots", "var", "scope",
+                 "values", "kid_slots", "name_slots", "only_kids")
+
+    def __init__(self, cls: type, tag: str, kids: tuple[str, ...] = (),
+                 binders: tuple[str, ...] = (), over: str | None = None,
+                 annots: tuple[str, ...] = (), var: str | None = None):
+        fields = tuple(f.name for f in dataclasses.fields(cls))
+        self.cls = cls
+        self.tag = tag
+        self.kids = _tuple_getter(kids)
+        self.binders = _tuple_getter(binders)
+        self.annots = _tuple_getter(annots)
+        self.var = attrgetter(var) if var else None
+        self.scope = kids.index(over) if binders else -1
+        self.values = _tuple_getter(fields)
+        self.kid_slots = tuple(map(fields.index, kids))
+        self.name_slots = tuple(map(fields.index, (var,) if var else binders))
+        self.only_kids = fields == kids
+
+
+#: The spec of every constructor of Term, UntypedTerm and LTerm, by class.
+#: Looking up anything else raises KeyError.
+SPECS: dict[type, Spec] = {}
+
+
+def constructor(tag: str, **shape):
+    """Class decorator registering a frozen dataclass as a term constructor."""
+    def register(cls):
+        SPECS[cls] = Spec(cls, tag, **shape)
+        return cls
+    return register
+
+
+def _rebuild(t, kids, names=None):
+    """t with its children, and optionally its binder or variable names, replaced."""
+    sp = SPECS[type(t)]
+    if sp.only_kids:
+        return sp.cls(*kids)
+    vals = list(sp.values(t))
+    for i, v in zip(sp.kid_slots, kids):
+        vals[i] = v
+    if names is not None:
+        for i, v in zip(sp.name_slots, names):
+            vals[i] = v
+    return sp.cls(*vals)
+
+
+class DistinctBinders:
+    """Base of the let and break constructors: their two binders must differ."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        first, second = SPECS[type(self)].binders(self)
+        if first == second:
+            raise IllFormedTermError(
+                f"{type(self).__name__} binds {first!r} twice")
+
+
+# ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
@@ -80,12 +174,15 @@ class Term:
     __slots__ = ()
 
 
+@constructor("v", var="name", annots=("type",))
 @dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
     type: TypeExpr
 
 
+@constructor("l", kids=("body",), binders=("binder",), over="body",
+             annots=("binder_type",))
 @dataclass(frozen=True, slots=True)
 class Lam(Term):
     binder: str
@@ -93,20 +190,24 @@ class Lam(Term):
     body: Term
 
 
+@constructor("a", kids=("fun", "arg"))
 @dataclass(frozen=True, slots=True)
 class App(Term):
     fun: Term
     arg: Term
 
 
+@constructor("p", kids=("first", "second"))
 @dataclass(frozen=True, slots=True)
 class Pair(Term):
     first: Term
     second: Term
 
 
+@constructor("L", kids=("scrutinee", "body"), binders=("x", "y"),
+             over="body", annots=("x_type", "y_type"))
 @dataclass(frozen=True, slots=True)
-class Let(Term):
+class Let(Term, DistinctBinders):
     """``let <x, y> = scrutinee in body`` destructuring a pair."""
 
     x: str
@@ -116,13 +217,11 @@ class Let(Term):
     scrutinee: Term
     body: Term
 
-    def __post_init__(self) -> None:
-        if self.x == self.y:
-            raise IllFormedTermError(f"let binds {self.x!r} twice")
 
-
+@constructor("B", kids=("scrutinee", "body"), binders=("phi", "f"),
+             over="body", annots=("residue",))
 @dataclass(frozen=True, slots=True)
-class Break(Term):
+class Break(Term, DistinctBinders):
     """``break scrutinee as <phi, f> @ residue in body``.
 
     Only the residue type is stored; the types of phi and f are derived from it
@@ -135,38 +234,22 @@ class Break(Term):
     residue: TypeExpr
     body: Term
 
-    def __post_init__(self) -> None:
-        if self.phi == self.f:
-            raise IllFormedTermError(f"break binds {self.phi!r} twice")
-
-
-#: Finite map from variable name to its type.
-TypedVarSet = dict
-
 
 # ---------------------------------------------------------------------------
-# Tree navigation
+# Tree navigation (every operation from here on serves all three families)
 # ---------------------------------------------------------------------------
 
-def children(t: Term) -> tuple[Term, ...]:
+def children(t) -> tuple:
     """Subterm children in left-to-right source order."""
-    match t:
-        case Var():
-            return ()
-        case Lam(_, _, body):
-            return (body,)
-        case App(fun, arg):
-            return (fun, arg)
-        case Pair(first, second):
-            return (first, second)
-        case Let(_, _, _, _, scrutinee, body):
-            return (scrutinee, body)
-        case Break(scrutinee, _, _, _, body):
-            return (scrutinee, body)
-    raise TypeError(f"not a term: {t!r}")
+    return SPECS[type(t)].kids(t)
 
 
-def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
+def binders(t) -> tuple[str, ...]:
+    """Names bound at the root of t, in source order."""
+    return SPECS[type(t)].binders(t)
+
+
+def subterm_at(t, path: tuple[int, ...]):
     for i in path:
         kids = children(t)
         if i >= len(kids):
@@ -175,68 +258,73 @@ def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
     return t
 
 
-def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
+def replace_at(t, path: tuple[int, ...], new):
     if not path:
         return new
-    i, rest = path[0], path[1:]
-    match t, i:
-        case Lam(b, bt, body), 0:
-            return Lam(b, bt, replace_at(body, rest, new))
-        case App(fun, arg), 0:
-            return App(replace_at(fun, rest, new), arg)
-        case App(fun, arg), 1:
-            return App(fun, replace_at(arg, rest, new))
-        case Pair(a, b), 0:
-            return Pair(replace_at(a, rest, new), b)
-        case Pair(a, b), 1:
-            return Pair(a, replace_at(b, rest, new))
-        case Let(x, xt, y, yt, s, body), 0:
-            return Let(x, xt, y, yt, replace_at(s, rest, new), body)
-        case Let(x, xt, y, yt, s, body), 1:
-            return Let(x, xt, y, yt, s, replace_at(body, rest, new))
-        case Break(s, phi, f, res, body), 0:
-            return Break(replace_at(s, rest, new), phi, f, res, body)
-        case Break(s, phi, f, res, body), 1:
-            return Break(s, phi, f, res, replace_at(body, rest, new))
-    raise IndexError(f"no child {i} at {t!r}")
+    i = path[0]
+    kids = list(children(t))
+    if i >= len(kids):
+        raise IndexError(f"no child {i} at {t!r}")
+    kids[i] = replace_at(kids[i], path[1:], new)
+    return _rebuild(t, kids)
 
 
-def positions(t: Term) -> list[tuple[int, ...]]:
+def subterms(t) -> Iterator[tuple[tuple[int, ...], object]]:
+    """(position, subterm) for every node of t, in preorder."""
+    stack = [((), t)]
+    while stack:
+        path, t = stack.pop()
+        yield path, t
+        kids = children(t)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), kids[i]))
+
+
+def positions(t) -> list[tuple[int, ...]]:
     """All node positions in preorder."""
+    return [path for path, _ in subterms(t)]
+
+
+def term_size(t) -> int:
+    """Number of term nodes."""
+    return 1 + sum(term_size(c) for c in children(t))
+
+
+# ---------------------------------------------------------------------------
+# Names
+# ---------------------------------------------------------------------------
+
+def free_names(t) -> set[str]:
+    """Names occurring free in t (no type information)."""
+    sp = SPECS[type(t)]
+    if sp.var is not None:
+        return {sp.var(t)}
+    out: set[str] = set()
+    for i, c in enumerate(sp.kids(t)):
+        if i == sp.scope:
+            out |= free_names(c).difference(sp.binders(t))
+        else:
+            out |= free_names(c)
+    return out
+
+
+def free_positions(t, name: str) -> list[tuple[int, ...]]:
+    """Positions of the free occurrences of name, in preorder."""
     out: list[tuple[int, ...]] = []
 
-    def walk(t: Term, path: tuple[int, ...]) -> None:
-        out.append(path)
-        for i, c in enumerate(children(t)):
-            walk(c, path + (i,))
+    def walk(t, path: tuple[int, ...]) -> None:
+        sp = SPECS[type(t)]
+        if sp.var is not None and sp.var(t) == name:
+            out.append(path)
+        for i, c in enumerate(sp.kids(t)):
+            if i != sp.scope or name not in sp.binders(t):
+                walk(c, path + (i,))
 
     walk(t, ())
     return out
 
 
-# ---------------------------------------------------------------------------
-# Free variables and sizes
-# ---------------------------------------------------------------------------
-
-def free_names(t: Term) -> set[str]:
-    """Names occurring free in t (no type information)."""
-    match t:
-        case Var(name, _):
-            return {name}
-        case Lam(b, _, body):
-            return free_names(body) - {b}
-        case App(fun, arg):
-            return free_names(fun) | free_names(arg)
-        case Pair(a, b):
-            return free_names(a) | free_names(b)
-        case Let(x, _, y, _, s, body):
-            return (free_names(body) - {x, y}) | free_names(s)
-        case Break(s, phi, f, _, body):
-            return (free_names(body) - {phi, f}) | free_names(s)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def free_vars(t: Term) -> TypedVarSet:
+def free_vars(t: Term) -> dict[str, TypeExpr]:
     """Free variables of t with their types.
 
     Raises IllFormedTermError if one name occurs free at two different types.
@@ -244,64 +332,24 @@ def free_vars(t: Term) -> TypedVarSet:
     out: dict[str, TypeExpr] = {}
 
     def walk(t: Term, bound: frozenset[str]) -> None:
-        match t:
-            case Var(name, ty):
-                if name in bound:
-                    return
-                if name in out and out[name] != ty:
-                    raise IllFormedTermError(
-                        f"variable {name!r} used at two types")
-                out[name] = ty
-            case Lam(b, _, body):
-                walk(body, bound | {b})
-            case App(fun, arg):
-                walk(fun, bound)
-                walk(arg, bound)
-            case Pair(a, b):
-                walk(a, bound)
-                walk(b, bound)
-            case Let(x, _, y, _, s, body):
-                walk(s, bound)
-                walk(body, bound | {x, y})
-            case Break(s, phi, f, _, body):
-                walk(s, bound)
-                walk(body, bound | {phi, f})
-            case _:
-                raise TypeError(f"not a term: {t!r}")
+        sp = SPECS[type(t)]
+        if sp.var is not None:
+            if t.name not in bound and out.setdefault(t.name, t.type) != t.type:
+                raise IllFormedTermError(
+                    f"variable {t.name!r} used at two types")
+        for i, c in enumerate(sp.kids(t)):
+            walk(c, bound.union(sp.binders(t)) if i == sp.scope else bound)
 
     walk(t, frozenset())
     return out
 
 
-def term_size(t: Term) -> int:
-    """Number of term nodes."""
-    return 1 + sum(term_size(c) for c in children(t))
-
-
-def all_names(t: Term) -> set[str]:
+def all_names(t) -> set[str]:
     """Every name appearing in t, bound or free."""
     out: set[str] = set()
-
-    def walk(t: Term) -> None:
-        match t:
-            case Var(name, _):
-                out.add(name)
-            case Lam(b, _, body):
-                out.add(b)
-                walk(body)
-            case Let(x, _, y, _, s, body):
-                out.update((x, y))
-                walk(s)
-                walk(body)
-            case Break(s, phi, f, _, body):
-                out.update((phi, f))
-                walk(s)
-                walk(body)
-            case _:
-                for c in children(t):
-                    walk(c)
-
-    walk(t)
+    for _, sub in subterms(t):
+        sp = SPECS[type(sub)]
+        out.update(sp.binders(sub) if sp.var is None else (sp.var(sub),))
     return out
 
 
@@ -314,200 +362,161 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Renaming, substitution, alpha equivalence
+# Substitution and grafting
 # ---------------------------------------------------------------------------
 
-def _rename_free(t: Term, ren: dict[str, str]) -> Term:
-    """Rename free occurrences of variables; each occurrence keeps its own type."""
-    if not ren:
-        return t
-    match t:
-        case Var(name, ty):
-            return Var(ren[name], ty) if name in ren else t
-        case Lam(b, bt, body):
-            inner = {k: v for k, v in ren.items() if k != b}
-            return Lam(b, bt, _rename_free(body, inner))
-        case App(fun, arg):
-            return App(_rename_free(fun, ren), _rename_free(arg, ren))
-        case Pair(a, b):
-            return Pair(_rename_free(a, ren), _rename_free(b, ren))
-        case Let(x, xt, y, yt, s, body):
-            inner = {k: v for k, v in ren.items() if k not in (x, y)}
-            return Let(x, xt, y, yt, _rename_free(s, ren),
-                       _rename_free(body, inner))
-        case Break(s, phi, f, res, body):
-            inner = {k: v for k, v in ren.items() if k not in (phi, f)}
-            return Break(_rename_free(s, ren), phi, f, res,
-                         _rename_free(body, inner))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _freshen_binders(names: tuple[str, ...], body_parts: tuple[Term, ...],
-                     avoid: set[str]) -> tuple[tuple[str, ...], tuple[Term, ...]]:
-    """Rename the given binders away from avoid, rewriting the bodies."""
-    ren: dict[str, str] = {}
-    taken = set(avoid)
-    new_names = []
-    for n in names:
-        if n in taken:
-            n2 = fresh_name(n, taken | set(names) | set(ren.values()))
-            ren[n] = n2
-            new_names.append(n2)
-            taken.add(n2)
-        else:
-            new_names.append(n)
-            taken.add(n)
-    if ren:
-        body_parts = tuple(_rename_free(p, ren) for p in body_parts)
-    return tuple(new_names), body_parts
-
-
-def substitute(t: Term, bindings) -> Term:
+def substitute(t, bindings):
     """Simultaneous capture-avoiding substitution.
 
     `bindings` is a list of (name, term) pairs or an equivalent dict; bound
     variables of t are renamed whenever they would capture a free variable of
     a substituted term.
     """
-    sub = dict(bindings)
-
-    def go(t: Term, sub: dict[str, Term]) -> Term:
-        if not sub:
-            return t
-        match t:
-            case Var(name, _):
-                return sub.get(name, t)
-            case Lam(b, bt, body):
-                inner = {k: v for k, v in sub.items()
-                         if k != b and k in free_names(body)}
-                if not inner:
-                    return Lam(b, bt, body)
-                value_fns = set().union(*(free_names(v) for v in inner.values()))
-                if b in value_fns:
-                    (b,), (body,) = _freshen_binders(
-                        (b,), (body,), value_fns | free_names(body) | set(inner))
-                return Lam(b, bt, go(body, inner))
-            case App(fun, arg):
-                return App(go(fun, sub), go(arg, sub))
-            case Pair(a, b):
-                return Pair(go(a, sub), go(b, sub))
-            case Let(x, xt, y, yt, s, body):
-                s2 = go(s, sub)
-                inner = {k: v for k, v in sub.items()
-                         if k not in (x, y) and k in free_names(body)}
-                if inner:
-                    value_fns = set().union(*(free_names(v) for v in inner.values()))
-                    if x in value_fns or y in value_fns:
-                        (x, y), (body,) = _freshen_binders(
-                            (x, y), (body,),
-                            value_fns | free_names(body) | set(inner))
-                    body = go(body, inner)
-                return Let(x, xt, y, yt, s2, body)
-            case Break(s, phi, f, res, body):
-                s2 = go(s, sub)
-                inner = {k: v for k, v in sub.items()
-                         if k not in (phi, f) and k in free_names(body)}
-                if inner:
-                    value_fns = set().union(*(free_names(v) for v in inner.values()))
-                    if phi in value_fns or f in value_fns:
-                        (phi, f), (body,) = _freshen_binders(
-                            (phi, f), (body,),
-                            value_fns | free_names(body) | set(inner))
-                    body = go(body, inner)
-                return Break(s2, phi, f, res, body)
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, sub)
+    return _subst(t, dict(bindings))
 
 
-def alpha_eq(t: Term, u: Term) -> bool:
+def _subst(t, sub: dict):
+    """substitute, where a str value renames the variable (keeping its type)."""
+    if not sub:
+        return t
+    sp = SPECS[type(t)]
+    if sp.var is not None:
+        v = sub.get(sp.var(t), t)
+        return _rebuild(t, (), (v,)) if isinstance(v, str) else v
+    kids = sp.kids(t)
+    new = []
+    names = None
+    for i, c in enumerate(kids):
+        if i == sp.scope:
+            bound = sp.binders(t)
+            fns = free_names(c)
+            inner = {k: v for k, v in sub.items()
+                     if k not in bound and k in fns}
+            if inner:
+                value_fns = set().union(*(
+                    {v} if isinstance(v, str) else free_names(v)
+                    for v in inner.values()))
+                if not value_fns.isdisjoint(bound):
+                    names, ren = _freshen(bound, value_fns | fns | set(inner))
+                    c = _subst(c, ren)
+                c = _subst(c, inner)
+            new.append(c)
+        else:
+            new.append(_subst(c, sub))
+    if names is None and all(map(operator.is_, new, kids)):
+        return t
+    return _rebuild(t, new, names)
+
+
+def _freshen(names: tuple[str, ...], avoid: set[str]):
+    """Binder names renamed away from avoid, and the renaming that applies it."""
+    taken = set(avoid)
+    ren: dict[str, str] = {}
+    out = []
+    for n in names:
+        if n in taken:
+            ren[n] = fresh_name(n, taken | set(names))
+            n = ren[n]
+        out.append(n)
+        taken.add(n)
+    return tuple(out), ren
+
+
+def avoid_capture(t, moving: set[str]):
+    """t, or t with all its root binders renamed if one of them is in moving.
+
+    Used before a term whose free names are `moving` enters the binders'
+    scope.  The new names avoid moving, the names free in the scope and the
+    old binders.
+    """
+    sp = SPECS[type(t)]
+    old = sp.binders(t)
+    if moving.isdisjoint(old):
+        return t
+    kids = list(sp.kids(t))
+    taken = moving | free_names(kids[sp.scope]) | set(old)
+    names = []
+    for b in old:
+        names.append(fresh_name(b, taken))
+        taken.add(names[-1])
+    kids[sp.scope] = _subst(kids[sp.scope], dict(zip(old, names)))
+    return _rebuild(t, kids, names)
+
+
+def graft(t, name: str, value):
+    """Replace free occurrences of name verbatim, capturing on purpose.
+
+    Used to place a subterm image back into a context image whose binders are
+    supposed to bind the image's free variables.
+    """
+    sp = SPECS[type(t)]
+    if sp.var is not None:
+        return value if sp.var(t) == name else t
+    kids = sp.kids(t)
+    new = [c if i == sp.scope and name in sp.binders(t)
+           else graft(c, name, value) for i, c in enumerate(kids)]
+    return t if all(map(operator.is_, new, kids)) else _rebuild(t, new)
+
+
+# ---------------------------------------------------------------------------
+# Alpha equivalence and canonical names
+# ---------------------------------------------------------------------------
+
+def alpha_eq(t, u) -> bool:
     """Equality up to renaming of bound variables; annotations must match."""
-
-    def go(t: Term, u: Term, mt: dict[str, int], mu: dict[str, int],
-           depth: int) -> bool:
-        match t, u:
-            case Var(n1, ty1), Var(n2, ty2):
-                if ty1 != ty2:
-                    return False
-                b1, b2 = n1 in mt, n2 in mu
-                if b1 != b2:
-                    return False
-                return mt[n1] == mu[n2] if b1 else n1 == n2
-            case Lam(b1, ty1, body1), Lam(b2, ty2, body2):
-                return ty1 == ty2 and go(body1, body2, mt | {b1: depth},
-                                         mu | {b2: depth}, depth + 1)
-            case App(f1, a1), App(f2, a2):
-                return go(f1, f2, mt, mu, depth) and go(a1, a2, mt, mu, depth)
-            case Pair(a1, b1), Pair(a2, b2):
-                return go(a1, a2, mt, mu, depth) and go(b1, b2, mt, mu, depth)
-            case (Let(x1, xt1, y1, yt1, s1, b1), Let(x2, xt2, y2, yt2, s2, b2)):
-                return (xt1 == xt2 and yt1 == yt2
-                        and go(s1, s2, mt, mu, depth)
-                        and go(b1, b2, mt | {x1: depth, y1: depth + 1},
-                               mu | {x2: depth, y2: depth + 1}, depth + 2))
-            case (Break(s1, p1, f1, r1, b1), Break(s2, p2, f2, r2, b2)):
-                return (r1 == r2 and go(s1, s2, mt, mu, depth)
-                        and go(b1, b2, mt | {p1: depth, f1: depth + 1},
-                               mu | {p2: depth, f2: depth + 1}, depth + 2))
-            case _:
-                return False
-
-    return go(t, u, {}, {}, 0)
+    return alpha_key(t) == alpha_key(u)
 
 
-def alpha_key(t: Term) -> str:
+def _type_key(ty: TypeExpr) -> str:
+    # exact class tests: this runs once per annotation in alpha_key, and a
+    # match statement here doubles alpha_key's time
+    cls = type(ty)
+    if cls is Atom:
+        return ty.name
+    if cls is Arrow:
+        return f"({_type_key(ty.dom)}>{_type_key(ty.cod)})"
+    if cls is Tensor:
+        return f"({_type_key(ty.left)}*{_type_key(ty.right)})"
+    raise TypeError(f"not a type: {ty!r}")
+
+
+def alpha_key(t) -> str:
     """Canonical string key identifying t's alpha-equivalence class."""
     parts: list[str] = []
-
-    def ty(x: TypeExpr) -> str:
-        match x:
-            case Atom(n):
-                return n
-            case Arrow(d, c):
-                return f"({ty(d)}>{ty(c)})"
-            case Tensor(l, r):
-                return f"({ty(l)}x{ty(r)})"
-        raise TypeError
-
-    def walk(t: Term, env: dict[str, int], depth: int) -> None:
-        match t:
-            case Var(n, vt):
-                ref = f"#{env[n]}" if n in env else n
-                parts.append(f"v{ref}:{ty(vt)}")
-            case Lam(b, bt, body):
-                parts.append(f"l:{ty(bt)}(")
-                walk(body, env | {b: depth}, depth + 1)
-                parts.append(")")
-            case App(f, a):
-                parts.append("a(")
-                walk(f, env, depth)
-                parts.append(",")
-                walk(a, env, depth)
-                parts.append(")")
-            case Pair(a, b):
-                parts.append("p(")
-                walk(a, env, depth)
-                parts.append(",")
-                walk(b, env, depth)
-                parts.append(")")
-            case Let(x, xt, y, yt, s, body):
-                parts.append(f"L:{ty(xt)}:{ty(yt)}(")
-                walk(s, env, depth)
-                parts.append(",")
-                walk(body, env | {x: depth, y: depth + 1}, depth + 2)
-                parts.append(")")
-            case Break(s, phi, f, res, body):
-                parts.append(f"B:{ty(res)}(")
-                walk(s, env, depth)
-                parts.append(",")
-                walk(body, env | {phi: depth, f: depth + 1}, depth + 2)
-                parts.append(")")
-
-    walk(t, {}, 0)
+    _key_parts(t, {}, 0, parts.append)
     return "".join(parts)
 
 
-def canonicalize(t: Term) -> Term:
+def _key_parts(t, env: dict[str, int], depth: int, append) -> None:
+    # module level, not a closure: a self-referencing closure is a cycle that
+    # keeps every key fragment alive until the cycle collector runs
+    sp = SPECS[type(t)]
+    if sp.var is not None:
+        n = sp.var(t)
+        append(f"{sp.tag}#{env[n]}" if n in env else sp.tag + n)
+        for a in sp.annots(t):
+            append(":" + _type_key(a))
+        return
+    append(sp.tag)
+    for a in sp.annots(t):
+        append(":" + _type_key(a))
+    append("(")
+    scope = sp.scope
+    for i, c in enumerate(sp.kids(t)):
+        if i:
+            append(",")
+        if i == scope:  # binders get the next levels, in order
+            inner, d = env.copy(), depth
+            for b in sp.binders(t):
+                inner[b] = d
+                d += 1
+            _key_parts(c, inner, d, append)
+        else:
+            _key_parts(c, env, depth, append)
+    append(")")
+
+
+def canonicalize(t):
     """Rename binders so all are distinct from each other and from free names.
 
     Original names are kept when they do not collide.
@@ -519,93 +528,75 @@ def canonicalize(t: Term) -> Term:
         used.add(n2)
         return n2
 
-    def go(t: Term, ren: dict[str, str]) -> Term:
-        match t:
-            case Var(n, ty):
-                return Var(ren.get(n, n), ty)
-            case Lam(b, bt, body):
-                b2 = pick(b)
-                return Lam(b2, bt, go(body, ren | {b: b2}))
-            case App(fun, arg):
-                return App(go(fun, ren), go(arg, ren))
-            case Pair(a, b):
-                return Pair(go(a, ren), go(b, ren))
-            case Let(x, xt, y, yt, s, body):
-                s2 = go(s, ren)
-                x2, y2 = pick(x), pick(y)
-                return Let(x2, xt, y2, yt, s2, go(body, ren | {x: x2, y: y2}))
-            case Break(s, phi, f, res, body):
-                s2 = go(s, ren)
-                p2, f2 = pick(phi), pick(f)
-                return Break(s2, p2, f2, res, go(body, ren | {phi: p2, f: f2}))
-        raise TypeError(f"not a term: {t!r}")
+    def go(t, ren: dict[str, str]):
+        sp = SPECS[type(t)]
+        if sp.var is not None:
+            n = sp.var(t)
+            return _rebuild(t, (), (ren[n],)) if n in ren else t
+        kids, bound = sp.kids(t), sp.binders(t)
+        new, names = [], bound
+        for i, c in enumerate(kids):
+            if i == sp.scope:
+                # a kept name cannot shadow a renamed one: that name is taken
+                names = tuple(map(pick, bound))
+                c = go(c, ren | {b: n for b, n in zip(bound, names) if b != n})
+            else:
+                c = go(c, ren)
+            new.append(c)
+        if names == bound and all(map(operator.is_, new, kids)):
+            return t
+        return _rebuild(t, new, names)
 
     return go(t, {})
 
 
-def is_canonical(t: Term) -> bool:
+def is_canonical(t) -> bool:
     """True if all binders are pairwise distinct and distinct from free names."""
-    seen = set(free_names(t))
-
-    def walk(t: Term) -> bool:
-        binders: tuple[str, ...] = ()
-        match t:
-            case Lam(b, _, _):
-                binders = (b,)
-            case Let(x, _, y, _, _, _):
-                binders = (x, y)
-            case Break(_, phi, f, _, _):
-                binders = (phi, f)
-        for b in binders:
-            if b in seen:
-                return False
-            seen.add(b)
-        return all(walk(c) for c in children(t))
-
-    return walk(t)
+    bound = [b for _, sub in subterms(t) for b in binders(sub)]
+    return len(set(bound)) == len(bound) and free_names(t).isdisjoint(bound)
 
 
-def affine_check(t: Term) -> bool:
-    """True iff no variable occurs free more than once in any subterm.
+# ---------------------------------------------------------------------------
+# Affinity
+# ---------------------------------------------------------------------------
 
-    Weakening (unused binders) is allowed; contraction is not.  The check runs
-    on a canonically renamed copy so distinct binders never share names.
+def first_contraction(t) -> str | None:
+    """The first variable used twice in t, or None when t is affine.
+
+    A variable is used twice when it occurs free in two children of one node,
+    counting a binder's child only outside its binders; weakening (an unused
+    binder) is allowed.  Nodes are visited in post-order and the least shared
+    name is reported.  Like check, this runs on a canonically renamed copy, so
+    both name the same variable.
     """
     if not is_canonical(t):
         t = canonicalize(t)
-    ok = True
+    found: list[str] = []
 
-    def occ(t: Term) -> Counter:
-        nonlocal ok
-        match t:
-            case Var(n, _):
-                return Counter({n: 1})
-            case Lam(b, _, body):
-                c = occ(body)
-                c.pop(b, None)
-                return c
-            case Let(x, _, y, _, s, body):
-                cb = occ(body)
-                cb.pop(x, None)
-                cb.pop(y, None)
-                c = occ(s) + cb
-            case Break(s, phi, f, _, body):
-                cb = occ(body)
-                cb.pop(phi, None)
-                cb.pop(f, None)
-                c = occ(s) + cb
-            case App(fun, arg):
-                c = occ(fun) + occ(arg)
-            case Pair(a, b):
-                c = occ(a) + occ(b)
-            case _:
-                raise TypeError(f"not a term: {t!r}")
-        if any(v > 1 for v in c.values()):
-            ok = False
-        return c
+    def used(t) -> set[str]:
+        sp = SPECS[type(t)]
+        if sp.var is not None:
+            return {sp.var(t)}
+        out: set[str] = set()
+        for i, c in enumerate(sp.kids(t)):
+            names = used(c)
+            if i == sp.scope:
+                names.difference_update(sp.binders(t))
+            if not found and not out.isdisjoint(names):
+                found.append(min(out & names))
+            out |= names
+        return out
 
-    occ(t)
-    return ok
+    used(t)
+    return found[0] if found else None
+
+
+def affine_check(t) -> bool:
+    """True iff no variable occurs free more than once in any subterm.
+
+    Weakening (unused binders) is allowed; contraction is not.
+    """
+    return first_contraction(t) is None
 
 
 def annotated_type(t: Term) -> TypeExpr:

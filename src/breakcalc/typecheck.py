@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import (
-    App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair, Tensor, Term,
-    TypeExpr, Var, canonicalize, is_canonical, ks_types,
+    App, Arrow, Atom, Break, DistinctBinders, IllFormedTermError, Lam, Let,
+    Pair, Tensor, Term, TypeExpr, Var, canonicalize, constructor,
+    first_contraction, is_canonical, ks_types,
 )
-
-Path = tuple
 
 
 class TypeCheckError(Exception):
@@ -142,51 +141,51 @@ class UntypedTerm:
     __slots__ = ()
 
 
+@constructor("v", var="name")
 @dataclass(frozen=True, slots=True)
 class UVar(UntypedTerm):
     name: str
 
 
+@constructor("l", kids=("body",), binders=("binder",), over="body")
 @dataclass(frozen=True, slots=True)
 class ULam(UntypedTerm):
     binder: str
     body: UntypedTerm
 
 
+@constructor("a", kids=("fun", "arg"))
 @dataclass(frozen=True, slots=True)
 class UApp(UntypedTerm):
     fun: UntypedTerm
     arg: UntypedTerm
 
 
+@constructor("p", kids=("first", "second"))
 @dataclass(frozen=True, slots=True)
 class UPair(UntypedTerm):
     first: UntypedTerm
     second: UntypedTerm
 
 
+@constructor("L", kids=("scrutinee", "body"), binders=("x", "y"),
+             over="body")
 @dataclass(frozen=True, slots=True)
-class ULet(UntypedTerm):
+class ULet(UntypedTerm, DistinctBinders):
     x: str
     y: str
     scrutinee: UntypedTerm
     body: UntypedTerm
 
-    def __post_init__(self) -> None:
-        if self.x == self.y:
-            raise IllFormedTermError(f"let binds {self.x!r} twice")
 
-
+@constructor("B", kids=("scrutinee", "body"), binders=("phi", "f"),
+             over="body")
 @dataclass(frozen=True, slots=True)
-class UBreak(UntypedTerm):
+class UBreak(UntypedTerm, DistinctBinders):
     scrutinee: UntypedTerm
     phi: str
     f: str
     body: UntypedTerm
-
-    def __post_init__(self) -> None:
-        if self.phi == self.f:
-            raise IllFormedTermError(f"break binds {self.phi!r} twice")
 
 
 def erase(t: Term) -> UntypedTerm:
@@ -205,57 +204,6 @@ def erase(t: Term) -> UntypedTerm:
         case Break(scrut, phi, f, _, body):
             return UBreak(erase(scrut), phi, f, erase(body))
     raise TypeError(f"not a term: {t!r}")
-
-
-def untyped_affine_check(u: UntypedTerm) -> bool:
-    """Affinity for untyped terms: no name occurs free twice in any subterm."""
-    from collections import Counter
-
-    ok = True
-    serial = [0]
-
-    def occ(u: UntypedTerm, env: dict[str, str]) -> Counter:
-        # env maps names to unique binder ids so shadowing cannot confuse counts
-        nonlocal ok
-        match u:
-            case UVar(name):
-                return Counter({env.get(name, name): 1})
-            case ULam(b, body):
-                serial[0] += 1
-                bid = f"\x00{serial[0]}"
-                c = occ(body, env | {b: bid})
-                c.pop(bid, None)
-                return c
-            case UApp(fun, arg):
-                c = occ(fun, env) + occ(arg, env)
-            case UPair(a, b):
-                c = occ(a, env) + occ(b, env)
-            case ULet(x, y, scrut, body):
-                serial[0] += 1
-                xid = f"\x00{serial[0]}"
-                serial[0] += 1
-                yid = f"\x00{serial[0]}"
-                cb = occ(body, env | {x: xid, y: yid})
-                cb.pop(xid, None)
-                cb.pop(yid, None)
-                c = occ(scrut, env) + cb
-            case UBreak(scrut, phi, f, body):
-                serial[0] += 1
-                pid = f"\x00{serial[0]}"
-                serial[0] += 1
-                fid = f"\x00{serial[0]}"
-                cb = occ(body, env | {phi: pid, f: fid})
-                cb.pop(pid, None)
-                cb.pop(fid, None)
-                c = occ(scrut, env) + cb
-            case _:
-                raise TypeError(f"not an untyped term: {u!r}")
-        if any(v > 1 for v in c.values()):
-            ok = False
-        return c
-
-    occ(u, {})
-    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -373,35 +321,12 @@ def infer_principal(u: UntypedTerm) -> TypeScheme:
     A break introduces fresh scrutinee and residue variables a, b with
     phi : (a -> b) -> b and f : b -> a.
     """
-    if not untyped_affine_check(u):
-        raise AffinityViolation(_first_duplicate(u))
+    name = first_contraction(u)
+    if name is not None:
+        raise AffinityViolation(name)
     inf = _Inferencer()
     ty = inf.deep_resolve(inf.walk(u, {}, {}, ()))
     return _canonical_scheme(ty)
-
-
-def _first_duplicate(u: UntypedTerm) -> str:
-    # best-effort name for the error message
-    from collections import Counter
-
-    names: Counter = Counter()
-
-    def walk(u: UntypedTerm) -> None:
-        match u:
-            case UVar(name):
-                names[name] += 1
-            case ULam(_, body):
-                walk(body)
-            case UApp(a, b) | UPair(a, b):
-                walk(a)
-                walk(b)
-            case ULet(_, _, s, b) | UBreak(s, _, _, b):
-                walk(s)
-                walk(b)
-
-    walk(u)
-    dups = [n for n, c in names.items() if c > 1]
-    return min(dups) if dups else "?"
 
 
 def _canonical_scheme(ty: TypeExpr) -> TypeScheme:

@@ -185,3 +185,28 @@ class TestUsage:
         runs = [cli(["sequent-fromterm", "-"], stdin=B1_SOURCE)
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+class TestDeepNesting:
+    """Input deeper than the recursion limit exits 3 with one stderr line."""
+
+    def _run(self, args, stdin=""):
+        return subprocess.run([sys.executable, "-m", "breakcalc.cli", *args],
+                              input=stdin, capture_output=True, text=True)
+
+    def _assert_budget_exit(self, proc):
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+    def test_deep_lambda_nest(self):
+        # three times the default recursion limit of 1000
+        source = "".join(f"\\x{i}:A. " for i in range(3000)) + "x0\n"
+        self._assert_budget_exit(self._run(["check", "-"], stdin=source))
+
+    def test_deep_arrow_type(self):
+        deep = "A -> " * 2000 + "A"
+        self._assert_budget_exit(self._run(["axioms", "B2", "--A", deep,
+                                            "--B", "B"]))
+

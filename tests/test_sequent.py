@@ -7,7 +7,8 @@ import pytest
 
 from breakcalc.catalog import divisibility_terms, identity_break
 from breakcalc.parser import parse_term
-from breakcalc.reduction import RuleName, find_redexes
+from breakcalc.printer import print_term
+from breakcalc.reduction import RuleName, find_redexes, normalize
 from breakcalc.sequent import (
     InvalidRule, PreconditionViolation, SDerivation, SRule, asm, brk,
     brk_via_cut_empty, brk_via_cut_superfluous, check_derivation, cut,
@@ -147,6 +148,19 @@ class TestEliminateCuts:
         out = eliminate_cuts(d)
         assert out.uses_rule(SRule.BRK)
         assert not out.uses_rule(SRule.CUT)
+
+    def test_break_node_dropped_with_a_discarded_argument(self):
+        # the argument's derivation holds the only BRK node; the bound
+        # variable is unused, so its formula is weakened in and the cut
+        # against it discards that premise whole, as beta discards the
+        # argument
+        t = parse_term(r"(\x:A. (z : B)) "
+                       r"(break (w : A) as <phi, f> @ A in phi f)")
+        d = nd_to_sequent(t)
+        assert d.uses_rule(SRule.BRK)
+        out = eliminate_cuts(d)
+        assert print_derivation(out) == "(ASM [A, B |- B])"
+        assert print_term(normalize(t)[0]) == "(z : B)"
 
     def test_random_population(self):
         for _, d in translated_population(73, 300):

@@ -6,8 +6,8 @@ import pytest
 
 from breakcalc.syntax import (
     App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair, Tensor, Var,
-    affine_check, alpha_eq, canonicalize, free_vars, fresh_name, ks_types,
-    substitute, term_size, type_size,
+    affine_check, all_names, alpha_eq, canonicalize, free_vars, fresh_name,
+    ks_types, substitute, subterms, term_size, type_size,
 )
 from termgen import random_typable_term
 
@@ -55,6 +55,39 @@ class TestSubstitute:
         out = substitute(t, [("x", Var("y", B))])
         assert alpha_eq(out, Lam("w", B, Var("y", B)))
         assert out.binder != "y"
+
+    def test_renamed_binder_does_not_capture(self):
+        # \y:A. \y':B. <y, (x : C)> with x := (y : C): the outer binder
+        # becomes y', so the inner binder y' must move away too
+        t = Lam("y", A, Lam("y'", B, Pair(Var("y", A), Var("x", C))))
+        out = substitute(t, [("x", Var("y", C))])
+        assert out == Lam("y'", A, Lam("y''", B,
+                                        Pair(Var("y'", A), Var("y", C))))
+
+    def test_bound_name_as_value_never_captured(self):
+        # the value is a variable named like a used binder of t, so
+        # substitution under that binder must rename it and its occurrences
+        rng = random.Random(12)
+        renamed = 0
+        for _ in range(1000):
+            t = random_typable_term(rng, max_size=25)
+            fv = free_vars(t)
+            bound = sorted({s.name for _, s in subterms(t)
+                            if isinstance(s, Var)} - set(fv))
+            if not fv or not bound:
+                continue
+            x = sorted(fv)[0]
+            v = Var(rng.choice(bound), fv[x])
+            out = substitute(t, [(x, v)])
+            expected = {n: ty for n, ty in fv.items() if n != x}
+            expected[v.name] = v.type
+            assert free_vars(out) == expected
+            # reference: rename t's binders apart from v first, so that no
+            # binder needs renaming during the substitution
+            apart = canonicalize(Pair(t, v)).first
+            assert alpha_eq(out, substitute(apart, [(x, v)]))
+            renamed += bool(all_names(out) - all_names(t) - {v.name})
+        assert renamed >= 10
 
     def test_simultaneous_not_sequential(self):
         # x := y, y := x swaps in one pass

@@ -8,7 +8,7 @@ from breakcalc.catalog import AxiomId, axiom_term
 from breakcalc.parser import parse_term
 from breakcalc.printer import print_type
 from breakcalc.syntax import (
-    Arrow, Atom, Pair, Tensor, Var, affine_check,
+    Arrow, Atom, Lam, Pair, Tensor, Var, affine_check,
 )
 from breakcalc.typecheck import (
     AffinityViolation, TypeMismatch, UBreak, ULam, ULet, UPair, UVar,
@@ -113,6 +113,20 @@ class TestInfer:
         u = ULam("x", UPair(UVar("x"), UVar("x")))
         with pytest.raises(AffinityViolation):
             infer_principal(u)
+
+    def test_contraction_names_the_contracted_variable(self):
+        # x is bound twice but used once per binder; only y is contracted,
+        # and inference names the same variable as check on the typed twin
+        typed = Pair(Pair(Lam("x", A, Var("x", A)), Lam("x", A, Var("x", A))),
+                     Lam("y", A, Pair(Var("y", A), Var("y", A))))
+        u = UPair(UPair(ULam("x", UVar("x")), ULam("x", UVar("x"))),
+                  ULam("y", UPair(UVar("y"), UVar("y"))))
+        assert erase(typed) == u
+        with pytest.raises(AffinityViolation) as inferred:
+            infer_principal(u)
+        with pytest.raises(AffinityViolation) as checked:
+            check(typed)
+        assert inferred.value.name == checked.value.name == "y"
 
     def test_principality_on_random_church_terms(self):
         rng = random.Random(33)
