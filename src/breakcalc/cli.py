@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 type or derivation error, 2 syntax error, 3 step or
 node budget exceeded, or input nested too deeply for Python's recursion limit,
-4 usage error.  Every error is one line on standard error.  Reads from
-standard input when the file argument is ``-``.
+4 usage error (a negative step or node budget among them).  Every error is
+one line on standard error.  Reads from standard input when the file argument
+is ``-``.
 """
 
 from __future__ import annotations

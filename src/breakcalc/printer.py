@@ -7,7 +7,8 @@ so the output is self-contained; bound occurrences are bare.
 from __future__ import annotations
 
 from .syntax import (
-    App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var,
+    App, Arrow, Atom, Break, FreeNames, Lam, Let, Pair, Tensor, Term,
+    TypeExpr, Var,
 )
 from .lambda_pair import LApp, LLam, LPair, LProj0, LProj1, LTerm, LVar
 
@@ -35,39 +36,89 @@ def _ptype(ty: TypeExpr, ctx: int) -> str:
 
 
 def print_term(t: Term) -> str:
-    return _pterm(t, _TOP, frozenset())
+    return _PlainPrinter().text(t, frozenset())
 
 
-def _scrutinee_str(t: Term, bound: frozenset[str]) -> str:
-    # let/break/lambda scrutinees reparse fine unparenthesized, but parens
-    # keep the binding structure readable
-    s = _pterm(t, _TOP, bound)
-    return f"({s})" if isinstance(t, (Lam, Let, Break)) else s
+# a term of these classes reaches as far right as it can, so it takes
+# parentheses in function position, in argument position and as scrutinee
+_OPEN = (Lam, Let, Break)
+_OPEN_OR_APP = (Lam, Let, Break, App)
 
 
-def _pterm(t: Term, ctx: int, bound: frozenset[str]) -> str:
-    match t:
-        case Var(name, ty):
-            return name if name in bound else f"({name} : {print_type(ty)})"
-        case Lam(b, bt, body):
-            s = f"\\{b}:{print_type(bt)}. {_pterm(body, _TOP, bound | {b})}"
-            return f"({s})" if ctx > _TOP else s
-        case App(fun, arg):
-            s = f"{_pterm(fun, _ARG_L, bound)} {_pterm(arg, _ARG_R, bound)}"
-            return f"({s})" if ctx >= _ARG_R else s
-        case Pair(first, second):
-            return f"<{_pterm(first, _TOP, bound)}, {_pterm(second, _TOP, bound)}>"
-        case Let(x, xt, y, yt, scrut, body):
-            s = (f"let <{x}:{print_type(xt)}, {y}:{print_type(yt)}> = "
-                 f"{_scrutinee_str(scrut, bound)} in "
-                 f"{_pterm(body, _TOP, bound | {x, y})}")
-            return f"({s})" if ctx > _TOP else s
-        case Break(scrut, phi, f, residue, body):
-            s = (f"break {_scrutinee_str(scrut, bound)} as <{phi}, {f}> @ "
-                 f"{print_type(residue)} in "
-                 f"{_pterm(body, _TOP, bound | {phi, f})}")
-            return f"({s})" if ctx > _TOP else s
-    raise TypeError(f"not a term: {t!r}")
+class TermPrinter:
+    """print_term for a run of terms that share subterms, as a trace does.
+
+    A subterm's text depends only on which of its free names are bound
+    around it, so the text is memoised by the node's identity and those
+    names; the user of a text adds the parentheses its position needs.  Call
+    `forget` with the nodes that have left the terms still to be printed (a
+    step's replaced spine), so that the memo holds about one term's text.
+    """
+
+    __slots__ = ("memo", "names")
+
+    def __init__(self) -> None:
+        self.memo: dict[int, tuple[Term, frozenset[str], str]] = {}
+        self.names = FreeNames()
+
+    def __call__(self, t: Term) -> str:
+        return self.text(t, frozenset())
+
+    def forget(self, nodes) -> None:
+        pop = self.memo.pop
+        for t in nodes:
+            pop(id(t), None)
+        self.names.forget(nodes)
+
+    def text(self, t: Term, bound: frozenset[str]) -> str:
+        """t's text, without outer parentheses, when bound is bound around it."""
+        if bound:
+            bound = bound.intersection(self.names(t))
+        hit = self.memo.get(id(t))
+        if hit is not None and hit[1] == bound:
+            return hit[2]
+        s = self._build(t, bound)
+        self.memo[id(t)] = (t, bound, s)
+        return s
+
+    def _part(self, t: Term, bound: frozenset[str], parens: tuple) -> str:
+        s = self.text(t, bound)
+        return f"({s})" if isinstance(t, parens) else s
+
+    def _build(self, t: Term, bound: frozenset[str]) -> str:
+        match t:
+            case Var(name, ty):
+                return name if name in bound else f"({name} : {print_type(ty)})"
+            case Lam(b, bt, body):
+                return f"\\{b}:{print_type(bt)}. {self.text(body, bound | {b})}"
+            case App(fun, arg):
+                return (f"{self._part(fun, bound, _OPEN)} "
+                        f"{self._part(arg, bound, _OPEN_OR_APP)}")
+            case Pair(first, second):
+                return (f"<{self.text(first, bound)}, "
+                        f"{self.text(second, bound)}>")
+            case Let(x, xt, y, yt, scrut, body):
+                # scrutinees would reparse unparenthesized, but parens keep
+                # the binding structure readable
+                return (f"let <{x}:{print_type(xt)}, {y}:{print_type(yt)}> = "
+                        f"{self._part(scrut, bound, _OPEN)} in "
+                        f"{self.text(body, bound | {x, y})}")
+            case Break(scrut, phi, f, residue, body):
+                return (f"break {self._part(scrut, bound, _OPEN)} as "
+                        f"<{phi}, {f}> @ {print_type(residue)} in "
+                        f"{self.text(body, bound | {phi, f})}")
+        raise TypeError(f"not a term: {t!r}")
+
+
+class _PlainPrinter(TermPrinter):
+    """The same text without a memo, for a term printed once."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        pass
+
+    text = TermPrinter._build
 
 
 def print_lterm(e: LTerm) -> str:

@@ -413,8 +413,13 @@ def eliminate_cuts(d: SDerivation, node_budget: int = 1_000_000) -> SDerivation:
     is dropped only inside a premise that is discarded whole, when the cut
     formula it derives meets a weakened axiom (the sequent form of a beta
     step whose bound variable is unused).  Terminates by the usual (cut
-    formula size, combined premise height) measure.
+    formula size, combined premise height) measure.  BudgetExceeded once
+    more than node_budget nodes are built; ValueError if node_budget is
+    negative.
     """
+    if node_budget < 0:
+        raise ValueError(
+            f"node_budget must be non-negative, not {node_budget}")
     built = [0]
 
     def bump(n: int = 1) -> None:

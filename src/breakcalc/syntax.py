@@ -249,24 +249,39 @@ def binders(t) -> tuple[str, ...]:
     return SPECS[type(t)].binders(t)
 
 
-def subterm_at(t, path: tuple[int, ...]):
+def spine_at(t, path: tuple[int, ...]) -> list:
+    """The nodes from t down to the subterm at path, t first."""
+    spine = [t]
     for i in path:
         kids = children(t)
         if i >= len(kids):
             raise IndexError(f"no child {i} at {t!r}")
         t = kids[i]
-    return t
+        spine.append(t)
+    return spine
+
+
+def rebuild_spine(spine: list, path: tuple[int, ...], new) -> list:
+    """The spine, root first, of spine[0] with the node at path replaced by new.
+
+    `spine` is spine_at(root, path); the nodes off the path are shared.
+    """
+    out = [new]
+    for d in range(len(path) - 1, -1, -1):
+        kids = list(children(spine[d]))
+        kids[path[d]] = new
+        new = _rebuild(spine[d], kids)
+        out.append(new)
+    out.reverse()
+    return out
+
+
+def subterm_at(t, path: tuple[int, ...]):
+    return spine_at(t, path)[-1]
 
 
 def replace_at(t, path: tuple[int, ...], new):
-    if not path:
-        return new
-    i = path[0]
-    kids = list(children(t))
-    if i >= len(kids):
-        raise IndexError(f"no child {i} at {t!r}")
-    kids[i] = replace_at(kids[i], path[1:], new)
-    return _rebuild(t, kids)
+    return rebuild_spine(spine_at(t, path), path, new)[0]
 
 
 def subterms(t) -> Iterator[tuple[tuple[int, ...], object]]:
@@ -280,11 +295,6 @@ def subterms(t) -> Iterator[tuple[tuple[int, ...], object]]:
             stack.append((path + (i,), kids[i]))
 
 
-def positions(t) -> list[tuple[int, ...]]:
-    """All node positions in preorder."""
-    return [path for path, _ in subterms(t)]
-
-
 def term_size(t) -> int:
     """Number of term nodes."""
     return 1 + sum(term_size(c) for c in children(t))
@@ -294,17 +304,53 @@ def term_size(t) -> int:
 # Names
 # ---------------------------------------------------------------------------
 
-def free_names(t) -> set[str]:
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def free_names(t) -> frozenset[str]:
     """Names occurring free in t (no type information)."""
+    return _free(t, None)
+
+
+class FreeNames:
+    """free_names memoised by node identity, for many queries on shared terms.
+
+    An entry holds its node, so an id is not reused while it is cached.
+    `forget` drops entries of nodes that have left the term being worked
+    on; a forgotten node that is still in use is recomputed from its
+    children's entries.
+    """
+
+    __slots__ = ("memo",)
+
+    def __init__(self) -> None:
+        self.memo: dict[int, tuple[object, frozenset[str]]] = {}
+
+    def __call__(self, t) -> frozenset[str]:
+        return _free(t, self.memo)
+
+    def forget(self, nodes) -> None:
+        pop = self.memo.pop
+        for t in nodes:
+            pop(id(t), None)
+
+
+def _free(t, memo: dict | None) -> frozenset[str]:
     sp = SPECS[type(t)]
-    if sp.var is not None:
-        return {sp.var(t)}
-    out: set[str] = set()
+    if sp.var is not None:  # cheaper to build than to memoise
+        return frozenset((sp.var(t),))
+    if memo is not None:
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+    out = _NO_NAMES
     for i, c in enumerate(sp.kids(t)):
+        names = _free(c, memo)
         if i == sp.scope:
-            out |= free_names(c).difference(sp.binders(t))
-        else:
-            out |= free_names(c)
+            names = names.difference(sp.binders(t))
+        out = out | names if out else names
+    if memo is not None:
+        memo[id(t)] = (t, out)
     return out
 
 
@@ -365,46 +411,49 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 # Substitution and grafting
 # ---------------------------------------------------------------------------
 
-def substitute(t, bindings):
+def substitute(t, bindings, names: FreeNames | None = None):
     """Simultaneous capture-avoiding substitution.
 
     `bindings` is a list of (name, term) pairs or an equivalent dict; bound
     variables of t are renamed whenever they would capture a free variable of
-    a substituted term.
+    a substituted term.  `names` supplies the free names of t's subterms and
+    of the substituted terms (a fresh memo by default).
     """
-    return _subst(t, dict(bindings))
+    return _subst(t, dict(bindings), FreeNames() if names is None else names)
 
 
-def _subst(t, sub: dict):
-    """substitute, where a str value renames the variable (keeping its type)."""
-    if not sub:
-        return t
+def _subst(t, sub: dict, fn: FreeNames):
+    """substitute, where a str value renames the variable (keeping its type).
+
+    A subterm in which no key of sub is free comes back untouched.  Every
+    node that is rebuilt is forgotten by fn.
+    """
     sp = SPECS[type(t)]
     if sp.var is not None:
         v = sub.get(sp.var(t), t)
         return _rebuild(t, (), (v,)) if isinstance(v, str) else v
-    kids = sp.kids(t)
+    if sub.keys().isdisjoint(fn(t)):
+        return t
     new = []
     names = None
-    for i, c in enumerate(kids):
+    for i, c in enumerate(sp.kids(t)):
         if i == sp.scope:
             bound = sp.binders(t)
-            fns = free_names(c)
+            fns = fn(c)
             inner = {k: v for k, v in sub.items()
                      if k not in bound and k in fns}
             if inner:
                 value_fns = set().union(*(
-                    {v} if isinstance(v, str) else free_names(v)
+                    {v} if isinstance(v, str) else fn(v)
                     for v in inner.values()))
                 if not value_fns.isdisjoint(bound):
                     names, ren = _freshen(bound, value_fns | fns | set(inner))
-                    c = _subst(c, ren)
-                c = _subst(c, inner)
+                    c = _subst(c, ren, fn)
+                c = _subst(c, inner, fn)
             new.append(c)
         else:
-            new.append(_subst(c, sub))
-    if names is None and all(map(operator.is_, new, kids)):
-        return t
+            new.append(_subst(c, sub, fn))
+    fn.forget((t,))
     return _rebuild(t, new, names)
 
 
@@ -422,25 +471,26 @@ def _freshen(names: tuple[str, ...], avoid: set[str]):
     return tuple(out), ren
 
 
-def avoid_capture(t, moving: set[str]):
+def avoid_capture(t, moving: frozenset[str], names: FreeNames | None = None):
     """t, or t with all its root binders renamed if one of them is in moving.
 
     Used before a term whose free names are `moving` enters the binders'
     scope.  The new names avoid moving, the names free in the scope and the
-    old binders.
+    old binders.  `names` is as for substitute.
     """
     sp = SPECS[type(t)]
     old = sp.binders(t)
     if moving.isdisjoint(old):
         return t
+    fn = FreeNames() if names is None else names
     kids = list(sp.kids(t))
-    taken = moving | free_names(kids[sp.scope]) | set(old)
-    names = []
+    taken = set(moving).union(fn(kids[sp.scope]), old)
+    new = []
     for b in old:
-        names.append(fresh_name(b, taken))
-        taken.add(names[-1])
-    kids[sp.scope] = _subst(kids[sp.scope], dict(zip(old, names)))
-    return _rebuild(t, kids, names)
+        new.append(fresh_name(b, taken))
+        taken.add(new[-1])
+    kids[sp.scope] = _subst(kids[sp.scope], dict(zip(old, new)), fn)
+    return _rebuild(t, kids, new)
 
 
 def graft(t, name: str, value):

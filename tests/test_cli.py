@@ -178,6 +178,18 @@ class TestUsage:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "A -> A"
 
+    @pytest.mark.parametrize("argv, stdin", [
+        (["normalize", "--max-steps", "-1", "-"], U_SOURCE),
+        (["sequent-cutelim", "--node-budget", "-1", "-"], "(ASM [A |- A])\n"),
+    ], ids=["normalize", "sequent-cutelim"])
+    def test_negative_budget_is_usage_error(self, argv, stdin):
+        proc = subprocess.run([sys.executable, "-m", "breakcalc.cli", *argv],
+                              input=stdin, capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("usage error: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_commands_are_deterministic(self, cli):
         runs = [cli(["normalize", "--trace", "-"], stdin=U_SOURCE)
                 for _ in range(2)]

@@ -1,12 +1,16 @@
 """Reduction: redex discovery, stepping, silence, the measure, normalization,
 critical pairs, and the confluence counterexample."""
 
+import functools
 import random
+from pathlib import Path
 
 import pytest
 
+from breakcalc import catalog
 from breakcalc.catalog import divisibility_terms, identity_break
 from breakcalc.parser import parse_term
+from breakcalc.printer import TermPrinter, print_term
 from breakcalc.reduction import (
     InvalidRedex, Measure, Redex, RuleName, StepBudgetExceeded, apply_step,
     find_redexes, format_trace, is_silent, measure, normalize,
@@ -19,6 +23,8 @@ from breakcalc.syntax import (
 from breakcalc.typecheck import check
 from schemas import critical_pair_instances, join_within, nonconfluence_witness
 from termgen import random_typable_term
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 P, Q, R = Atom("P"), Atom("Q"), Atom("R")
 A, B = Atom("A"), Atom("B")
@@ -189,6 +195,11 @@ class TestNormalize:
             nf2, _ = normalize(t, strategy="last")
             assert alpha_eq(nf1, nf2)
 
+    def test_negative_budget_rejected(self):
+        _, u = divisibility_terms(A, B)
+        with pytest.raises(ValueError):
+            normalize(u, max_steps=-1)
+
     def test_trace_format(self):
         t = App(Lam("x", A, Var("x", A)), Var("y", A))
         _, steps = normalize(t)
@@ -294,3 +305,122 @@ class TestConfluenceProperty:
                     nf, _ = normalize(u, strategy=strategy)
                     classes.add(alpha_key(nf))
             assert len(classes) <= 1
+
+
+# ---------------------------------------------------------------------------
+# The resumable leftmost-outermost search against the plain one
+# ---------------------------------------------------------------------------
+
+def reference_normalize(t, experimental: bool, max_steps: int = 100_000):
+    """Leftmost-outermost normalization by listing every redex at every step."""
+    steps = []
+    while True:
+        redexes = find_redexes(t, experimental)
+        if not redexes:
+            return t, steps
+        if len(steps) == max_steps:
+            raise StepBudgetExceeded(max_steps)
+        steps.append((redexes[0].rule, redexes[0].position))
+        t = apply_step(t, redexes[0])
+
+
+def fixed_terms():
+    """The samples and the catalog terms."""
+    C = Atom("C")
+    out = [parse_term(path.read_text(encoding="utf-8"))
+           for path in sorted(SAMPLES.glob("*.bterm"))]
+    out += [catalog.axiom_term(axiom, A, B, C) for axiom in catalog.AxiomId]
+    out += [catalog.identity_break(A), *catalog.divisibility_terms(A, B),
+            catalog.axiom_L_term(A, B), catalog.homomorphism_term(A, B, C),
+            catalog.break_free_split(A, B), nonconfluence_witness()]
+    return out
+
+
+@functools.cache
+def differential_terms():
+    rng = random.Random(20261018)
+    return fixed_terms() + [random_typable_term(rng) for _ in range(10_000)]
+
+
+@pytest.mark.parametrize("experimental", [False, True],
+                         ids=["standard", "experimental"])
+def test_normalize_matches_listing_every_redex(experimental):
+    for t in differential_terms():
+        ref_nf, ref_steps = reference_normalize(t, experimental)
+        nf, steps = normalize(t, experimental=experimental)
+        assert nf == ref_nf
+        assert [(s.rule, s.position) for s in steps] == ref_steps
+        n = len(ref_steps)
+        assert normalize(t, max_steps=n, experimental=experimental)[0] == nf
+        if n:
+            with pytest.raises(StepBudgetExceeded):
+                normalize(t, max_steps=n - 1, experimental=experimental)
+            with pytest.raises(StepBudgetExceeded):
+                reference_normalize(t, experimental, max_steps=n - 1)
+
+
+# ---------------------------------------------------------------------------
+# Trace text: the memoised printer against print_term line by line
+# ---------------------------------------------------------------------------
+
+def identity_chain(n: int):
+    t = Var("w", A)
+    for i in reversed(range(n)):
+        t = App(Lam(f"x{i}", A, Var(f"x{i}", A)), t)
+    return t
+
+
+def break_chain(n: int):
+    """b-conv puts the shared argument under fresh binders at every layer."""
+    t = Lam("w", A, Var("w", A))
+    for _ in range(n):
+        t = App(identity_break(Arrow(A, A)), t)
+    return t
+
+
+def permuting_chain(n: int):
+    t2 = Tensor(A, A)
+    blocks = [App(Let(f"x{k}", A, f"y{k}", A,
+                      Let(f"u{k}", A, f"v{k}", A, Var(f"p{k}", t2),
+                          Var(f"q{k}", t2)),
+                      Break(Var(f"c{k}", A), f"phi{k}", f"f{k}", A,
+                            Var(f"g{k}", Arrow(A, A)))),
+                  Var(f"d{k}", A))
+              for k in range(n)]
+    while len(blocks) > 1:
+        blocks = [Pair(*blocks[i:i + 2]) if i + 1 < len(blocks)
+                  else blocks[i] for i in range(0, len(blocks), 2)]
+    return blocks[0]
+
+
+def plain_trace(steps) -> str:
+    return "\n".join(
+        f"{s.index} {s.rule} "
+        f"{'.'.join(map(str, s.position)) if s.position else 'root'} "
+        f"{print_term(s.after)}" for s in steps)
+
+
+class TestTraceText:
+    @pytest.mark.parametrize("chain", [identity_chain, break_chain,
+                                       permuting_chain])
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_chains(self, chain, n):
+        _, steps = normalize(chain(n))
+        assert steps
+        assert format_trace(steps) == plain_trace(steps)
+
+    def test_random_terms_both_strategies(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            t = random_typable_term(rng)
+            for strategy in ("first", "last"):
+                _, steps = normalize(t, strategy=strategy)
+                assert format_trace(steps) == plain_trace(steps)
+
+    def test_one_node_in_two_binding_contexts(self):
+        x = Var("x", A)
+        printer = TermPrinter()
+        assert printer(x) == "(x : A)"
+        assert printer(Lam("x", A, x)) == "\\x:A. x"
+        assert printer(Pair(x, Lam("x", A, x))) == "<(x : A), \\x:A. x>"
+        assert printer(App(Lam("y", A, x), x)) == "(\\y:A. (x : A)) (x : A)"

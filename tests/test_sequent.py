@@ -129,6 +129,10 @@ class TestEliminateCuts:
         assert not out.uses_rule(SRule.CUT)
         assert check_derivation(out) == d.conclusion
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            eliminate_cuts(asm([A], A), node_budget=-1)
+
     def test_cut_free_input_unchanged(self):
         d = nd_to_sequent(Var("x", A))
         assert eliminate_cuts(d) == d
