@@ -4,6 +4,10 @@ to and from terms, cut elimination, and bounded proof search.
 Antecedents are multisets of formulas (stored as canonically sorted tuples).
 There is no contraction rule, so affinity carries over; weakening is
 admissible because the axiom rule allows an arbitrary context.
+
+`_conclude` is the one definition of each non-axiom rule: the conclusion it
+draws from its premises and its formula.  The node builders, the checker and
+cut elimination all go through it.
 """
 
 from __future__ import annotations
@@ -36,10 +40,6 @@ class BudgetExceeded(Exception):
     pass
 
 
-def _type_key(ty: TypeExpr) -> str:
-    return print_type(ty)
-
-
 @dataclass(frozen=True)
 class Sequent:
     """antecedent |- succedent; the antecedent tuple is kept canonically sorted."""
@@ -54,25 +54,18 @@ class Sequent:
 
 
 def sequent(antecedent, succedent: TypeExpr) -> Sequent:
-    return Sequent(tuple(sorted(antecedent, key=_type_key)), succedent)
+    return Sequent(tuple(sorted(antecedent, key=print_type)), succedent)
 
 
-def _ms(formulas) -> Counter:
-    return Counter(formulas)
-
-
-def _ms_tuple(ms: Counter) -> tuple[TypeExpr, ...]:
-    return tuple(sorted(ms.elements(), key=_type_key))
-
-
-def _take(ms: Counter, formula: TypeExpr, path: tuple[int, ...],
-          what: str) -> Counter:
-    if ms[formula] < 1:
-        raise InvalidRule(path, f"{what} {print_type(formula)} not in antecedent")
-    out = ms.copy()
-    out[formula] -= 1
-    if out[formula] == 0:
-        del out[formula]
+def _take(formulas, formula: TypeExpr, path: tuple[int, ...],
+          what: str) -> list[TypeExpr]:
+    """formulas less one copy of formula; InvalidRule if there is none."""
+    out = list(formulas)
+    try:
+        out.remove(formula)
+    except ValueError:
+        raise InvalidRule(
+            path, f"{what} {print_type(formula)} not in antecedent") from None
     return out
 
 
@@ -89,8 +82,10 @@ class SRule(str, enum.Enum):
 _ARITY = {SRule.ASM: 0, SRule.ArrR: 1, SRule.TensL: 1,
           SRule.CUT: 2, SRule.BRK: 2, SRule.ArrL: 2, SRule.TensR: 2}
 
-#: rules whose `data` field holds a formula (BRK: the residue type)
-_DATA_RULES = frozenset({SRule.BRK, SRule.ArrL, SRule.TensL})
+#: the class of the `data` field per rule (BRK: the residue type, ArrL and
+#: TensL: the principal formula); the other rules carry no datum
+_DATUM = {SRule.BRK: (TypeExpr, "a formula"), SRule.ArrL: (Arrow, "an arrow"),
+          SRule.TensL: (Tensor, "a pair")}
 
 
 @dataclass(frozen=True)
@@ -107,6 +102,48 @@ class SDerivation:
         return self.rule == rule or any(p.uses_rule(rule) for p in self.premises)
 
 
+def _conclude(rule: SRule, premises: tuple[SDerivation, ...],
+              formula: TypeExpr | None,
+              path: tuple[int, ...]) -> tuple[list[TypeExpr], TypeExpr]:
+    """Antecedent (a multiset, as a list) and succedent that a non-axiom rule
+    concludes from its premises and its formula: the residue of BRK, the
+    domain of ArrR, the principal formula of ArrL and TensL, None otherwise.
+    InvalidRule at path when the premises do not fit."""
+    c = [p.conclusion for p in premises]
+    match rule:
+        case SRule.CUT:
+            rest = _take(c[1].antecedent, c[0].succedent, path, "cut formula")
+            return [*c[0].antecedent, *rest], c[1].succedent
+        case SRule.BRK:
+            k, s = ks_types(c[0].succedent, formula)
+            rest = _take(c[1].antecedent, k, path, "higher-order assumption")
+            rest = _take(rest, s, path, "section assumption")
+            return [*c[0].antecedent, *rest], c[1].succedent
+        case SRule.ArrR:
+            rest = _take(c[0].antecedent, formula, path, "discharged formula")
+            return rest, Arrow(formula, c[0].succedent)
+        case SRule.ArrL:
+            if c[0].succedent != formula.dom:
+                raise InvalidRule(path, "first premise must prove the domain")
+            rest = _take(c[1].antecedent, formula.cod, path,
+                         "codomain assumption")
+            return [*c[0].antecedent, *rest, formula], c[1].succedent
+        case SRule.TensR:
+            return ([*c[0].antecedent, *c[1].antecedent],
+                    Tensor(c[0].succedent, c[1].succedent))
+        case SRule.TensL:
+            rest = _take(c[0].antecedent, formula.left, path, "left component")
+            rest = _take(rest, formula.right, path, "right component")
+            return [*rest, formula], c[0].succedent
+    raise TypeError(f"not a non-axiom rule: {rule!r}")
+
+
+def _formula(d: SDerivation) -> TypeExpr | None:
+    """The formula `_conclude` reads for d's rule; ArrR keeps no datum, its
+    domain is read off its succedent."""
+    return d.conclusion.succedent.dom if d.rule == SRule.ArrR else d.data
+
+
 # ---------------------------------------------------------------------------
 # Checking
 # ---------------------------------------------------------------------------
@@ -121,146 +158,76 @@ def _check_node(d: SDerivation, path: tuple[int, ...]) -> None:
     if len(d.premises) != _ARITY[d.rule]:
         raise InvalidRule(path, f"{d.rule.value} wants {_ARITY[d.rule]} premises,"
                                 f" got {len(d.premises)}")
-    if d.data is None and d.rule in _DATA_RULES:
-        raise InvalidRule(path, f"{d.rule.value} needs its formula datum")
+    cls, what = _DATUM.get(d.rule, (type(None), "no"))
+    if not isinstance(d.data, cls):
+        raise InvalidRule(path, f"{d.rule.value} takes {what} datum")
     for i, p in enumerate(d.premises):
         _check_node(p, path + (i,))
     concl = d.conclusion
-    ant = _ms(concl.antecedent)
-    match d.rule:
-        case SRule.ASM:
-            if ant[concl.succedent] < 1:
-                raise InvalidRule(path, "axiom succedent not in antecedent")
-        case SRule.CUT:
-            p1, p2 = d.premises
-            cut = p1.conclusion.succedent
-            rest = _take(_ms(p2.conclusion.antecedent), cut, path, "cut formula")
-            expect = _ms(p1.conclusion.antecedent) + rest
-            if ant != expect or concl.succedent != p2.conclusion.succedent:
-                raise InvalidRule(path, "cut conclusion does not match premises")
-        case SRule.BRK:
-            p1, p2 = d.premises
-            a = p1.conclusion.succedent
-            k, s = ks_types(a, d.data)
-            rest = _take(_ms(p2.conclusion.antecedent), k, path,
-                         "higher-order assumption")
-            rest = _take(rest, s, path, "section assumption")
-            expect = _ms(p1.conclusion.antecedent) + rest
-            if ant != expect or concl.succedent != p2.conclusion.succedent:
-                raise InvalidRule(path, "break conclusion does not match premises")
-        case SRule.ArrR:
-            (p,) = d.premises
-            if not isinstance(concl.succedent, Arrow):
-                raise InvalidRule(path, "right arrow rule with non-arrow succedent")
-            dom, cod = concl.succedent.dom, concl.succedent.cod
-            if p.conclusion.succedent != cod:
-                raise InvalidRule(path, "premise succedent is not the codomain")
-            if _ms(p.conclusion.antecedent) != ant + _ms([dom]):
-                raise InvalidRule(path, "premise context must add the domain")
-        case SRule.ArrL:
-            p1, p2 = d.premises
-            if not isinstance(d.data, Arrow):
-                raise InvalidRule(path, "left arrow rule needs an arrow datum")
-            if p1.conclusion.succedent != d.data.dom:
-                raise InvalidRule(path, "first premise must prove the domain")
-            rest = _take(_ms(p2.conclusion.antecedent), d.data.cod, path,
-                         "codomain assumption")
-            expect = _ms(p1.conclusion.antecedent) + rest + _ms([d.data])
-            if ant != expect or concl.succedent != p2.conclusion.succedent:
-                raise InvalidRule(path, "left arrow conclusion does not match")
-        case SRule.TensR:
-            p1, p2 = d.premises
-            want = Tensor(p1.conclusion.succedent, p2.conclusion.succedent)
-            expect = _ms(p1.conclusion.antecedent) + _ms(p2.conclusion.antecedent)
-            if ant != expect or concl.succedent != want:
-                raise InvalidRule(path, "right pair conclusion does not match")
-        case SRule.TensL:
-            (p,) = d.premises
-            if not isinstance(d.data, Tensor):
-                raise InvalidRule(path, "left pair rule needs a pair datum")
-            rest = _take(_ms(p.conclusion.antecedent), d.data.left, path,
-                         "left component")
-            rest = _take(rest, d.data.right, path, "right component")
-            expect = rest + _ms([d.data])
-            if ant != expect or concl.succedent != p.conclusion.succedent:
-                raise InvalidRule(path, "left pair conclusion does not match")
+    if d.rule == SRule.ASM:
+        if concl.succedent not in concl.antecedent:
+            raise InvalidRule(path, "axiom succedent not in antecedent")
+        return
+    if d.rule == SRule.ArrR and not isinstance(concl.succedent, Arrow):
+        raise InvalidRule(path, "right arrow rule with non-arrow succedent")
+    ant, suc = _conclude(d.rule, d.premises, _formula(d), path)
+    if suc != concl.succedent or Counter(ant) != Counter(concl.antecedent):
+        raise InvalidRule(
+            path, f"{d.rule.value} conclusion does not match its premises")
 
 
 # ---------------------------------------------------------------------------
 # Node builders (conclusions computed from premises)
 # ---------------------------------------------------------------------------
 
+def _node(rule: SRule, premises: tuple[SDerivation, ...],
+          formula: TypeExpr | None = None) -> SDerivation:
+    ant, suc = _conclude(rule, premises, formula, ())
+    return SDerivation(rule, sequent(ant, suc), premises,
+                       None if rule == SRule.ArrR else formula)
+
+
 def asm(antecedent, succedent: TypeExpr) -> SDerivation:
     return SDerivation(SRule.ASM, sequent(antecedent, succedent))
 
 
 def cut(p1: SDerivation, p2: SDerivation) -> SDerivation:
-    a = p1.conclusion.succedent
-    rest = _take(_ms(p2.conclusion.antecedent), a, (), "cut formula")
-    concl = sequent(_ms_tuple(_ms(p1.conclusion.antecedent) + rest),
-                    p2.conclusion.succedent)
-    return SDerivation(SRule.CUT, concl, (p1, p2))
+    return _node(SRule.CUT, (p1, p2))
 
 
 def brk(p1: SDerivation, p2: SDerivation, residue: TypeExpr) -> SDerivation:
-    a = p1.conclusion.succedent
-    k, s = ks_types(a, residue)
-    rest = _take(_ms(p2.conclusion.antecedent), k, (), "higher-order assumption")
-    rest = _take(rest, s, (), "section assumption")
-    concl = sequent(_ms_tuple(_ms(p1.conclusion.antecedent) + rest),
-                    p2.conclusion.succedent)
-    return SDerivation(SRule.BRK, concl, (p1, p2), data=residue)
+    return _node(SRule.BRK, (p1, p2), residue)
 
 
 def arr_r(p: SDerivation, dom: TypeExpr) -> SDerivation:
-    rest = _take(_ms(p.conclusion.antecedent), dom, (), "discharged formula")
-    concl = sequent(_ms_tuple(rest), Arrow(dom, p.conclusion.succedent))
-    return SDerivation(SRule.ArrR, concl, (p,))
+    return _node(SRule.ArrR, (p,), dom)
 
 
 def arr_l(p1: SDerivation, p2: SDerivation, principal: Arrow) -> SDerivation:
-    rest = _take(_ms(p2.conclusion.antecedent), principal.cod, (),
-                 "codomain assumption")
-    concl = sequent(
-        _ms_tuple(_ms(p1.conclusion.antecedent) + rest + _ms([principal])),
-        p2.conclusion.succedent)
-    return SDerivation(SRule.ArrL, concl, (p1, p2), data=principal)
+    return _node(SRule.ArrL, (p1, p2), principal)
 
 
 def tens_r(p1: SDerivation, p2: SDerivation) -> SDerivation:
-    concl = sequent(
-        _ms_tuple(_ms(p1.conclusion.antecedent) + _ms(p2.conclusion.antecedent)),
-        Tensor(p1.conclusion.succedent, p2.conclusion.succedent))
-    return SDerivation(SRule.TensR, concl, (p1, p2))
+    return _node(SRule.TensR, (p1, p2))
 
 
 def tens_l(p: SDerivation, principal: Tensor) -> SDerivation:
-    rest = _take(_ms(p.conclusion.antecedent), principal.left, (),
-                 "left component")
-    rest = _take(rest, principal.right, (), "right component")
-    concl = sequent(_ms_tuple(rest + _ms([principal])),
-                    p.conclusion.succedent)
-    return SDerivation(SRule.TensL, concl, (p,), data=principal)
+    return _node(SRule.TensL, (p,), principal)
 
 
 def weaken(d: SDerivation, extras) -> SDerivation:
     """Add formulas to the end sequent's antecedent.
 
-    Weakening is admissible: the extras ride up one branch until they land in
-    an axiom leaf, whose context is arbitrary.
+    Weakening is admissible: the extras ride up the last premise until they
+    land in an axiom leaf, whose context is arbitrary.
     """
-    extras = list(extras)
+    extras = tuple(extras)
     if not extras:
         return d
-    concl = sequent(_ms_tuple(_ms(d.conclusion.antecedent) + _ms(extras)),
-                    d.conclusion.succedent)
-    if d.rule == SRule.ASM:
-        return SDerivation(SRule.ASM, concl)
-    if d.rule in (SRule.ArrR, SRule.TensL):
-        return SDerivation(d.rule, concl, (weaken(d.premises[0], extras),),
-                           data=d.data)
-    p1, p2 = d.premises
-    return SDerivation(d.rule, concl, (p1, weaken(p2, extras)), data=d.data)
+    concl = sequent(d.conclusion.antecedent + extras, d.conclusion.succedent)
+    premises = d.premises[:-1] + tuple(weaken(p, extras)
+                                       for p in d.premises[-1:])
+    return SDerivation(d.rule, concl, premises, d.data)
 
 
 # ---------------------------------------------------------------------------
@@ -272,48 +239,39 @@ def nd_to_sequent(t: Term) -> SDerivation:
     Gamma |- A, where Gamma is the multiset of free-variable types."""
     t = canonicalize(t)
     check(t)
-    d, _ = _translate(t, {})
-    return d
+    return _translate(t)
 
 
-def _translate(t: Term, env: dict[str, TypeExpr]) -> tuple[SDerivation, TypeExpr]:
+def _translate(t: Term) -> SDerivation:
     match t:
         case Var(_, ty):
-            return asm([ty], ty), ty
+            return asm([ty], ty)
         case Lam(b, bt, body):
-            db, bty = _translate(body, env | {b: bt})
-            if b not in free_names(body):
-                db = weaken(db, [bt])
-            return arr_r(db, bt), Arrow(bt, bty)
+            return arr_r(_bind(_translate(body), body, [(b, bt)]), bt)
         case App(fun, arg):
-            df, fty = _translate(fun, env)
-            da, _ = _translate(arg, env)
+            df = _translate(fun)
+            fty = df.conclusion.succedent
             assert isinstance(fty, Arrow)
             hook = asm([fty.cod], fty.cod)
-            return cut(df, arr_l(da, hook, fty)), fty.cod
+            return cut(df, arr_l(_translate(arg), hook, fty))
         case Pair(a, b):
-            da, _ = _translate(a, env)
-            db, _ = _translate(b, env)
-            return tens_r(da, db), Tensor(da.conclusion.succedent,
-                                          db.conclusion.succedent)
+            return tens_r(_translate(a), _translate(b))
         case Let(x, xt, y, yt, scrut, body):
-            ds, _ = _translate(scrut, env)
-            db, bty = _translate(body, env | {x: xt, y: yt})
-            fns = free_names(body)
-            missing = [ty for name, ty in ((x, xt), (y, yt)) if name not in fns]
-            if missing:
-                db = weaken(db, missing)
-            return cut(ds, tens_l(db, Tensor(xt, yt))), bty
+            db = _bind(_translate(body), body, [(x, xt), (y, yt)])
+            return cut(_translate(scrut), tens_l(db, Tensor(xt, yt)))
         case Break(scrut, phi, f, residue, body):
-            ds, sty = _translate(scrut, env)
-            k, s = ks_types(sty, residue)
-            db, bty = _translate(body, env | {phi: k, f: s})
-            fns = free_names(body)
-            missing = [ty for name, ty in ((phi, k), (f, s)) if name not in fns]
-            if missing:
-                db = weaken(db, missing)
-            return brk(ds, db, residue), bty
+            ds = _translate(scrut)
+            k, s = ks_types(ds.conclusion.succedent, residue)
+            db = _bind(_translate(body), body, [(phi, k), (f, s)])
+            return brk(ds, db, residue)
     raise TypeError(f"not a term: {t!r}")
+
+
+def _bind(d: SDerivation, body: Term, binders) -> SDerivation:
+    """d, derived from body, weakened by the type of each binder body leaves
+    unused, so that the rule closing the binders finds them all."""
+    fns = free_names(body)
+    return weaken(d, [ty for name, ty in binders if name not in fns])
 
 
 def sequent_to_term(d: SDerivation) -> Term:
@@ -325,10 +283,10 @@ def sequent_to_term(d: SDerivation) -> Term:
     def fresh(base: str) -> str:
         return f"{base}{next(counter)}"
 
-    def split(ctx: list[tuple[str, TypeExpr]], needed: Counter):
+    def split(ctx: list[tuple[str, TypeExpr]], needed):
         """Partition ctx entries into one part matching the multiset `needed`
         and the rest."""
-        need = needed.copy()
+        need = Counter(needed)
         taken, rest = [], []
         for name, ty in ctx:
             if need[ty] > 0:
@@ -354,7 +312,7 @@ def sequent_to_term(d: SDerivation) -> Term:
             case SRule.CUT:
                 p1, p2 = d.premises
                 a = p1.conclusion.succedent
-                ctx1, rest = split(ctx, _ms(p1.conclusion.antecedent))
+                ctx1, rest = split(ctx, p1.conclusion.antecedent)
                 x = fresh("cutv")
                 t2 = go(p2, rest + [(x, a)])
                 t1 = go(p1, ctx1)
@@ -363,7 +321,7 @@ def sequent_to_term(d: SDerivation) -> Term:
                 p1, p2 = d.premises
                 a = p1.conclusion.succedent
                 k, s = ks_types(a, d.data)
-                ctx1, rest = split(ctx, _ms(p1.conclusion.antecedent))
+                ctx1, rest = split(ctx, p1.conclusion.antecedent)
                 phi, f = fresh("phi"), fresh("sec")
                 t2 = go(p2, rest + [(phi, k), (f, s)])
                 t1 = go(p1, ctx1)
@@ -377,14 +335,14 @@ def sequent_to_term(d: SDerivation) -> Term:
                 p1, p2 = d.premises
                 principal: Arrow = d.data
                 (g, _), rest0 = pick(ctx, principal)
-                ctx1, rest = split(rest0, _ms(p1.conclusion.antecedent))
+                ctx1, rest = split(rest0, p1.conclusion.antecedent)
                 x = fresh("r")
                 t2 = go(p2, rest + [(x, principal.cod)])
                 t1 = go(p1, ctx1)
                 return substitute(t2, [(x, App(Var(g, principal), t1))])
             case SRule.TensR:
                 p1, p2 = d.premises
-                ctx1, ctx2 = split(ctx, _ms(p1.conclusion.antecedent))
+                ctx1, ctx2 = split(ctx, p1.conclusion.antecedent)
                 return Pair(go(p1, ctx1), go(p2, ctx2))
             case SRule.TensL:
                 (p,) = d.premises
@@ -443,15 +401,15 @@ def eliminate_cuts(d: SDerivation, node_budget: int = 1_000_000) -> SDerivation:
         a = p1.conclusion.succedent
 
         if p1.rule == SRule.ASM:
-            extras = _take(_ms(p1.conclusion.antecedent), a, (), "axiom formula")
-            return weaken(p2, _ms_tuple(extras))
+            return weaken(p2, _take(p1.conclusion.antecedent, a, (),
+                                    "axiom formula"))
         if p2.rule == SRule.ASM:
             c = p2.conclusion.succedent
-            others = _take(_ms(p2.conclusion.antecedent), a, (), "cut formula")
-            if others[c] >= 1:
-                return asm(_ms_tuple(_ms(p1.conclusion.antecedent) + others), c)
+            others = _take(p2.conclusion.antecedent, a, (), "cut formula")
+            if c in others:
+                return asm(p1.conclusion.antecedent + tuple(others), c)
             # the axiom's formula is the cut formula itself
-            return weaken(p1, _ms_tuple(others))
+            return weaken(p1, others)
 
         if p1.rule in (SRule.ArrR, SRule.TensR):
             if _principal_match(p1, p2):
@@ -479,69 +437,19 @@ def eliminate_cuts(d: SDerivation, node_budget: int = 1_000_000) -> SDerivation:
         return combine(r1, combine(r2, q))
 
     def push_left(p1: SDerivation, p2: SDerivation) -> SDerivation:
-        match p1.rule:
-            case SRule.ArrL:
-                r1, r2 = p1.premises
-                inner = combine(r2, p2)
-                bump()
-                return arr_l(r1, inner, p1.data)
-            case SRule.TensL:
-                (r,) = p1.premises
-                inner = combine(r, p2)
-                bump()
-                return tens_l(inner, p1.data)
-            case SRule.BRK:
-                r1, r2 = p1.premises
-                inner = combine(r2, p2)
-                bump()
-                return brk(r1, inner, p1.data)
-        raise InvalidRule((), f"cannot push cut past {p1.rule.value}")
+        *side, last = p1.premises
+        inner = combine(last, p2)
+        bump()
+        return _node(p1.rule, (*side, inner), p1.data)
 
     def push_right(p1: SDerivation, p2: SDerivation) -> SDerivation:
-        a = p1.conclusion.succedent
-        match p2.rule:
-            case SRule.ArrR:
-                (q,) = p2.premises
-                inner = combine(p1, q)
-                bump()
-                return arr_r(inner, p2.conclusion.succedent.dom)
-            case SRule.ArrL:
-                q1, q2 = p2.premises
-                if _ms(q1.conclusion.antecedent)[a] >= 1:
-                    inner = combine(p1, q1)
-                    bump()
-                    return arr_l(inner, q2, p2.data)
-                avail = _take(_ms(q2.conclusion.antecedent), p2.data.cod, (),
-                              "codomain assumption")
-                if avail[a] < 1:
-                    raise InvalidRule((), "cut formula lost in left arrow rule")
-                inner = combine(p1, q2)
-                bump()
-                return arr_l(q1, inner, p2.data)
-            case SRule.TensR:
-                q1, q2 = p2.premises
-                if _ms(q1.conclusion.antecedent)[a] >= 1:
-                    inner = combine(p1, q1)
-                    bump()
-                    return tens_r(inner, q2)
-                inner = combine(p1, q2)
-                bump()
-                return tens_r(q1, inner)
-            case SRule.TensL:
-                (q,) = p2.premises
-                inner = combine(p1, q)
-                bump()
-                return tens_l(inner, p2.data)
-            case SRule.BRK:
-                q1, q2 = p2.premises
-                if _ms(q1.conclusion.antecedent)[a] >= 1:
-                    inner = combine(p1, q1)
-                    bump()
-                    return brk(inner, q2, p2.data)
-                inner = combine(p1, q2)
-                bump()
-                return brk(q1, inner, p2.data)
-        raise InvalidRule((), f"cannot push cut into {p2.rule.value}")
+        # into the premise that holds the cut formula: the first if it does
+        qs = p2.premises
+        i = 0 if p1.conclusion.succedent in qs[0].conclusion.antecedent \
+            else len(qs) - 1
+        inner = combine(p1, qs[i])
+        bump()
+        return _node(p2.rule, (*qs[:i], inner, *qs[i + 1:]), _formula(p2))
 
     return elim(d)
 
@@ -562,16 +470,24 @@ def _derive_hof(d_a: SDerivation, residue: TypeExpr) -> SDerivation:
     return arr_r(arr_l(d_a, hook, Arrow(a, residue)), Arrow(a, residue))
 
 
+def _residues(a: TypeExpr, ant, which: int):
+    """Each residue B, in print order of the assumptions, such that ant holds
+    ks_types(a, B)[which]: the higher-order assumption (0) or the section (1).
+    """
+    for formula in sorted(set(ant), key=print_type):
+        if isinstance(formula, Arrow):
+            b = formula.dom if which else formula.cod
+            if ks_types(a, b)[which] == formula:
+                yield b
+
+
 def _infer_break_pair(d_a: SDerivation, d_c: SDerivation) -> TypeExpr:
     """Residue B such that both derived break assumptions for A sit in d_c."""
     a = d_a.conclusion.succedent
-    ant = _ms(d_c.conclusion.antecedent)
-    for formula in sorted(ant, key=_type_key):
-        if isinstance(formula, Arrow) and formula.cod == a:
-            b = formula.dom
-            k, s = ks_types(a, b)
-            if ant[k] >= 1 and ant[s] >= 1:
-                return b
+    ant = d_c.conclusion.antecedent
+    for b in _residues(a, ant, 1):
+        if ks_types(a, b)[0] in ant:
+            return b
     raise PreconditionViolation(
         "second derivation carries no matching assumption pair")
 
@@ -589,8 +505,8 @@ def brk_via_cut_empty(d_a: SDerivation, d_c: SDerivation,
     b = residue if residue is not None else _infer_break_pair(d_a, d_c)
     a = d_a.conclusion.succedent
     k, s = ks_types(a, b)
-    ant = _ms(d_c.conclusion.antecedent)
-    if ant[k] < 1 or ant[s] < 1:
+    ant = d_c.conclusion.antecedent
+    if k not in ant or s not in ant:
         raise PreconditionViolation(
             "second derivation lacks the break assumption pair")
     d_k = _derive_hof(d_a, b)
@@ -612,38 +528,26 @@ def brk_via_cut_superfluous(d_a: SDerivation, d_c: SDerivation, which: str,
     same shape would make the instance ambiguous.
     """
     a = d_a.conclusion.succedent
-    ant = _ms(d_c.conclusion.antecedent)
+    ant = d_c.conclusion.antecedent
     if which not in ("K-side", "S-side"):
         raise ValueError(f"which must be 'K-side' or 'S-side', got {which!r}")
+    # the index in ks_types of the assumption d_c uses, and its derivation
+    used, derive = ((1, _derive_section) if which == "K-side"
+                    else (0, _derive_hof))
+    names = ("higher-order", "section")
     if residue is not None:
-        k, s = ks_types(a, residue)
-        needed = s if which == "K-side" else k
-        if ant[needed] < 1:
+        needed = ks_types(a, residue)[used]
+        if needed not in ant:
             raise PreconditionViolation(
                 f"assumption {print_type(needed)} not in the second derivation")
-        helper = (_derive_section(d_a, residue) if which == "K-side"
-                  else _derive_hof(d_a, residue))
-        return cut(helper, d_c)
-    if which == "K-side":
-        for formula in sorted(ant, key=_type_key):
-            if isinstance(formula, Arrow) and formula.cod == a:
-                b = formula.dom
-                k, _ = ks_types(a, b)
-                if ant[k] >= 1:
-                    raise PreconditionViolation(
-                        "higher-order assumption present; it must be superfluous")
-                return cut(_derive_section(d_a, b), d_c)
-        raise PreconditionViolation("no section assumption found")
-    for formula in sorted(ant, key=_type_key):
-        match formula:
-            case Arrow(dom=Arrow(dom=a2, cod=b1), cod=b2) if (
-                    a2 == a and b1 == b2):
-                _, s = ks_types(a, b1)
-                if ant[s] >= 1:
-                    raise PreconditionViolation(
-                        "section assumption present; it must be superfluous")
-                return cut(_derive_hof(d_a, b1), d_c)
-    raise PreconditionViolation("no higher-order assumption found")
+        return cut(derive(d_a, residue), d_c)
+    b = next(_residues(a, ant, used), None)
+    if b is None:
+        raise PreconditionViolation(f"no {names[used]} assumption found")
+    if ks_types(a, b)[1 - used] in ant:
+        raise PreconditionViolation(
+            f"{names[1 - used]} assumption present; it must be superfluous")
+    return cut(derive(d_a, b), d_c)
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +565,7 @@ def prove_bounded(goal: Sequent, depth: int = 8) -> SDerivation | None:
     def search(goal: Sequent, d: int) -> SDerivation | None:
         if failed.get(goal, -1) >= d:
             return None
-        ant = _ms(goal.antecedent)
-        if ant[goal.succedent] >= 1:
+        if goal.succedent in goal.antecedent:
             return asm(goal.antecedent, goal.succedent)
         if d <= 0:
             failed[goal] = max(failed.get(goal, 0), d)
@@ -682,11 +585,11 @@ def prove_bounded(goal: Sequent, depth: int = 8) -> SDerivation | None:
                     if s2 is not None:
                         return tens_r(s1, s2)
         # left rules
-        for formula in sorted(set(ant), key=_type_key):
-            rest = _take(ant, formula, (), "assumption")
+        for formula in sorted(set(goal.antecedent), key=print_type):
+            rest = tuple(_take(goal.antecedent, formula, (), "assumption"))
             match formula:
                 case Arrow(dom, cod):
-                    for g1, g2 in _splits(_ms_tuple(rest)):
+                    for g1, g2 in _splits(rest):
                         s1 = search(sequent(g1, dom), d - 1)
                         if s1 is None:
                             continue
@@ -694,7 +597,7 @@ def prove_bounded(goal: Sequent, depth: int = 8) -> SDerivation | None:
                         if s2 is not None:
                             return arr_l(s1, s2, formula)
                 case Tensor(left, right):
-                    sub = search(sequent(_ms_tuple(rest) + (left, right),
+                    sub = search(sequent(rest + (left, right),
                                          goal.succedent), d - 1)
                     if sub is not None:
                         return tens_l(sub, formula)
@@ -710,7 +613,7 @@ def _splits(formulas: tuple[TypeExpr, ...]):
     for mask in range(1 << n):
         left = tuple(formulas[i] for i in range(n) if mask >> i & 1)
         right = tuple(formulas[i] for i in range(n) if not mask >> i & 1)
-        key = (tuple(sorted(left, key=_type_key)),)
+        key = tuple(sorted(left, key=print_type))
         if key in seen:
             continue
         seen.add(key)

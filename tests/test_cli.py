@@ -161,6 +161,16 @@ class TestSequentCommands:
         code, _, err = cli(["sequent-check", "-"], stdin="(ASM [A |- B])")
         assert code == 1 and "invalid" in err
 
+    @pytest.mark.parametrize("command", ["sequent-check", "sequent-cutelim"])
+    def test_stray_datum_exit_1(self, command):
+        # ASM takes no datum; it was once echoed back with exit 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "breakcalc.cli", command, "-"],
+            input="(ASM {B} [A |- A])\n", capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: invalid rule at []: ASM takes no datum\n"
+        assert proc.stdout == ""
+
     def test_derivation_syntax_error_exit_2(self, cli):
         code, _, _ = cli(["sequent-check", "-"], stdin="(ASM [A |- )")
         assert code == 2

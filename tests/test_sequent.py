@@ -10,10 +10,10 @@ from breakcalc.parser import parse_term
 from breakcalc.printer import print_term
 from breakcalc.reduction import RuleName, find_redexes, normalize
 from breakcalc.sequent import (
-    InvalidRule, PreconditionViolation, SDerivation, SRule, asm, brk,
-    brk_via_cut_empty, brk_via_cut_superfluous, check_derivation, cut,
-    eliminate_cuts, nd_to_sequent, parse_derivation, print_derivation,
-    prove_bounded, sequent, sequent_to_term, tens_r, weaken,
+    InvalidRule, PreconditionViolation, SDerivation, Sequent, SRule, arr_l,
+    arr_r, asm, brk, brk_via_cut_empty, brk_via_cut_superfluous,
+    check_derivation, cut, eliminate_cuts, nd_to_sequent, parse_derivation,
+    print_derivation, prove_bounded, sequent, sequent_to_term, tens_r, weaken,
 )
 from breakcalc.syntax import (
     Arrow, Atom, Break, Pair, Tensor, Var, free_names, free_vars, ks_types,
@@ -71,6 +71,77 @@ class TestCheckDerivation:
         d = brk(asm([A], A), asm([k, s, C], C), B)
         assert check_derivation(d) == sequent([A, C], C)
 
+    @pytest.mark.parametrize("text, path", [
+        ("(ASM {B} [A |- A])", ()),
+        ("(CUT {C} [A |- A] (ASM [A |- A]) (ASM [A |- A]))", ()),
+        ("(ArrR {C} [|- A -> A] (ASM [A |- A]))", ()),
+        ("(ArrR [|- A -> A] (CUT {C} [A |- A] (ASM [A |- A])"
+         " (ASM [A |- A])))", (0,)),
+        ("(TensR [A, B |- A * B] (ASM [A |- A]) (ASM {A} [B |- B]))", (1,)),
+    ], ids=["ASM", "CUT", "ArrR", "CUT-under-ArrR", "ASM-under-TensR"])
+    def test_stray_datum_rejected(self, text, path):
+        with pytest.raises(InvalidRule) as err:
+            check_derivation(parse_derivation(text))
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("rule, data", [
+        (SRule.BRK, None), (SRule.BRK, "B"), (SRule.ArrL, Tensor(A, B)),
+        (SRule.ArrL, None), (SRule.TensL, Arrow(A, B)), (SRule.TensL, None),
+    ])
+    def test_datum_of_the_wrong_class_rejected(self, rule, data):
+        premises = (asm([A], A),) * (1 if rule == SRule.TensL else 2)
+        bad = SDerivation(rule, sequent([A], A), premises, data)
+        with pytest.raises(InvalidRule) as err:
+            check_derivation(bad)
+        assert err.value.path == ()
+
+    def test_every_rule_rejects_a_wrong_premise_count(self):
+        wants = {SRule.ASM: 0, SRule.CUT: 2, SRule.BRK: 2, SRule.ArrR: 1,
+                 SRule.ArrL: 2, SRule.TensR: 2, SRule.TensL: 1}
+        leaf = asm([A], A)
+        for rule, n in wants.items():
+            data = {SRule.BRK: B, SRule.ArrL: Arrow(A, A),
+                    SRule.TensL: Tensor(A, A)}.get(rule)
+            for count in {n - 1, n + 1} - {-1}:
+                bad = SDerivation(rule, sequent([A], A), (leaf,) * count, data)
+                with pytest.raises(InvalidRule) as err:
+                    check_derivation(bad)
+                assert err.value.path == ()
+                assert "premises" in err.value.reason
+
+    def test_every_rule_rejects_a_wrong_conclusion_at_its_path(self):
+        def at(d, path, node):
+            if not path:
+                return node
+            ps = list(d.premises)
+            ps[path[0]] = at(ps[path[0]], path[1:], node)
+            return SDerivation(d.rule, d.conclusion, tuple(ps), d.data)
+
+        seen = set()
+        for _, d in translated_population(76, 60):
+            for root in (d, eliminate_cuts(d)):
+                for path, n in _nodes(root):
+                    if n.rule == SRule.ASM:
+                        continue
+                    seen.add(n.rule)
+                    ant, suc = n.conclusion.antecedent, n.conclusion.succedent
+                    changed = [sequent(ant + (Atom("Z"),), suc),
+                               Sequent(ant, Atom("Z"))]
+                    if ant:
+                        changed.append(Sequent(ant[1:], suc))
+                    for concl in changed:
+                        bad = SDerivation(n.rule, concl, n.premises, n.data)
+                        with pytest.raises(InvalidRule) as err:
+                            check_derivation(at(root, path, bad))
+                        assert err.value.path == path, (n.rule, concl)
+        assert seen == set(SRule) - {SRule.ASM}
+
+
+def _nodes(d, path=()):
+    yield path, d
+    for i, p in enumerate(d.premises):
+        yield from _nodes(p, path + (i,))
+
 
 class TestNdToSequent:
     def test_variable_is_one_axiom(self):
@@ -121,12 +192,37 @@ class TestWeaken:
         w = weaken(d, [B, C])
         assert check_derivation(w) == sequent([B, C], Arrow(A, A))
 
+    def test_weakens_every_subderivation(self):
+        seen = set()
+        for _, d in translated_population(77, 100):
+            for root in (d, eliminate_cuts(d)):
+                for _, n in _nodes(root):
+                    seen.add(n.rule)
+                    end = n.conclusion
+                    assert check_derivation(weaken(n, [A, B])) == sequent(
+                        end.antecedent + (A, B), end.succedent)
+        assert seen == set(SRule)
+
 
 class TestEliminateCuts:
     def test_cut_of_axiom_vanishes(self):
         d = cut(asm([A], A), asm([A, B], B))
         out = eliminate_cuts(d)
         assert not out.uses_rule(SRule.CUT)
+        assert check_derivation(out) == d.conclusion
+
+    @pytest.mark.parametrize("rule", [SRule.TensR, SRule.BRK, SRule.ArrL])
+    def test_cut_rides_into_the_first_premise_holding_its_formula(self, rule):
+        # the cut formula A -> A sits in the first premise of the right side
+        a = Arrow(A, A)
+        left = asm([a], a)
+        k, s = ks_types(a, B)
+        right = {SRule.TensR: tens_r(left, asm([B], B)),
+                 SRule.BRK: brk(left, asm([k, s, C], C), B),
+                 SRule.ArrL: arr_l(left, asm([C], C), Arrow(a, C))}[rule]
+        d = cut(arr_r(asm([A], A), A), right)
+        out = eliminate_cuts(d)
+        assert not out.uses_rule(SRule.CUT) and out.rule == rule
         assert check_derivation(out) == d.conclusion
 
     def test_negative_budget_rejected(self):
