@@ -8,65 +8,56 @@ closed combinators ``\\x. \\p. p x`` and ``\\x. \\z. x`` applied to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .reduction import (
     PERMUTING_RULES, Redex, RuleName, StepBudgetExceeded, apply_step, is_silent,
 )
 from .syntax import (
-    App, Arrow, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var, all_names,
-    alpha_eq, alpha_key, annotated_type, binders, canonicalize, children,
-    constructor, free_positions, fresh_name, graft, replace_at, subterm_at,
-    substitute, subterms,
+    App, Arrow, Break, Lam, Let, Node, Pair, Tensor, Term, TypeExpr, Var,
+    all_names, alpha_eq, alpha_key, annotated_type, binders, canonicalize,
+    children, constructor, free_positions, fresh_name, graft, replace_at,
+    subterm_at, substitute, subterms,
 )
 
 # This module's names for three of the shared term operations.
 l_children, l_alpha_eq, l_alpha_key = children, alpha_eq, alpha_key
 
 
-class LTerm:
+class LTerm(Node):
     __slots__ = ()
 
 
 @constructor("v", var="name")
-@dataclass(frozen=True, slots=True)
-class LVar(LTerm):
-    name: str
+class LVar(LTerm, namedtuple("LVar", "name")):
+    __slots__ = ()
 
 
 @constructor("l", kids=("body",), binders=("binder",), over="body",
              annots=("binder_type",))
-@dataclass(frozen=True, slots=True)
-class LLam(LTerm):
-    binder: str
-    binder_type: TypeExpr
-    body: LTerm
+class LLam(LTerm, namedtuple("LLam", "binder binder_type body")):
+    __slots__ = ()
 
 
 @constructor("a", kids=("fun", "arg"))
-@dataclass(frozen=True, slots=True)
-class LApp(LTerm):
-    fun: LTerm
-    arg: LTerm
+class LApp(LTerm, namedtuple("LApp", "fun arg")):
+    __slots__ = ()
 
 
 @constructor("p", kids=("first", "second"))
-@dataclass(frozen=True, slots=True)
-class LPair(LTerm):
-    first: LTerm
-    second: LTerm
+class LPair(LTerm, namedtuple("LPair", "first second")):
+    __slots__ = ()
 
 
 @constructor("p0", kids=("arg",))
-@dataclass(frozen=True, slots=True)
-class LProj0(LTerm):
-    arg: LTerm
+class LProj0(LTerm, namedtuple("LProj0", "arg")):
+    __slots__ = ()
 
 
 @constructor("p1", kids=("arg",))
-@dataclass(frozen=True, slots=True)
-class LProj1(LTerm):
-    arg: LTerm
+class LProj1(LTerm, namedtuple("LProj1", "arg")):
+    __slots__ = ()
 
 
 class LTypeError(Exception):
@@ -152,7 +143,13 @@ def l_step(e: LTerm) -> list[LTerm]:
 
 
 def l_normalize(e: LTerm, max_steps: int = 100_000) -> LTerm:
-    """Leftmost-outermost normalization to the unique normal form."""
+    """Leftmost-outermost normalization to the unique normal form.
+
+    StepBudgetExceeded if a redex is left after max_steps steps; ValueError
+    if max_steps is negative.
+    """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, not {max_steps}")
     for _ in range(max_steps):
         redexes = l_find_redexes(e)
         if not redexes:
@@ -220,8 +217,7 @@ def check_substitution_lemma(s: Term, t: Term, x: str) -> bool:
 # Step mapping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepMappingVerdict:
+class StepMappingVerdict(NamedTuple):
     """clause is "reduced" (image took steps) or "equal" (images coincide)."""
 
     clause: str

@@ -21,7 +21,7 @@ binders are distinct from each other and from every free name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var,
@@ -29,8 +29,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     start: int
     end: int
     line: int
@@ -58,8 +57,7 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     span: SourceSpan

@@ -9,7 +9,6 @@ off unless explicitly enabled.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .syntax import (
@@ -39,8 +38,7 @@ PERMUTING_RULES = frozenset({RuleName.AP_L_CONV, RuleName.L_L_CONV,
                              RuleName.AP_B_CONV, RuleName.L_B_CONV})
 
 
-@dataclass(frozen=True, slots=True)
-class Redex:
+class Redex(NamedTuple):
     position: tuple[int, ...]
     rule: RuleName
 
@@ -68,8 +66,7 @@ class Measure(NamedTuple):
     second_arg_type_load: int
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     index: int
     rule: RuleName
     position: tuple[int, ...]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .printer import print_type
 from .syntax import (
@@ -40,8 +40,7 @@ class BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(NamedTuple):
     """antecedent |- succedent; the antecedent tuple is kept canonically sorted."""
 
     antecedent: tuple[TypeExpr, ...]
@@ -88,8 +87,7 @@ _DATUM = {SRule.BRK: (TypeExpr, "a formula"), SRule.ArrL: (Arrow, "an arrow"),
           SRule.TensL: (Tensor, "a pair")}
 
 
-@dataclass(frozen=True)
-class SDerivation:
+class SDerivation(NamedTuple):
     rule: SRule
     conclusion: Sequent
     premises: tuple[SDerivation, ...] = ()

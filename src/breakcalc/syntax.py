@@ -1,7 +1,8 @@
 """Abstract syntax for the break calculus: types, terms, and basic term operations.
 
 Terms are Church style: every variable occurrence carries its type, binders are
-annotated, and a break node stores its residue type.  All values are immutable.
+annotated, and a break node stores its residue type.  Every type and term is
+an immutable named tuple of its fields (see Node).
 
 The binder-aware operations (navigation, free names, substitution, alpha
 equivalence, canonical renaming, affinity) are written once, over the Spec
@@ -13,48 +14,69 @@ body only.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 
 class IllFormedTermError(Exception):
     """Raised when a term is structurally broken (e.g. one name used at two types)."""
 
 
+class Node(tuple):
+    """Base of every type and term constructor.
+
+    A constructor is a named tuple of its fields, e.g.
+    ``class Lam(Term, namedtuple("Lam", "binder binder_type body"))`` with
+    empty ``__slots__``: fields are read by name or position, and assigning
+    one raises AttributeError.  A node equals only a node of the same
+    constructor with equal fields, so ``Arrow(A, B) != Tensor(A, B)`` and no
+    node equals a plain tuple.  Nodes hash as tuples and are not ordered.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(self) is not type(other) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
-class TypeExpr:
+class TypeExpr(Node):
     """Base class for type expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Atom(TypeExpr):
+class Atom(TypeExpr, namedtuple("Atom", "name")):
     """A type variable."""
 
-    name: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Arrow(TypeExpr):
+class Arrow(TypeExpr, namedtuple("Arrow", "dom cod")):
     """Function type ``dom -> cod``."""
 
-    dom: TypeExpr
-    cod: TypeExpr
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Tensor(TypeExpr):
+class Tensor(TypeExpr, namedtuple("Tensor", "left right")):
     """Pair type ``left * right``."""
 
-    left: TypeExpr
-    right: TypeExpr
+    __slots__ = ()
 
 
 def ks_types(scrutinee: TypeExpr, residue: TypeExpr) -> tuple[TypeExpr, TypeExpr]:
@@ -84,14 +106,15 @@ def type_size(ty: TypeExpr) -> int:
 # Constructor specs
 # ---------------------------------------------------------------------------
 
-def _tuple_getter(names: tuple[str, ...]):
-    """Getter returning the named fields as a tuple (attrgetter unwraps one)."""
-    if not names:
+def _tuple_getter(slots: tuple[int, ...]):
+    """Getter returning the fields at slots as a tuple (itemgetter unwraps
+    one)."""
+    if not slots:
         return lambda t: ()
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda t: (get(t),)
-    return attrgetter(*names)
+    if len(slots) == 1:
+        i = slots[0]
+        return lambda t: (t[i],)
+    return itemgetter(*slots)
 
 
 class Spec:
@@ -106,23 +129,22 @@ class Spec:
     """
 
     __slots__ = ("cls", "tag", "kids", "binders", "annots", "var", "scope",
-                 "values", "kid_slots", "name_slots", "only_kids")
+                 "kid_slots", "name_slots", "only_kids")
 
     def __init__(self, cls: type, tag: str, kids: tuple[str, ...] = (),
                  binders: tuple[str, ...] = (), over: str | None = None,
                  annots: tuple[str, ...] = (), var: str | None = None):
-        fields = tuple(f.name for f in dataclasses.fields(cls))
+        slots = cls._fields.index
         self.cls = cls
         self.tag = tag
-        self.kids = _tuple_getter(kids)
-        self.binders = _tuple_getter(binders)
-        self.annots = _tuple_getter(annots)
-        self.var = attrgetter(var) if var else None
+        self.kid_slots = tuple(map(slots, kids))
+        self.name_slots = tuple(map(slots, (var,) if var else binders))
+        self.kids = _tuple_getter(self.kid_slots)
+        self.binders = _tuple_getter(tuple(map(slots, binders)))
+        self.annots = _tuple_getter(tuple(map(slots, annots)))
+        self.var = itemgetter(slots(var)) if var else None
         self.scope = kids.index(over) if binders else -1
-        self.values = _tuple_getter(fields)
-        self.kid_slots = tuple(map(fields.index, kids))
-        self.name_slots = tuple(map(fields.index, (var,) if var else binders))
-        self.only_kids = fields == kids
+        self.only_kids = cls._fields == kids
 
 
 #: The spec of every constructor of Term, UntypedTerm and LTerm, by class.
@@ -131,7 +153,7 @@ SPECS: dict[type, Spec] = {}
 
 
 def constructor(tag: str, **shape):
-    """Class decorator registering a frozen dataclass as a term constructor."""
+    """Class decorator registering a Node class as a term constructor."""
     def register(cls):
         SPECS[cls] = Spec(cls, tag, **shape)
         return cls
@@ -143,7 +165,7 @@ def _rebuild(t, kids, names=None):
     sp = SPECS[type(t)]
     if sp.only_kids:
         return sp.cls(*kids)
-    vals = list(sp.values(t))
+    vals = list(t)
     for i, v in zip(sp.kid_slots, kids):
         vals[i] = v
     if names is not None:
@@ -157,82 +179,69 @@ class DistinctBinders:
 
     __slots__ = ()
 
-    def __post_init__(self) -> None:
-        first, second = SPECS[type(self)].binders(self)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        first, second = SPECS[cls].binders(self)
         if first == second:
-            raise IllFormedTermError(
-                f"{type(self).__name__} binds {first!r} twice")
+            raise IllFormedTermError(f"{cls.__name__} binds {first!r} twice")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make and _replace skip __new__
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
-class Term:
+class Term(Node):
     """Base class for terms."""
 
     __slots__ = ()
 
 
 @constructor("v", var="name", annots=("type",))
-@dataclass(frozen=True, slots=True)
-class Var(Term):
-    name: str
-    type: TypeExpr
+class Var(Term, namedtuple("Var", "name type")):
+    __slots__ = ()
 
 
 @constructor("l", kids=("body",), binders=("binder",), over="body",
              annots=("binder_type",))
-@dataclass(frozen=True, slots=True)
-class Lam(Term):
-    binder: str
-    binder_type: TypeExpr
-    body: Term
+class Lam(Term, namedtuple("Lam", "binder binder_type body")):
+    __slots__ = ()
 
 
 @constructor("a", kids=("fun", "arg"))
-@dataclass(frozen=True, slots=True)
-class App(Term):
-    fun: Term
-    arg: Term
+class App(Term, namedtuple("App", "fun arg")):
+    __slots__ = ()
 
 
 @constructor("p", kids=("first", "second"))
-@dataclass(frozen=True, slots=True)
-class Pair(Term):
-    first: Term
-    second: Term
+class Pair(Term, namedtuple("Pair", "first second")):
+    __slots__ = ()
 
 
 @constructor("L", kids=("scrutinee", "body"), binders=("x", "y"),
              over="body", annots=("x_type", "y_type"))
-@dataclass(frozen=True, slots=True)
-class Let(Term, DistinctBinders):
+class Let(Term, DistinctBinders,
+          namedtuple("Let", "x x_type y y_type scrutinee body")):
     """``let <x, y> = scrutinee in body`` destructuring a pair."""
 
-    x: str
-    x_type: TypeExpr
-    y: str
-    y_type: TypeExpr
-    scrutinee: Term
-    body: Term
+    __slots__ = ()
 
 
 @constructor("B", kids=("scrutinee", "body"), binders=("phi", "f"),
              over="body", annots=("residue",))
-@dataclass(frozen=True, slots=True)
-class Break(Term, DistinctBinders):
+class Break(Term, DistinctBinders,
+            namedtuple("Break", "scrutinee phi f residue body")):
     """``break scrutinee as <phi, f> @ residue in body``.
 
     Only the residue type is stored; the types of phi and f are derived from it
     and the scrutinee's type via ks_types.
     """
 
-    scrutinee: Term
-    phi: str
-    f: str
-    residue: TypeExpr
-    body: Term
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +624,18 @@ def first_contraction(t) -> str | None:
 
     A variable is used twice when it occurs free in two children of one node,
     counting a binder's child only outside its binders; weakening (an unused
-    binder) is allowed.  Nodes are visited in post-order and the least shared
-    name is reported.  Like check, this runs on a canonically renamed copy, so
-    both name the same variable.
+    binder) is allowed.  This runs canonical_contraction on a canonically
+    renamed copy of t, as typecheck.check does, so both name the same
+    variable.
     """
-    if not is_canonical(t):
-        t = canonicalize(t)
+    return canonical_contraction(t if is_canonical(t) else canonicalize(t))
+
+
+def canonical_contraction(t) -> str | None:
+    """first_contraction of a canonical t (see is_canonical).
+
+    Nodes are visited in post-order and the least shared name is reported.
+    """
     found: list[str] = []
 
     def used(t) -> set[str]:

@@ -2,17 +2,20 @@
 
 The checking context is implicit: the free variables of a term, with their
 annotations, form its context.  Two-premise rules demand disjoint used-variable
-sets, which is what makes every typable term affine.
+sets, which is what makes every typable term affine.  check and
+infer_principal test this first, with the one contraction walk in syntax.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
+from .printer import print_type
 from .syntax import (
     App, Arrow, Atom, Break, DistinctBinders, IllFormedTermError, Lam, Let,
-    Pair, Tensor, Term, TypeExpr, Var, canonicalize, constructor,
-    first_contraction, is_canonical, ks_types,
+    Node, Pair, Tensor, Term, TypeExpr, Var, canonical_contraction,
+    canonicalize, constructor, first_contraction, is_canonical, ks_types,
 )
 
 
@@ -21,12 +24,17 @@ class TypeCheckError(Exception):
 
 
 class TypeMismatch(TypeCheckError):
-    def __init__(self, expected, found, path: tuple[int, ...]):
+    """`expected` is a type, or a description of the types expected."""
+
+    def __init__(self, expected: TypeExpr | str, found: TypeExpr,
+                 path: tuple[int, ...]):
         self.expected = expected
         self.found = found
         self.path = path
-        super().__init__(
-            f"type mismatch at {list(path)}: expected {expected!r}, found {found!r}")
+        if not isinstance(expected, str):
+            expected = print_type(expected)
+        super().__init__(f"type mismatch at {list(path)}: expected "
+                         f"{expected}, found {print_type(found)}")
 
 
 class AffinityViolation(TypeCheckError):
@@ -47,7 +55,8 @@ class UnificationFailure(TypeCheckError):
         self.right = right
         self.path = path
         super().__init__(
-            f"cannot unify {left!r} with {right!r} at {list(path)}")
+            f"cannot unify {print_type(left)} with {print_type(right)} at "
+            f"{list(path)}")
 
 
 class OccursCheck(TypeCheckError):
@@ -55,7 +64,8 @@ class OccursCheck(TypeCheckError):
         self.var = var
         self.ty = ty
         self.path = path
-        super().__init__(f"occurs check: {var} in {ty!r} at {list(path)}")
+        super().__init__(
+            f"occurs check: {var} in {print_type(ty)} at {list(path)}")
 
 
 # ---------------------------------------------------------------------------
@@ -65,19 +75,20 @@ class OccursCheck(TypeCheckError):
 def check(t: Term) -> TypeExpr:
     """Unique type of t, or raise.
 
-    Validates annotations against binders, rejects contraction (a name used in
-    both premises of a two-premise rule), and rejects a free name occurring at
-    two types.
+    Rejects contraction (a name used in both premises of a two-premise rule)
+    before anything else, then validates annotations against binders and
+    rejects a free name occurring at two types.
     """
     if not is_canonical(t):
         t = canonicalize(t)
-    free_seen: dict[str, TypeExpr] = {}
-    ty, _ = _check(t, {}, (), free_seen)
-    return ty
+    name = canonical_contraction(t)
+    if name is not None:
+        raise AffinityViolation(name)
+    return _check(t, {}, (), {})
 
 
 def _check(t: Term, env: dict[str, TypeExpr], path: tuple[int, ...],
-           free_seen: dict[str, TypeExpr]) -> tuple[TypeExpr, set[str]]:
+           free_seen: dict[str, TypeExpr]) -> TypeExpr:
     match t:
         case Var(name, ty):
             if name in env:
@@ -89,103 +100,73 @@ def _check(t: Term, env: dict[str, TypeExpr], path: tuple[int, ...],
                     raise IllFormedTermError(
                         f"variable {name!r} used at two types")
                 free_seen[name] = ty
-            return ty, {name}
+            return ty
         case Lam(b, bt, body):
-            bty, used = _check(body, env | {b: bt}, path + (0,), free_seen)
-            return Arrow(bt, bty), used - {b}
+            return Arrow(bt, _check(body, env | {b: bt}, path + (0,),
+                                    free_seen))
         case App(fun, arg):
-            fty, fused = _check(fun, env, path + (0,), free_seen)
-            aty, aused = _check(arg, env, path + (1,), free_seen)
+            fty = _check(fun, env, path + (0,), free_seen)
+            aty = _check(arg, env, path + (1,), free_seen)
             if not isinstance(fty, Arrow):
                 raise TypeMismatch("a function type", fty, path + (0,))
             if fty.dom != aty:
                 raise TypeMismatch(fty.dom, aty, path + (1,))
-            _disjoint(fused, aused)
-            return fty.cod, fused | aused
+            return fty.cod
         case Pair(a, b):
-            aty, aused = _check(a, env, path + (0,), free_seen)
-            bty, bused = _check(b, env, path + (1,), free_seen)
-            _disjoint(aused, bused)
-            return Tensor(aty, bty), aused | bused
+            return Tensor(_check(a, env, path + (0,), free_seen),
+                          _check(b, env, path + (1,), free_seen))
         case Let(x, xt, y, yt, scrut, body):
-            sty, sused = _check(scrut, env, path + (0,), free_seen)
+            sty = _check(scrut, env, path + (0,), free_seen)
             if sty != Tensor(xt, yt):
                 raise TypeMismatch(Tensor(xt, yt), sty, path + (0,))
-            bty, bused = _check(body, env | {x: xt, y: yt}, path + (1,),
-                                free_seen)
-            bused -= {x, y}
-            _disjoint(sused, bused)
-            return bty, sused | bused
+            return _check(body, env | {x: xt, y: yt}, path + (1,), free_seen)
         case Break(scrut, phi, f, residue, body):
-            sty, sused = _check(scrut, env, path + (0,), free_seen)
+            sty = _check(scrut, env, path + (0,), free_seen)
             k, s = ks_types(sty, residue)
-            bty, bused = _check(body, env | {phi: k, f: s}, path + (1,),
-                                free_seen)
-            bused -= {phi, f}
-            _disjoint(sused, bused)
-            return bty, sused | bused
+            return _check(body, env | {phi: k, f: s}, path + (1,), free_seen)
     raise TypeError(f"not a term: {t!r}")
-
-
-def _disjoint(a: set[str], b: set[str]) -> None:
-    shared = a & b
-    if shared:
-        raise AffinityViolation(min(shared))
 
 
 # ---------------------------------------------------------------------------
 # Untyped terms and erasure
 # ---------------------------------------------------------------------------
 
-class UntypedTerm:
+class UntypedTerm(Node):
     __slots__ = ()
 
 
 @constructor("v", var="name")
-@dataclass(frozen=True, slots=True)
-class UVar(UntypedTerm):
-    name: str
+class UVar(UntypedTerm, namedtuple("UVar", "name")):
+    __slots__ = ()
 
 
 @constructor("l", kids=("body",), binders=("binder",), over="body")
-@dataclass(frozen=True, slots=True)
-class ULam(UntypedTerm):
-    binder: str
-    body: UntypedTerm
+class ULam(UntypedTerm, namedtuple("ULam", "binder body")):
+    __slots__ = ()
 
 
 @constructor("a", kids=("fun", "arg"))
-@dataclass(frozen=True, slots=True)
-class UApp(UntypedTerm):
-    fun: UntypedTerm
-    arg: UntypedTerm
+class UApp(UntypedTerm, namedtuple("UApp", "fun arg")):
+    __slots__ = ()
 
 
 @constructor("p", kids=("first", "second"))
-@dataclass(frozen=True, slots=True)
-class UPair(UntypedTerm):
-    first: UntypedTerm
-    second: UntypedTerm
+class UPair(UntypedTerm, namedtuple("UPair", "first second")):
+    __slots__ = ()
 
 
 @constructor("L", kids=("scrutinee", "body"), binders=("x", "y"),
              over="body")
-@dataclass(frozen=True, slots=True)
-class ULet(UntypedTerm, DistinctBinders):
-    x: str
-    y: str
-    scrutinee: UntypedTerm
-    body: UntypedTerm
+class ULet(UntypedTerm, DistinctBinders,
+           namedtuple("ULet", "x y scrutinee body")):
+    __slots__ = ()
 
 
 @constructor("B", kids=("scrutinee", "body"), binders=("phi", "f"),
              over="body")
-@dataclass(frozen=True, slots=True)
-class UBreak(UntypedTerm, DistinctBinders):
-    scrutinee: UntypedTerm
-    phi: str
-    f: str
-    body: UntypedTerm
+class UBreak(UntypedTerm, DistinctBinders,
+             namedtuple("UBreak", "scrutinee phi f body")):
+    __slots__ = ()
 
 
 def erase(t: Term) -> UntypedTerm:
@@ -210,12 +191,11 @@ def erase(t: Term) -> UntypedTerm:
 # Principal type inference
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TypeScheme:
+class TypeScheme(NamedTuple):
     """A most general type: body plus the atoms standing for unification variables."""
 
     body: TypeExpr
-    variables: frozenset[str] = field(default_factory=frozenset)
+    variables: frozenset[str] = frozenset()
 
 
 _SCHEME_LETTERS = "abcdefghijklmnopqrstuvwxyz"

@@ -48,6 +48,20 @@ class TestCheck:
         code, _, err = cli(["check", "-"], stdin="\\x:A. <x, x>\n")
         assert code == 1 and err
 
+    @pytest.mark.parametrize("command, source, message", [
+        ("check", "\\x:A. \\y:B. (x y)",
+         "type mismatch at [0, 0, 0]: expected a function type, found A"),
+        ("check", "\\x:A. \\y:B. let <a:A, b:B> = x in y",
+         "type mismatch at [0, 0, 0]: expected A * B, found A"),
+        ("infer", "\\x:A. \\z:C. <x, z> (y : B)",
+         "cannot unify ?1 * ?2 with ?3 -> ?4 at [0, 0]"),
+        ("infer", "\\x:A. break x as <phi, f> @ B in f phi",
+         "occurs check: ?2 in (?1 -> ?2) -> ?2 at [0, 1]"),
+    ], ids=["not-a-function", "not-a-pair", "unification", "occurs"])
+    def test_type_error_text(self, cli, command, source, message):
+        code, out, err = cli([command, "-"], stdin=source + "\n")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_syntax_error_exit_2(self, cli):
         code, _, err = cli(["check", "-"], stdin="\\x:A. (\n")
         assert code == 2 and err

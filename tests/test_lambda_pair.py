@@ -63,6 +63,11 @@ class TestLReduction:
         rhs = l_normalize(star_translate(s))
         assert l_alpha_eq(lhs, rhs)
 
+    def test_negative_budget_rejected(self):
+        for e in (LVar("x"), LProj0(LPair(LVar("s"), LVar("t")))):
+            with pytest.raises(ValueError):
+                l_normalize(e, -1)
+
     def test_unique_normal_forms_on_random_images(self):
         rng = random.Random(52)
         for _ in range(100):

@@ -1,14 +1,21 @@
-"""Core syntax operations: free variables, substitution, sizes, affinity."""
+"""Core syntax operations: free variables, substitution, sizes, affinity,
+and the value contract of syntax nodes and records."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
+from breakcalc.lambda_pair import LApp, LLam, LPair, LProj0, LProj1, LVar
+from breakcalc.reduction import Redex, RuleName
+from breakcalc.sequent import arr_r, asm, sequent
 from breakcalc.syntax import (
     App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair, Tensor, Var,
     affine_check, all_names, alpha_eq, canonicalize, free_vars, fresh_name,
     ks_types, substitute, subterms, term_size, type_size,
 )
+from breakcalc.typecheck import UApp, ULam, UPair, UVar
 from termgen import random_typable_term
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -219,3 +226,86 @@ class TestKsTypes:
         k, s = ks_types(big_a, big_b)
         assert k == Arrow(Arrow(big_a, big_b), big_b)
         assert s == Arrow(big_b, big_a)
+
+
+class TestValueContract:
+    @pytest.mark.parametrize("first, second, fields", [
+        (Arrow, Tensor, (A, B)),
+        (App, Pair, (Var("x", A), Var("y", B))),
+        (UApp, UPair, (UVar("x"), UVar("y"))),
+        (LApp, LPair, (LVar("x"), LVar("y"))),
+        (LProj0, LProj1, (LVar("x"),)),
+    ], ids=["types", "terms", "untyped", "lambda-pair", "projections"])
+    def test_sibling_constructors_unequal(self, first, second, fields):
+        a, b = first(*fields), second(*fields)
+        assert a != b and not a == b
+        assert a == first(*fields) and hash(a) == hash(first(*fields))
+        assert len({a, b}) == 2
+
+    def test_node_unequal_to_plain_tuple(self):
+        for node in (Atom("A"), Arrow(A, B), Var("x", A), UVar("x"),
+                     LProj0(LVar("x"))):
+            assert node != tuple(node) and tuple(node) != node
+            assert not node == tuple(node)
+            assert tuple(node) not in {node}
+
+    def test_fields_by_name_and_position(self):
+        t = Lam("x", A, Var("x", A))
+        assert (t.binder, t.binder_type, t.body) == tuple(t)
+        assert t[2] is t.body
+
+    def test_assignment_raises(self):
+        t = Lam("x", A, Var("x", A))
+        with pytest.raises(AttributeError):
+            t.body = Var("y", A)
+        with pytest.raises(AttributeError):
+            A.name = "B"
+        with pytest.raises(AttributeError):
+            t.note = "unused"
+
+    def test_nodes_not_ordered(self):
+        with pytest.raises(TypeError):
+            A < B
+        with pytest.raises(TypeError):
+            Var("x", A) < Var("y", A)
+
+    def test_replace_keeps_binders_distinct(self):
+        t = Let("x", A, "y", B, Var("v", Tensor(A, B)), Var("x", A))
+        assert t._replace(y="z").y == "z"
+        with pytest.raises(IllFormedTermError):
+            t._replace(y="x")
+
+    def test_reprs(self):
+        ab = Tensor(A, B)
+        term = Lam("x", ab, App(Var("f", Arrow(ab, B)), Var("x", ab)))
+        assert repr(term) == (
+            "Lam(binder='x', binder_type=Tensor(left=Atom(name='A'), "
+            "right=Atom(name='B')), body=App(fun=Var(name='f', "
+            "type=Arrow(dom=Tensor(left=Atom(name='A'), "
+            "right=Atom(name='B')), cod=Atom(name='B'))), arg=Var(name='x', "
+            "type=Tensor(left=Atom(name='A'), right=Atom(name='B')))))")
+        assert repr(ULam("x", UPair(UVar("x"), UVar("y")))) == (
+            "ULam(binder='x', body=UPair(first=UVar(name='x'), "
+            "second=UVar(name='y')))")
+        assert repr(LProj1(LApp(LLam("x", A, LVar("x")), LVar("y")))) == (
+            "LProj1(arg=LApp(fun=LLam(binder='x', binder_type=Atom(name='A'), "
+            "body=LVar(name='x')), arg=LVar(name='y')))")
+        assert repr(sequent([B, A], A)) == (
+            "Sequent(antecedent=(Atom(name='A'), Atom(name='B')), "
+            "succedent=Atom(name='A'))")
+        assert repr(arr_r(asm([A], A), A)) == (
+            "SDerivation(rule=<SRule.ArrR: 'ArrR'>, conclusion=Sequent("
+            "antecedent=(), succedent=Arrow(dom=Atom(name='A'), "
+            "cod=Atom(name='A'))), premises=(SDerivation(rule=<SRule.ASM: "
+            "'ASM'>, conclusion=Sequent(antecedent=(Atom(name='A'),), "
+            "succedent=Atom(name='A')), premises=(), data=None),), data=None)")
+        assert repr(Redex((0, 1), RuleName.BETA)) == (
+            "Redex(position=(0, 1), rule=<RuleName.BETA: 'beta'>)")
+
+    def test_cli_import_leaves_out_dataclasses(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, breakcalc.cli; print('dataclasses' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

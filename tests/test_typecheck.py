@@ -40,6 +40,12 @@ class TestCheck:
         t = Pair(Var("x", A), Var("y", B))
         assert check(t) == Tensor(A, B)
 
+    def test_contraction_reported_before_type_error(self):
+        # x x both contracts x and applies a non-function
+        with pytest.raises(AffinityViolation) as err:
+            check(parse_term(r"\x:A. x x"))
+        assert err.value.name == "x"
+
     def test_mismatch_reports_path(self):
         t = parse_term(r"(f : A -> B) (x : C)")
         with pytest.raises(TypeMismatch) as err:
