@@ -8,17 +8,20 @@ closed combinators ``\\x. \\p. p x`` and ``\\x. \\z. x`` applied to it.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from typing import NamedTuple
 
 from .reduction import (
-    PERMUTING_RULES, Redex, RuleName, StepBudgetExceeded, apply_step, is_silent,
+    PERMUTING_RULES, Redex, RuleName, apply_step, first_redex, is_silent,
+    reduce_steps,
 )
 from .syntax import (
-    App, Arrow, Break, Lam, Let, Node, Pair, Tensor, Term, TypeExpr, Var,
-    all_names, alpha_eq, alpha_key, annotated_type, binders, canonicalize,
-    children, constructor, free_positions, fresh_name, graft, replace_at,
-    subterm_at, substitute, subterms,
+    App, Arrow, Break, FreeNames, Lam, Let, Node, Pair, Tensor, Term,
+    TypeExpr, Var, all_names, alpha_eq, alpha_key, annotated_type, binders,
+    canonicalize, children, constructor, distinct_reducts, free_positions,
+    fresh_name, graft, print_type, replace_at, subterm_at, substitute,
+    subterms,
 )
 
 # This module's names for three of the shared term operations.
@@ -88,14 +91,16 @@ def l_check(e: LTerm, env: dict[str, TypeExpr] | None = None) -> TypeExpr:
                 ft = go(fun, env)
                 at = go(arg, env)
                 if not isinstance(ft, Arrow) or ft.dom != at:
-                    raise LTypeError(f"bad application of {ft!r} to {at!r}")
+                    raise LTypeError(f"bad application of {print_type(ft)} to "
+                                     f"{print_type(at)}")
                 return ft.cod
             case LPair(a, b):
                 return Tensor(go(a, env), go(b, env))
             case LProj0(a) | LProj1(a):
                 ty = go(a, env)
                 if not isinstance(ty, Tensor):
-                    raise LTypeError(f"projection from non-pair type {ty!r}")
+                    raise LTypeError(
+                        f"projection from non-pair type {print_type(ty)}")
                 return ty.left if isinstance(e, LProj0) else ty.right
         raise TypeError(f"not a lambda-pair term: {e!r}")
 
@@ -119,45 +124,48 @@ def l_find_redexes(e: LTerm) -> list[tuple[int, ...]]:
     return [path for path, sub in subterms(e) if _l_is_redex(sub)]
 
 
-def l_contract_at(e: LTerm, path: tuple[int, ...]) -> LTerm:
-    node = subterm_at(e, path)
+def _l_contract(node: LTerm, names: FreeNames | None = None) -> LTerm | None:
+    """The contractum of node, or None if it is no redex."""
     match node:
         case LApp(fun=LLam(binder=b, body=body), arg=arg):
-            new = substitute(body, {b: arg})
+            return substitute(body, {b: arg}, names)
         case LProj0(arg=LPair(first=a)):
-            new = a
+            return a
         case LProj1(arg=LPair(second=b)):
-            new = b
-        case _:
-            raise ValueError(f"no redex at {list(path)}")
+            return b
+    return None
+
+
+def l_contract_at(e: LTerm, path: tuple[int, ...]) -> LTerm:
+    new = _l_contract(subterm_at(e, path))
+    if new is None:
+        raise ValueError(f"no redex at {list(path)}")
     return replace_at(e, path, new)
 
 
 def l_step(e: LTerm) -> list[LTerm]:
-    """All one-step reducts, deduplicated up to alpha equivalence."""
-    seen: dict[str, LTerm] = {}
-    for path in l_find_redexes(e):
-        u = l_contract_at(e, path)
-        seen.setdefault(alpha_key(u), u)
-    return list(seen.values())
+    """All one-step reducts, deduplicated up to alpha equivalence, with keys
+    spliced as in reducts_one_step."""
+    names = FreeNames()
+    return distinct_reducts(e, [(path, None) for path in l_find_redexes(e)],
+                            lambda node, _: _l_contract(node, names))
 
 
 def l_normalize(e: LTerm, max_steps: int = 100_000) -> LTerm:
     """Leftmost-outermost normalization to the unique normal form.
 
     StepBudgetExceeded if a redex is left after max_steps steps; ValueError
-    if max_steps is negative.
+    if max_steps is negative.  Runs the resumable search of normalize's
+    first strategy, with _l_is_redex as the rule (a redex is contracted
+    the same way whatever its rule).
     """
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, not {max_steps}")
-    for _ in range(max_steps):
-        redexes = l_find_redexes(e)
-        if not redexes:
-            return e
-        e = l_contract_at(e, redexes[0])
-    if not l_find_redexes(e):
-        return e
-    raise StepBudgetExceeded(max_steps)
+    names = FreeNames()
+    search = functools.partial(first_redex, rule_at=_l_is_redex)
+    for _, _, e in reduce_steps(e, max_steps, search,
+                                lambda node, _: _l_contract(node, names),
+                                (names,)):
+        pass  # e becomes each step's result in turn
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -6,33 +6,11 @@ so the output is self-contained; bound occurrences are bare.
 
 from __future__ import annotations
 
-from .syntax import (
-    App, Arrow, Atom, Break, FreeNames, Lam, Let, Pair, Tensor, Term,
-    TypeExpr, Var,
+from .syntax import (  # print_type is re-exported
+    _ARG_L, _ARG_R, _TOP, App, Break, FreeNames, Lam, Let, Pair, Term, Var,
+    print_type,
 )
 from .lambda_pair import LApp, LLam, LPair, LProj0, LProj1, LTerm, LVar
-
-# precedence contexts
-_TOP = 0      # no parens needed
-_ARG_L = 1    # left of an infix / function position
-_ARG_R = 2    # argument position (tightest)
-
-
-def print_type(ty: TypeExpr) -> str:
-    return _ptype(ty, _TOP)
-
-
-def _ptype(ty: TypeExpr, ctx: int) -> str:
-    match ty:
-        case Atom(name):
-            return name
-        case Arrow(dom, cod):
-            s = f"{_ptype(dom, _ARG_L)} -> {_ptype(cod, _TOP)}"
-            return f"({s})" if ctx >= _ARG_L else s
-        case Tensor(left, right):
-            s = f"{_ptype(left, _ARG_L)} * {_ptype(right, _ARG_R)}"
-            return f"({s})" if ctx >= _ARG_R else s
-    raise TypeError(f"not a type: {ty!r}")
 
 
 def print_term(t: Term) -> str:

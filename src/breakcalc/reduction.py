@@ -9,13 +9,14 @@ off unless explicitly enabled.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import NamedTuple
 
 from .syntax import (
-    App, Arrow, Break, FreeNames, Lam, Let, Pair, Term, Var, alpha_key,
-    annotated_type, avoid_capture, binders, children, free_names, fresh_name,
-    rebuild_spine, spine_at, subterm_at, substitute, subterms, term_size,
-    type_size,
+    App, Arrow, Break, FreeNames, Lam, Let, Pair, Term, Var, annotated_type,
+    avoid_capture, binders, children, distinct_reducts, free_names,
+    fresh_name, rebuild_spine, spine_at, subterm_at, substitute, subterms,
+    term_size, type_size,
 )
 
 
@@ -108,8 +109,9 @@ def _node_rules(t: Term, experimental: bool,
 
 def find_redexes(t: Term, experimental: bool = False) -> list[Redex]:
     """All redexes in preorder; at one position, standard rules come first."""
+    fn = FreeNames()
     return [Redex(path, rule) for path, sub in subterms(t)
-            for rule in _node_rules(sub, experimental)]
+            for rule in _node_rules(sub, experimental, fn)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,55 +218,87 @@ def normalize(t: Term, max_steps: int = 100_000, strategy: str = "first",
     the experimental rule is enabled.  StepBudgetExceeded if a redex is left
     after max_steps steps; ValueError if max_steps is negative.
 
-    The first strategy does not list the redexes.  Whether a node is a redex
-    depends on its subtree alone, and a step at position p rebuilds only p
-    and its ancestors.  So of the nodes before p in preorder, only the
-    ancestors of p can have become redexes: the others are the objects they
-    were before the step, when none of them was a redex.  The next search
-    therefore checks the ancestors root first, then goes on in preorder from
-    p (its subtree, then the right siblings along the path) and stops at the
-    first redex.  Free names are memoised by node for the whole run and
-    forgotten for the nodes a step replaces.
+    Neither strategy lists the redexes.  Whether a node is a redex depends
+    on its subtree alone, and a step at position p rebuilds only p and its
+    ancestors.  So of the nodes before p in preorder, only the ancestors of
+    p can have become redexes: the others are the objects they were before
+    the step, when none of them was a redex.  The first strategy's next
+    search therefore checks the ancestors root first, then goes on in
+    preorder from p (its subtree, then the right siblings along the path)
+    and stops at the first redex.
+
+    The last redex in a subtree depends on the subtree alone too, so the
+    last strategy memoises it by node identity, beside the free names.  An
+    entry holds its node, so it stays right for as long as it exists.  The
+    first search makes an entry for every node.  After a step only the
+    nodes it builds (the new spine and the contractum's new nodes) and the
+    redex's children lack one, so the next search makes entries for those
+    and reads the rest from the memo.  Both memos forget the nodes a step
+    replaces, the spine and the redex's children, which only bounds their
+    size.
     """
     if strategy not in ("first", "last"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    fn = FreeNames()
+    pick = 0 if strategy == "first" else -1
+
+    def rule_at(u: Term) -> RuleName | None:
+        rules = _node_rules(u, experimental, fn)
+        return rules[pick] if rules else None
+
+    if strategy == "first":
+        search = functools.partial(first_redex, rule_at=rule_at)
+        memos = (fn,)
+    else:
+        search = LastRedex(rule_at)
+        memos = (fn, search)
+    steps = [TraceStep(index, r.rule, r.position, before, after)
+             for index, (r, before, after) in enumerate(reduce_steps(
+                 t, max_steps, search,
+                 lambda node, rule: _contract(node, rule, fn), memos))]
+    return (steps[-1].after if steps else t), steps
+
+
+def reduce_steps(t, max_steps: int, search, contract, memos):
+    """Contract the redexes that search picks until none is left, yielding
+    (redex, before, after) per step.
+
+    search(spine, path) gives the next redex of spine[0], where spine holds
+    the nodes from the root to the last contracted position path, or None;
+    contract(node, rule) gives the contractum of a redex; every memo in
+    memos forgets the nodes a step replaces.  StepBudgetExceeded if a redex
+    is left after max_steps steps; ValueError if max_steps is negative.
+    """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, not {max_steps}")
-    fn = FreeNames()
-
-    def next_redex(spine: list, path: tuple[int, ...]) -> Redex | None:
-        if strategy == "first":
-            return _first_redex(spine, path, experimental, fn)
-        redexes = find_redexes(spine[0], experimental)
-        return redexes[-1] if redexes else None
-
-    steps: list[TraceStep] = []
-    r = next_redex([t], ())
-    for index in range(max_steps):
+    r = search([t], ())
+    for _ in range(max_steps):
         if r is None:
-            return t, steps
+            return
         old = spine_at(t, r.position)
-        spine = rebuild_spine(old, r.position,
-                              _contract(old[-1], r.rule, fn))
-        fn.forget(old)
-        fn.forget(children(old[-1]))
-        steps.append(TraceStep(index, r.rule, r.position, t, spine[0]))
+        spine = rebuild_spine(old, r.position, contract(old[-1], r.rule))
+        for memo in memos:
+            memo.forget(old)
+            memo.forget(children(old[-1]))
+        yield r, t, spine[0]
         t = spine[0]
-        r = next_redex(spine, r.position)
-    if r is None:
-        return t, steps
-    raise StepBudgetExceeded(max_steps)
+        r = search(spine, r.position)
+    if r is not None:
+        raise StepBudgetExceeded(max_steps)
 
 
-def _first_redex(spine: list, path: tuple[int, ...], experimental: bool,
-                 fn: FreeNames) -> Redex | None:
+def first_redex(spine: list, path: tuple[int, ...], rule_at) -> Redex | None:
     """The first redex in preorder of spine[0], where spine holds the nodes
     from the root to path and no node before path in preorder, other than
-    its ancestors, is a redex."""
+    its ancestors, is a redex.
+
+    rule_at(node) is the rule to contract at node, or None if it is no
+    redex.
+    """
     for d in range(len(path)):
-        rules = _node_rules(spine[d], experimental, fn)
-        if rules:
-            return Redex(path[:d], rules[0])
+        rule = rule_at(spine[d])
+        if rule:
+            return Redex(path[:d], rule)
     # path's subtree, then the right siblings of path and of each ancestor
     roots = [(path, spine[-1])]
     for d in range(len(path) - 1, -1, -1):
@@ -273,19 +307,93 @@ def _first_redex(spine: list, path: tuple[int, ...], experimental: bool,
                      for j in range(path[d] + 1, len(kids)))
     for prefix, root in roots:
         for rel, sub in subterms(root):
-            rules = _node_rules(sub, experimental, fn)
-            if rules:
-                return Redex(prefix + rel, rules[0])
+            rule = rule_at(sub)
+            if rule:
+                return Redex(prefix + rel, rule)
     return None
 
 
+class LastRedex:
+    """The last redex in preorder of a term, memoised by node identity.
+
+    rule_at(node) is the rule to contract at node, or None if it is no
+    redex.  A node's entry is None when its subtree has no redex, else the
+    index of the child holding the last redex, or -1 for the node itself,
+    with the rule.  An entry holds its node, so an id is not reused while it
+    is cached; `forget` drops entries of nodes that have left the term.
+    """
+
+    __slots__ = ("memo", "rule_at")
+
+    def __init__(self, rule_at) -> None:
+        self.memo: dict[int, tuple] = {}
+        self.rule_at = rule_at
+
+    def __call__(self, spine: list, path: tuple[int, ...]) -> Redex | None:
+        t = spine[0]
+        found = self._last(t)
+        if found is None:
+            return None
+        position = []
+        while found[0] >= 0:
+            position.append(found[0])
+            t = children(t)[found[0]]
+            found = self._last(t)
+        return Redex(tuple(position), found[1])
+
+    def forget(self, nodes) -> None:
+        pop = self.memo.pop
+        for t in nodes:
+            pop(id(t), None)
+
+    def _last(self, t) -> tuple[int, RuleName] | None:
+        """t's entry, made if missing.  A node's children are looked at
+        from the right and a child without an entry gets one first; the
+        first child holding a redex ends the look.  A loop, not recursion,
+        so that any depth works."""
+        memo = self.memo
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+        kids = children(t)
+        stack = [[t, kids, len(kids)]]  # node, children, children left
+        while stack:
+            frame = stack[-1]
+            u, kids, i = frame
+            while i:
+                hit = memo.get(id(kids[i - 1]))
+                if hit is None or hit[1] is not None:
+                    break
+                i -= 1
+            frame[2] = i
+            if i and hit is None:
+                k = kids[i - 1]
+                grandkids = children(k)
+                stack.append([k, grandkids, len(grandkids)])
+                continue
+            if i:
+                found = (i - 1, None)
+            else:
+                rule = self.rule_at(u)
+                found = (-1, rule) if rule else None
+            memo[id(u)] = (u, found)
+            stack.pop()
+        return memo[id(t)][1]
+
+
 def reducts_one_step(t: Term, experimental: bool = False) -> list[Term]:
-    """All one-step reducts, deduplicated up to alpha equivalence."""
-    seen: dict[str, Term] = {}
-    for r in find_redexes(t, experimental):
-        u = apply_step(t, r)
-        seen.setdefault(alpha_key(u), u)
-    return list(seen.values())
+    """All one-step reducts, deduplicated up to alpha equivalence, in the
+    order of their first redex in preorder.
+
+    Each reduct's key is t's key with the contracted node's key spliced in
+    at its position (see syntax.distinct_reducts).  That equals alpha_key
+    of the reduct byte for byte, because a key is written node by node and
+    each node's part depends only on the node and the levels of the names
+    bound above it, which the step leaves unchanged.
+    """
+    fn = FreeNames()
+    return distinct_reducts(t, find_redexes(t, experimental),
+                            lambda node, rule: _contract(node, rule, fn))
 
 
 def format_trace(steps: list[TraceStep]) -> str:

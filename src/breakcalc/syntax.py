@@ -17,6 +17,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import accumulate
 from operator import itemgetter
 
 
@@ -88,6 +89,30 @@ def ks_types(scrutinee: TypeExpr, residue: TypeExpr) -> tuple[TypeExpr, TypeExpr
     k = Arrow(Arrow(scrutinee, residue), residue)
     s = Arrow(residue, scrutinee)
     return k, s
+
+
+# precedence contexts of the surface syntax
+_TOP = 0      # no parens needed
+_ARG_L = 1    # left of an infix / function position
+_ARG_R = 2    # argument position (tightest)
+
+
+def print_type(ty: TypeExpr) -> str:
+    """A type in the surface syntax, with minimal parentheses."""
+    return _ptype(ty, _TOP)
+
+
+def _ptype(ty: TypeExpr, ctx: int) -> str:
+    match ty:
+        case Atom(name):
+            return name
+        case Arrow(dom, cod):
+            s = f"{_ptype(dom, _ARG_L)} -> {_ptype(cod, _TOP)}"
+            return f"({s})" if ctx >= _ARG_L else s
+        case Tensor(left, right):
+            s = f"{_ptype(left, _ARG_L)} * {_ptype(right, _ARG_R)}"
+            return f"({s})" if ctx >= _ARG_R else s
+    raise TypeError(f"not a type: {ty!r}")
 
 
 def type_size(ty: TypeExpr) -> int:
@@ -542,37 +567,83 @@ def _type_key(ty: TypeExpr) -> str:
 def alpha_key(t) -> str:
     """Canonical string key identifying t's alpha-equivalence class."""
     parts: list[str] = []
-    _key_parts(t, {}, 0, parts.append)
+    _key_parts(t, {}, 0, parts, None)
     return "".join(parts)
 
 
-def _key_parts(t, env: dict[str, int], depth: int, append) -> None:
+def _key_parts(t, env: dict[str, int], depth: int, parts: list[str],
+               spans: list | None) -> None:
+    """Append t's key to parts, where env gives the levels of the names
+    bound around t and depth is the next level.
+
+    When spans is a list, each node appends [start, end, env, depth] to it,
+    in preorder: its key is parts[start:end], written in that context.
+    """
     # module level, not a closure: a self-referencing closure is a cycle that
     # keeps every key fragment alive until the cycle collector runs
     sp = SPECS[type(t)]
+    append = parts.append
+    if spans is not None:
+        span = [len(parts), 0, env, depth]
+        spans.append(span)
     if sp.var is not None:
         n = sp.var(t)
         append(f"{sp.tag}#{env[n]}" if n in env else sp.tag + n)
         for a in sp.annots(t):
             append(":" + _type_key(a))
-        return
-    append(sp.tag)
-    for a in sp.annots(t):
-        append(":" + _type_key(a))
-    append("(")
-    scope = sp.scope
-    for i, c in enumerate(sp.kids(t)):
-        if i:
-            append(",")
-        if i == scope:  # binders get the next levels, in order
-            inner, d = env.copy(), depth
-            for b in sp.binders(t):
-                inner[b] = d
-                d += 1
-            _key_parts(c, inner, d, append)
-        else:
-            _key_parts(c, env, depth, append)
-    append(")")
+    else:
+        append(sp.tag)
+        for a in sp.annots(t):
+            append(":" + _type_key(a))
+        append("(")
+        scope = sp.scope
+        for i, c in enumerate(sp.kids(t)):
+            if i:
+                append(",")
+            if i == scope:  # binders get the next levels, in order
+                inner, d = env.copy(), depth
+                for b in sp.binders(t):
+                    inner[b] = d
+                    d += 1
+                _key_parts(c, inner, d, parts, spans)
+            else:
+                _key_parts(c, env, depth, parts, spans)
+        append(")")
+    if spans is not None:
+        span[1] = len(parts)
+
+
+def distinct_reducts(t, redexes, contract) -> list:
+    """t with the node at each redex position replaced, deduplicated up to
+    alpha equivalence; the first of each class is kept, in redex order.
+
+    `redexes` are (position, rule) pairs and contract(node, rule) is the
+    node's replacement.  t's key is written once, with each node's span and
+    binding context.  A reduct keeps every node off the path to its
+    position, and the ancestors on it keep their binders, so alpha_key of
+    the reduct is t's key with that position's span replaced by the new
+    node's key written in the same context.  Only a reduct whose key is new
+    is built.
+    """
+    if not redexes:
+        return []
+    parts: list[str] = []
+    spans: list = []
+    _key_parts(t, {}, 0, parts, spans)
+    offsets = list(accumulate(map(len, parts), initial=0))
+    key = "".join(parts)
+    span_at = {path: span for (path, _), span in zip(subterms(t), spans)}
+    seen: dict[str, object] = {}
+    for path, rule in redexes:
+        spine = spine_at(t, path)
+        new = contract(spine[-1], rule)
+        start, end, env, depth = span_at[path]
+        mid: list[str] = []
+        _key_parts(new, env, depth, mid, None)
+        k = key[:offsets[start]] + "".join(mid) + key[offsets[end]:]
+        if k not in seen:
+            seen[k] = rebuild_spine(spine, path, new)[0]
+    return list(seen.values())
 
 
 def canonicalize(t):
@@ -679,7 +750,7 @@ def annotated_type(t: Term) -> TypeExpr:
             ft = annotated_type(fun)
             if not isinstance(ft, Arrow):
                 raise IllFormedTermError(
-                    f"applied term has non-function type {ft!r}")
+                    f"applied term has non-function type {print_type(ft)}")
             return ft.cod
         case Pair(a, b):
             return Tensor(annotated_type(a), annotated_type(b))

@@ -12,7 +12,7 @@ import random
 
 from breakcalc.syntax import (
     App, Arrow, Atom, Break, Lam, Let, Pair, Term, Tensor, TypeExpr, Var,
-    ks_types, term_size,
+    annotated_type, ks_types, term_size,
 )
 from breakcalc.reduction import normalize
 
@@ -150,14 +150,40 @@ class TermGen:
 def random_typable_term(rng: random.Random, max_size: int = 40) -> Term:
     """An open, affine, well-typed term with a sprinkling of redexes."""
     while True:
-        gen = TermGen(rng, allow_free=True)
-        target = random_type(rng, 2)
-        t = gen.gen(target, [], rng.randint(2, 6))
-        if t is None:
-            continue
-        t = gen.wrap_redexes(t, target, rng.randint(0, 3))
-        if term_size(t) <= max_size:
+        t = _draw(TermGen(rng, allow_free=True), max_size)
+        if t is not None:
             return t
+
+
+def _draw(gen: TermGen, max_size: int) -> Term | None:
+    rng = gen.rng
+    target = random_type(rng, 2)
+    t = gen.gen(target, [], rng.randint(2, 6))
+    if t is None:
+        return None
+    t = gen.wrap_redexes(t, target, rng.randint(0, 3))
+    return t if term_size(t) <= max_size else None
+
+
+def random_large_term(rng: random.Random, min_size: int) -> Term:
+    """An open, affine, well-typed term of at least min_size nodes.
+
+    It is a balanced pair-tree of random_typable_term draws with redexes
+    stacked around the whole.  All parts share one name counter, so no two
+    of them share a binder or a free name and the whole stays affine.
+    """
+    gen = TermGen(rng, allow_free=True)
+    parts: list[Term] = []
+    size = 0
+    while size < min_size:
+        t = _draw(gen, 40)
+        if t is not None:
+            parts.append(t)
+            size += term_size(t)
+    while len(parts) > 1:
+        parts = [Pair(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
+                 for i in range(0, len(parts), 2)]
+    return gen.wrap_redexes(parts[0], annotated_type(parts[0]), 3)
 
 
 def random_closed_term(rng: random.Random, max_size: int = 20,

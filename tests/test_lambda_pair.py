@@ -6,8 +6,8 @@ import pytest
 
 from breakcalc.catalog import identity_break
 from breakcalc.lambda_pair import (
-    LApp, LLam, LPair, LProj0, LVar, MappingFailure, l_alpha_eq,
-    l_alpha_key, l_check, l_normalize, l_step, check_step_mapping,
+    LApp, LLam, LPair, LProj0, LProj1, LTypeError, LVar, MappingFailure,
+    l_alpha_eq, l_alpha_key, l_check, l_normalize, l_step, check_step_mapping,
     check_substitution_lemma, star_translate,
 )
 from breakcalc.reduction import Redex, RuleName, find_redexes, is_silent
@@ -45,6 +45,26 @@ class TestStarTranslate:
             t = random_typable_term(rng, max_size=28)
             ty = check(t)
             assert l_check(star_translate(t), free_vars(t)) == ty
+
+
+class TestLCheckErrors:
+    def test_bad_application_prints_surface_types(self):
+        e = LApp(LVar("f"), LVar("x"))
+        with pytest.raises(LTypeError) as exc:
+            l_check(e, {"f": Arrow(Tensor(A, B), B), "x": Arrow(A, B)})
+        assert str(exc.value) == "bad application of A * B -> B to A -> B"
+
+    def test_application_of_non_function_prints_surface_types(self):
+        e = LApp(LVar("f"), LVar("x"))
+        with pytest.raises(LTypeError) as exc:
+            l_check(e, {"f": A, "x": A})
+        assert str(exc.value) == "bad application of A to A"
+
+    def test_projection_from_non_pair_prints_surface_type(self):
+        e = LProj1(LVar("p"))
+        with pytest.raises(LTypeError) as exc:
+            l_check(e, {"p": Arrow(Arrow(A, B), B)})
+        assert str(exc.value) == "projection from non-pair type (A -> B) -> B"
 
 
 class TestLReduction:

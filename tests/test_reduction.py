@@ -9,6 +9,9 @@ import pytest
 
 from breakcalc import catalog
 from breakcalc.catalog import divisibility_terms, identity_break
+from breakcalc.lambda_pair import (
+    l_contract_at, l_find_redexes, l_normalize, l_step, star_translate,
+)
 from breakcalc.parser import parse_term
 from breakcalc.printer import TermPrinter, print_term
 from breakcalc.reduction import (
@@ -308,11 +311,15 @@ class TestConfluenceProperty:
 
 
 # ---------------------------------------------------------------------------
-# The resumable leftmost-outermost search against the plain one
+# The resumable and memoised searches, and the spliced reduct keys, against
+# listing every redex
 # ---------------------------------------------------------------------------
 
-def reference_normalize(t, experimental: bool, max_steps: int = 100_000):
-    """Leftmost-outermost normalization by listing every redex at every step."""
+def reference_normalize(t, experimental: bool, max_steps: int = 100_000,
+                        pick: int = 0):
+    """Normalization by listing every redex at every step and contracting
+    the one at index pick of the listing: 0 is leftmost-outermost, -1 the
+    last redex."""
     steps = []
     while True:
         redexes = find_redexes(t, experimental)
@@ -320,8 +327,29 @@ def reference_normalize(t, experimental: bool, max_steps: int = 100_000):
             return t, steps
         if len(steps) == max_steps:
             raise StepBudgetExceeded(max_steps)
-        steps.append((redexes[0].rule, redexes[0].position))
-        t = apply_step(t, redexes[0])
+        steps.append((redexes[pick].rule, redexes[pick].position))
+        t = apply_step(t, redexes[pick])
+
+
+def reference_l_normalize(e, max_steps: int = 100_000):
+    """Leftmost-outermost normalization of a lambda-pair term by listing every
+    redex at every step; the normal form and the number of steps."""
+    n = 0
+    while redexes := l_find_redexes(e):
+        if n == max_steps:
+            raise StepBudgetExceeded(max_steps)
+        e = l_contract_at(e, redexes[0])
+        n += 1
+    return e, n
+
+
+def reference_reducts(t, redexes, contract_at):
+    """contract_at(t, r) for each redex r, the first of each alpha class."""
+    seen = {}
+    for r in redexes:
+        u = contract_at(t, r)
+        seen.setdefault(alpha_key(u), u)
+    return list(seen.values())
 
 
 def fixed_terms():
@@ -342,21 +370,65 @@ def differential_terms():
     return fixed_terms() + [random_typable_term(rng) for _ in range(10_000)]
 
 
-@pytest.mark.parametrize("experimental", [False, True],
-                         ids=["standard", "experimental"])
-def test_normalize_matches_listing_every_redex(experimental):
+@functools.cache
+def differential_images():
+    return [star_translate(t) for t in differential_terms()]
+
+
+def assert_normalize_matches_listing(strategy: str, experimental: bool):
+    pick = 0 if strategy == "first" else -1
     for t in differential_terms():
-        ref_nf, ref_steps = reference_normalize(t, experimental)
-        nf, steps = normalize(t, experimental=experimental)
+        ref_nf, ref_steps = reference_normalize(t, experimental, pick=pick)
+        nf, steps = normalize(t, strategy=strategy, experimental=experimental)
         assert nf == ref_nf
         assert [(s.rule, s.position) for s in steps] == ref_steps
         n = len(ref_steps)
-        assert normalize(t, max_steps=n, experimental=experimental)[0] == nf
+        assert normalize(t, max_steps=n, strategy=strategy,
+                         experimental=experimental)[0] == nf
         if n:
             with pytest.raises(StepBudgetExceeded):
-                normalize(t, max_steps=n - 1, experimental=experimental)
+                normalize(t, max_steps=n - 1, strategy=strategy,
+                          experimental=experimental)
             with pytest.raises(StepBudgetExceeded):
-                reference_normalize(t, experimental, max_steps=n - 1)
+                reference_normalize(t, experimental, max_steps=n - 1,
+                                    pick=pick)
+
+
+@pytest.mark.parametrize("experimental", [False, True],
+                         ids=["standard", "experimental"])
+def test_normalize_matches_listing_every_redex(experimental):
+    assert_normalize_matches_listing("first", experimental)
+
+
+@pytest.mark.parametrize("experimental", [False, True],
+                         ids=["standard", "experimental"])
+def test_last_strategy_matches_listing_every_redex(experimental):
+    assert_normalize_matches_listing("last", experimental)
+
+
+@pytest.mark.parametrize("experimental", [False, True],
+                         ids=["standard", "experimental"])
+def test_reducts_match_keying_every_apply_step(experimental):
+    for t in differential_terms():
+        expected = reference_reducts(t, find_redexes(t, experimental),
+                                     apply_step)
+        assert reducts_one_step(t, experimental) == expected
+
+
+def test_l_step_matches_keying_every_contraction():
+    for e in differential_images():
+        expected = reference_reducts(e, l_find_redexes(e), l_contract_at)
+        assert l_step(e) == expected
+
+
+def test_l_normalize_matches_listing_every_redex():
+    for e in differential_images():
+        nf, n = reference_l_normalize(e)
+        assert l_normalize(e) == nf
+        assert l_normalize(e, max_steps=n) == nf
+        if n:
+            with pytest.raises(StepBudgetExceeded):
+                l_normalize(e, max_steps=n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from breakcalc.reduction import Redex, RuleName
 from breakcalc.sequent import arr_r, asm, sequent
 from breakcalc.syntax import (
     App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair, Tensor, Var,
-    affine_check, all_names, alpha_eq, canonicalize, free_vars, fresh_name,
-    ks_types, substitute, subterms, term_size, type_size,
+    affine_check, all_names, alpha_eq, annotated_type, canonicalize,
+    free_vars, fresh_name, ks_types, substitute, subterms, term_size,
+    type_size,
 )
 from breakcalc.typecheck import UApp, ULam, UPair, UVar
 from termgen import random_typable_term
@@ -211,6 +212,17 @@ class TestAffine:
         inner = Lam("x", A, Var("x", A))
         outer = Lam("x", A, Pair(Var("x", A), App(inner, Var("y", A))))
         assert affine_check(outer)
+
+
+class TestAnnotatedType:
+    def test_break_has_its_body_type(self):
+        assert annotated_type(identity_break_body()) == B
+
+    def test_non_function_in_function_position_prints_surface_type(self):
+        t = App(Var("x", Tensor(A, Arrow(B, C))), Var("y", A))
+        with pytest.raises(IllFormedTermError) as exc:
+            annotated_type(t)
+        assert str(exc.value) == "applied term has non-function type A * (B -> C)"
 
 
 class TestKsTypes:
