@@ -13,8 +13,7 @@ from .parser import ParseError, SourceSpan, parse_term, parse_type
 from .printer import print_lterm, print_term, print_type
 from .typecheck import (
     AffinityViolation, OccursCheck, TypeCheckError, TypeMismatch, TypeScheme,
-    UnboundVariable, UnificationFailure, UntypedTerm, check, erase,
-    infer_principal,
+    UnificationFailure, UntypedTerm, check, erase, infer_principal,
 )
 from .reduction import (
     InvalidRedex, Measure, Redex, RuleName, StepBudgetExceeded, TraceStep,

@@ -17,16 +17,25 @@ Identifiers are ``[A-Za-z][A-Za-z0-9_']*``; ``--`` starts a line comment.  A
 free variable must be written with a type ascription ``(x : A)`` at its first
 use; later uses may be bare.  Parsed terms are canonically renamed, so all
 binders are distinct from each other and from every free name.
+
+A token is a plain tuple ``(kind, value, offset)``: the kind is ``"IDENT"``,
+``"EOF"``, a punctuation name such as ``"LPAREN"``, or the keyword itself, and
+the offset is where the value starts in the text.  Tokens carry no line or
+column: those are counted from the offset only when a ``ParseError`` is
+raised.  Lines and columns count from 1, one column per character, and only
+``\\n`` ends a line.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 from .syntax import (
     App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var,
     annotated_type, canonicalize, ks_types,
 )
+
+_T = TypeVar("_T")
 
 
 class SourceSpan(NamedTuple):
@@ -50,104 +59,97 @@ class ParseError(Exception):
 KEYWORDS = frozenset({"let", "in", "break", "as"})
 
 _PUNCT = {
-    "->": "ARROW", "|-": "TURNSTILE", "--": "COMMENT",
+    "->": "ARROW", "|-": "TURNSTILE",
     "*": "STAR", "(": "LPAREN", ")": "RPAREN", "<": "LANGLE", ">": "RANGLE",
     ",": "COMMA", ":": "COLON", ".": "DOT", "\\": "LAMBDA", "@": "AT",
     "=": "EQUALS", "[": "LBRACK", "]": "RBRACK", "{": "LBRACE", "}": "RBRACE",
 }
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+_IDENT_START = frozenset(_LETTERS)
+_IDENT_CHARS = frozenset(_LETTERS + "0123456789_'")
 
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    span: SourceSpan
+def _error(text: str, tok: tuple[str, str, int], message: str,
+           expected: list[str] | None = None) -> ParseError:
+    """The ParseError at token tok of text, with its line and column."""
+    start = tok[2]
+    span = SourceSpan(start, start + len(tok[1]), text.count("\n", 0, start) + 1,
+                      start - text.rfind("\n", 0, start))
+    return ParseError(message, span, expected)
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() and c.isascii()
-
-
-def _is_ident_char(c: str) -> bool:
-    return (c.isalnum() and c.isascii()) or c in "_'"
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, value, offset) tokens of text, ending with EOF at len(text)."""
+    tokens = []
+    append = tokens.append
+    i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
         if c.isspace():
             i += 1
-            col += 1
-            continue
-        start, sline, scol = i, line, col
-        two = text[i:i + 2]
-        if two == "--":
-            while i < n and text[i] != "\n":
-                i += 1
-            col += i - start
-            continue
-        if two in _PUNCT:
-            span = SourceSpan(start, i + 2, sline, scol)
-            tokens.append(Token(_PUNCT[two], two, span))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            span = SourceSpan(start, i + 1, sline, scol)
-            tokens.append(Token(_PUNCT[c], c, span))
+        elif c in _PUNCT:
+            append((_PUNCT[c], c, i))
             i += 1
-            col += 1
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
+        elif c in _IDENT_START:
+            j = i + 1
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             word = text[i:j]
-            span = SourceSpan(start, j, sline, scol)
-            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, span))
-            col += j - i
+            append((word if word in KEYWORDS else "IDENT", word, i))
             i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}",
-                         SourceSpan(start, i + 1, sline, scol))
-    tokens.append(Token("EOF", "", SourceSpan(n, n, line, col)))
+        elif text.startswith("--", i):
+            j = text.find("\n", i)
+            i = n if j < 0 else j
+        elif (two := text[i:i + 2]) in _PUNCT:  # no 1-char punct starts one
+            append((_PUNCT[two], two, i))
+            i += 2
+        else:
+            raise _error(text, ("", c, i), f"unexpected character {c!r}")
+    append(("EOF", "", n))
     return tokens
 
 
 class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """The tokens of text, read in order; the parser never reads past EOF."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
+        return self.tokens[self.pos + ahead]
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "EOF":
-            self.pos += 1
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.value!r}", tok.span,
-                             [what or kind])
-        return self.next()
+    def accept(self, kind: str) -> bool:
+        """Whether the next token is of this kind; if so, it is read."""
+        if self.tokens[self.pos][0] == kind:
+            self.pos += 1
+            return True
+        return False
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "KEYWORD" or tok.value != word:
-            raise ParseError(f"unexpected {tok.value!r}", tok.span, [word])
-        return self.next()
+    def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise self.error(tok, f"unexpected {tok[1]!r}", [what or kind])
+        self.pos += 1
+        return tok
+
+    def error(self, tok: tuple[str, str, int], message: str,
+              expected: list[str] | None = None) -> ParseError:
+        return _error(self.text, tok, message, expected)
+
+    def parse(self, rule: Callable[[TokenStream], _T]) -> _T:
+        """rule(self), which must read the whole input."""
+        result = rule(self)
+        tok = self.tokens[self.pos]
+        if tok[0] != "EOF":
+            raise self.error(tok, f"trailing input {tok[1]!r}", ["end of input"])
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -156,41 +158,32 @@ class TokenStream:
 
 def parse_type_stream(ts: TokenStream) -> TypeExpr:
     left = _parse_tensor(ts)
-    if ts.peek().kind == "ARROW":
-        ts.next()
+    if ts.accept("ARROW"):
         return Arrow(left, parse_type_stream(ts))
     return left
 
 
 def _parse_tensor(ts: TokenStream) -> TypeExpr:
     left = _parse_type_atom(ts)
-    while ts.peek().kind == "STAR":
-        ts.next()
+    while ts.accept("STAR"):
         left = Tensor(left, _parse_type_atom(ts))
     return left
 
 
 def _parse_type_atom(ts: TokenStream) -> TypeExpr:
     tok = ts.peek()
-    if tok.kind == "IDENT":
-        ts.next()
-        return Atom(tok.value)
-    if tok.kind == "LPAREN":
-        ts.next()
+    if ts.accept("IDENT"):
+        return Atom(tok[1])
+    if ts.accept("LPAREN"):
         ty = parse_type_stream(ts)
         ts.expect("RPAREN", "')'")
         return ty
-    raise ParseError(f"unexpected {tok.value!r} in type", tok.span,
-                     ["identifier", "'('"])
+    raise ts.error(tok, f"unexpected {tok[1]!r} in type",
+                   ["identifier", "'('"])
 
 
 def parse_type(text: str) -> TypeExpr:
-    ts = TokenStream(tokenize(text))
-    ty = parse_type_stream(ts)
-    tok = ts.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.value!r}", tok.span, ["end of input"])
-    return ty
+    return TokenStream(text).parse(parse_type_stream)
 
 
 # ---------------------------------------------------------------------------
@@ -207,122 +200,108 @@ class _TermParser:
 
     def term(self, bound: dict[str, TypeExpr]) -> Term:
         ts = self.ts
-        tok = ts.peek()
-        if tok.kind == "LAMBDA":
-            ts.next()
-            name = ts.expect("IDENT", "binder name").value
+        if ts.accept("LAMBDA"):
+            name = ts.expect("IDENT", "binder name")[1]
             ts.expect("COLON", "':'")
             ty = parse_type_stream(ts)
             ts.expect("DOT", "'.'")
             body = self.term(bound | {name: ty})
             return Lam(name, ty, body)
-        if tok.kind == "KEYWORD" and tok.value == "let":
-            ts.next()
+        if ts.accept("let"):
             ts.expect("LANGLE", "'<'")
-            xtok = ts.expect("IDENT", "binder name")
+            x = ts.expect("IDENT", "binder name")[1]
             ts.expect("COLON", "':'")
             xt = parse_type_stream(ts)
             ts.expect("COMMA", "','")
             ytok = ts.expect("IDENT", "binder name")
-            if ytok.value == xtok.value:
-                raise ParseError(f"duplicate binder {ytok.value!r} in let",
-                                 ytok.span)
+            y = ytok[1]
+            if y == x:
+                raise ts.error(ytok, f"duplicate binder {y!r} in let")
             ts.expect("COLON", "':'")
             yt = parse_type_stream(ts)
             ts.expect("RANGLE", "'>'")
             ts.expect("EQUALS", "'='")
             scrut = self.term(bound)
-            ts.expect_keyword("in")
-            body = self.term(bound | {xtok.value: xt, ytok.value: yt})
-            return Let(xtok.value, xt, ytok.value, yt, scrut, body)
-        if tok.kind == "KEYWORD" and tok.value == "break":
-            ts.next()
+            ts.expect("in")
+            body = self.term(bound | {x: xt, y: yt})
+            return Let(x, xt, y, yt, scrut, body)
+        if ts.accept("break"):
             scrut = self.term(bound)
-            ts.expect_keyword("as")
+            ts.expect("as")
             ts.expect("LANGLE", "'<'")
-            ptok = ts.expect("IDENT", "binder name")
+            p = ts.expect("IDENT", "binder name")[1]
             ts.expect("COMMA", "','")
             ftok = ts.expect("IDENT", "binder name")
-            if ftok.value == ptok.value:
-                raise ParseError(f"duplicate binder {ftok.value!r} in break",
-                                 ftok.span)
+            f = ftok[1]
+            if f == p:
+                raise ts.error(ftok, f"duplicate binder {f!r} in break")
             ts.expect("RANGLE", "'>'")
             ts.expect("AT", "'@'")
             residue = parse_type_stream(ts)
-            ts.expect_keyword("in")
+            ts.expect("in")
             k, s = ks_types(annotated_type(scrut), residue)
-            body = self.term(bound | {ptok.value: k, ftok.value: s})
-            return Break(scrut, ptok.value, ftok.value, residue, body)
+            body = self.term(bound | {p: k, f: s})
+            return Break(scrut, p, f, residue, body)
         return self.appterm(bound)
 
     def appterm(self, bound: dict[str, TypeExpr]) -> Term:
         t = self.atom(bound)
-        while self.ts.peek().kind in _ATOM_START:
+        while self.ts.peek()[0] in _ATOM_START:
             t = App(t, self.atom(bound))
         return t
 
     def atom(self, bound: dict[str, TypeExpr]) -> Term:
         ts = self.ts
         tok = ts.peek()
-        if tok.kind == "IDENT":
-            ts.next()
+        if ts.accept("IDENT"):
             return self._var(tok, bound)
-        if tok.kind == "LPAREN":
-            if ts.peek(1).kind == "IDENT" and ts.peek(2).kind == "COLON":
-                ts.next()
+        if ts.accept("LPAREN"):
+            if ts.peek()[0] == "IDENT" and ts.peek(1)[0] == "COLON":
                 name_tok = ts.next()
                 ts.next()  # colon
                 ty = parse_type_stream(ts)
                 ts.expect("RPAREN", "')'")
                 return self._ascribed_var(name_tok, ty, bound)
-            ts.next()
             t = self.term(bound)
             ts.expect("RPAREN", "')'")
             return t
-        if tok.kind == "LANGLE":
-            ts.next()
+        if ts.accept("LANGLE"):
             first = self.term(bound)
             ts.expect("COMMA", "','")
             second = self.term(bound)
             ts.expect("RANGLE", "'>'")
             return Pair(first, second)
-        raise ParseError(f"unexpected {tok.value!r}", tok.span,
-                         ["identifier", "'('", "'<'"])
+        raise ts.error(tok, f"unexpected {tok[1]!r}",
+                       ["identifier", "'('", "'<'"])
 
-    def _var(self, tok: Token, bound: dict[str, TypeExpr]) -> Var:
-        name = tok.value
+    def _var(self, tok: tuple[str, str, int],
+             bound: dict[str, TypeExpr]) -> Var:
+        name = tok[1]
         if name in bound:
             return Var(name, bound[name])
         if name in self.free_types:
             return Var(name, self.free_types[name])
-        raise ParseError(
-            f"free variable {name!r} needs a type ascription at first use,"
-            f" e.g. ({name} : A)", tok.span)
+        raise self.ts.error(
+            tok, f"free variable {name!r} needs a type ascription at first"
+            f" use, e.g. ({name} : A)")
 
-    def _ascribed_var(self, tok: Token, ty: TypeExpr,
+    def _ascribed_var(self, tok: tuple[str, str, int], ty: TypeExpr,
                       bound: dict[str, TypeExpr]) -> Var:
-        name = tok.value
+        name = tok[1]
         if name in bound:
             if bound[name] != ty:
-                raise ParseError(
-                    f"variable {name!r} ascribed a type differing from its"
-                    " binder", tok.span)
+                raise self.ts.error(
+                    tok, f"variable {name!r} ascribed a type differing from"
+                    " its binder")
             return Var(name, ty)
         known = self.free_types.get(name)
         if known is not None and known != ty:
-            raise ParseError(
-                f"free variable {name!r} ascribed two different types",
-                tok.span)
+            raise self.ts.error(
+                tok, f"free variable {name!r} ascribed two different types")
         self.free_types[name] = ty
         return Var(name, ty)
 
 
 def parse_term(text: str) -> Term:
-    ts = TokenStream(tokenize(text))
-    parser = _TermParser(ts)
-    t = parser.term({})
-    tok = ts.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.value!r}", tok.span,
-                         ["end of input"])
-    return canonicalize(t)
+    return canonicalize(
+        TokenStream(text).parse(lambda ts: _TermParser(ts).term({})))

@@ -17,10 +17,10 @@ import itertools
 from collections import Counter
 from typing import NamedTuple
 
-from .printer import print_type
+from .parser import TokenStream, parse_type_stream
 from .syntax import (
     App, Arrow, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var,
-    canonicalize, free_names, ks_types, substitute,
+    canonicalize, free_names, ks_types, print_type, substitute,
 )
 from .typecheck import check
 
@@ -636,43 +636,33 @@ def print_derivation(d: SDerivation, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def parse_derivation(text: str) -> SDerivation:
-    from .parser import ParseError, TokenStream, parse_type_stream, tokenize
-
-    ts = TokenStream(tokenize(text))
-
-    def node() -> SDerivation:
-        ts.expect("LPAREN", "'('")
-        tok = ts.expect("IDENT", "rule name")
-        try:
-            rule = SRule(tok.value)
-        except ValueError:
-            raise ParseError(f"unknown rule {tok.value!r}", tok.span,
-                             [r.value for r in SRule]) from None
-        data = None
-        if ts.peek().kind == "LBRACE":
-            ts.next()
-            data = parse_type_stream(ts)
-            ts.expect("RBRACE", "'}'")
-        ts.expect("LBRACK", "'['")
-        ant: list[TypeExpr] = []
-        if ts.peek().kind != "TURNSTILE":
+def _derivation(ts: TokenStream) -> SDerivation:
+    ts.expect("LPAREN", "'('")
+    tok = ts.expect("IDENT", "rule name")
+    try:
+        rule = SRule(tok[1])
+    except ValueError:
+        raise ts.error(tok, f"unknown rule {tok[1]!r}",
+                       [r.value for r in SRule]) from None
+    data = None
+    if ts.accept("LBRACE"):
+        data = parse_type_stream(ts)
+        ts.expect("RBRACE", "'}'")
+    ts.expect("LBRACK", "'['")
+    ant: list[TypeExpr] = []
+    if ts.peek()[0] != "TURNSTILE":
+        ant.append(parse_type_stream(ts))
+        while ts.accept("COMMA"):
             ant.append(parse_type_stream(ts))
-            while ts.peek().kind == "COMMA":
-                ts.next()
-                ant.append(parse_type_stream(ts))
-        ts.expect("TURNSTILE", "'|-'")
-        suc = parse_type_stream(ts)
-        ts.expect("RBRACK", "']'")
-        premises = []
-        while ts.peek().kind == "LPAREN":
-            premises.append(node())
-        ts.expect("RPAREN", "')'")
-        return SDerivation(rule, sequent(ant, suc), tuple(premises), data)
+    ts.expect("TURNSTILE", "'|-'")
+    suc = parse_type_stream(ts)
+    ts.expect("RBRACK", "']'")
+    premises = []
+    while ts.peek()[0] == "LPAREN":
+        premises.append(_derivation(ts))
+    ts.expect("RPAREN", "')'")
+    return SDerivation(rule, sequent(ant, suc), tuple(premises), data)
 
-    d = node()
-    tok = ts.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.value!r}", tok.span,
-                         ["end of input"])
-    return d
+
+def parse_derivation(text: str) -> SDerivation:
+    return TokenStream(text).parse(_derivation)

@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .printer import print_type
 from .syntax import (
     App, Arrow, Atom, Break, DistinctBinders, IllFormedTermError, Lam, Let,
     Node, Pair, Tensor, Term, TypeExpr, Var, canonical_contraction,
     canonicalize, constructor, first_contraction, is_canonical, ks_types,
+    print_type,
 )
 
 
@@ -41,12 +41,6 @@ class AffinityViolation(TypeCheckError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"variable {name!r} used more than once")
-
-
-class UnboundVariable(TypeCheckError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"unbound variable {name!r}")
 
 
 class UnificationFailure(TypeCheckError):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from breakcalc.parser import ParseError, parse_term, parse_type
+from breakcalc.parser import ParseError, parse_term, parse_type, tokenize
 from breakcalc.printer import print_term, print_type
 from breakcalc.syntax import (
     App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Var, alpha_eq,
@@ -12,6 +12,14 @@ from breakcalc.syntax import (
 from termgen import random_typable_term
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
+
+
+class TestTokenize:
+    def test_tokens_are_kind_value_offset(self):
+        # a keyword is its own kind; comments leave no token
+        assert tokenize("let x -- note\n->(") == [
+            ("let", "let", 0), ("IDENT", "x", 4), ("ARROW", "->", 14),
+            ("LPAREN", "(", 16), ("EOF", "", 17)]
 
 
 class TestParseType:
