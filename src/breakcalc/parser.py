@@ -31,8 +31,8 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, TypeVar
 
 from .syntax import (
-    App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var,
-    annotated_type, canonicalize, ks_types,
+    App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair, Tensor, Term,
+    TypeExpr, Var, annotated_type, canonicalize, ks_types,
 )
 
 _T = TypeVar("_T")
@@ -69,12 +69,16 @@ _IDENT_START = frozenset(_LETTERS)
 _IDENT_CHARS = frozenset(_LETTERS + "0123456789_'")
 
 
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The line and column of offset in text, both counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def _error(text: str, tok: tuple[str, str, int], message: str,
            expected: list[str] | None = None) -> ParseError:
     """The ParseError at token tok of text, with its line and column."""
     start = tok[2]
-    span = SourceSpan(start, start + len(tok[1]), text.count("\n", 0, start) + 1,
-                      start - text.rfind("\n", 0, start))
+    span = SourceSpan(start, start + len(tok[1]), *_line_column(text, start))
     return ParseError(message, span, expected)
 
 
@@ -226,6 +230,7 @@ class _TermParser:
             body = self.term(bound | {x: xt, y: yt})
             return Let(x, xt, y, yt, scrut, body)
         if ts.accept("break"):
+            scrut_offset = ts.peek()[2]
             scrut = self.term(bound)
             ts.expect("as")
             ts.expect("LANGLE", "'<'")
@@ -239,7 +244,13 @@ class _TermParser:
             ts.expect("AT", "'@'")
             residue = parse_type_stream(ts)
             ts.expect("in")
-            k, s = ks_types(annotated_type(scrut), residue)
+            try:
+                scrut_type = annotated_type(scrut)
+            except IllFormedTermError as exc:
+                line, column = _line_column(ts.text, scrut_offset)
+                raise IllFormedTermError(
+                    f"line {line}, column {column}: {exc}") from None
+            k, s = ks_types(scrut_type, residue)
             body = self.term(bound | {p: k, f: s})
             return Break(scrut, p, f, residue, body)
         return self.appterm(bound)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left
 from collections import Counter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .parser import TokenStream, parse_type_stream
 from .syntax import (
@@ -636,7 +637,9 @@ def print_derivation(d: SDerivation, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _derivation(ts: TokenStream) -> SDerivation:
+def _derivation(ts: TokenStream,
+                formula: Callable[[], TypeExpr]) -> SDerivation:
+    """The derivation at ts, reading each formula with formula()."""
     ts.expect("LPAREN", "'('")
     tok = ts.expect("IDENT", "rule name")
     try:
@@ -646,23 +649,55 @@ def _derivation(ts: TokenStream) -> SDerivation:
                        [r.value for r in SRule]) from None
     data = None
     if ts.accept("LBRACE"):
-        data = parse_type_stream(ts)
+        data = formula()
         ts.expect("RBRACE", "'}'")
     ts.expect("LBRACK", "'['")
     ant: list[TypeExpr] = []
     if ts.peek()[0] != "TURNSTILE":
-        ant.append(parse_type_stream(ts))
+        ant.append(formula())
         while ts.accept("COMMA"):
-            ant.append(parse_type_stream(ts))
+            ant.append(formula())
     ts.expect("TURNSTILE", "'|-'")
-    suc = parse_type_stream(ts)
+    suc = formula()
     ts.expect("RBRACK", "']'")
     premises = []
     while ts.peek()[0] == "LPAREN":
-        premises.append(_derivation(ts))
+        premises.append(_derivation(ts, formula))
     ts.expect("RPAREN", "')'")
     return SDerivation(rule, sequent(ant, suc), tuple(premises), data)
 
 
+#: the tokens that end a formula in derivation text: no type contains one
+_FORMULA_ENDS = frozenset({"COMMA", "TURNSTILE", "RBRACK", "RBRACE", "EOF"})
+
+
 def parse_derivation(text: str) -> SDerivation:
-    return TokenStream(text).parse(_derivation)
+    """The derivation that text spells, in the syntax of print_derivation.
+
+    Every node repeats formulas its parent already spelled, so each formula
+    text is parsed once: a formula runs up to the next token of
+    _FORMULA_ENDS, and its text up to there is the memo key.  A text is
+    stored only when the type parser stopped exactly at that token, so a hit
+    reads the same tokens to the same type, and every ParseError is the one
+    the unmemoised parser raises.
+    """
+    ts = TokenStream(text)
+    tokens = ts.tokens
+    ends = [i for i, tok in enumerate(tokens) if tok[0] in _FORMULA_ENDS]
+    memo: dict[str, TypeExpr] = {}
+
+    # not recursive, so no reference cycle keeps the tokens alive
+    def formula() -> TypeExpr:
+        start = ts.pos
+        end = ends[bisect_left(ends, start)]
+        key = text[tokens[start][2]:tokens[end][2]]
+        ty = memo.get(key)
+        if ty is not None:
+            ts.pos = end
+            return ty
+        ty = parse_type_stream(ts)
+        if ts.pos == end:
+            memo[key] = ty
+        return ty
+
+    return ts.parse(lambda ts: _derivation(ts, formula))

@@ -2,7 +2,9 @@
 
 Terms are Church style: every variable occurrence carries its type, binders are
 annotated, and a break node stores its residue type.  Every type and term is
-an immutable named tuple of its fields (see Node).
+an immutable named tuple of its fields (see Node).  Types are hash-consed
+(see TypeExpr): equal types are one object, so type equality and hashing go
+by identity and print_type is a dictionary lookup after the first call.
 
 The binder-aware operations (navigation, free names, substitution, alpha
 equivalence, canonical renaming, affinity) are written once, over the Spec
@@ -33,7 +35,9 @@ class Node(tuple):
     empty ``__slots__``: fields are read by name or position, and assigning
     one raises AttributeError.  A node equals only a node of the same
     constructor with equal fields, so ``Arrow(A, B) != Tensor(A, B)`` and no
-    node equals a plain tuple.  Nodes hash as tuples and are not ordered.
+    node equals a plain tuple.  Types compare and hash by identity (see
+    TypeExpr); every other node compares and hashes as the tuple of its
+    fields.  Nodes are not ordered.
     """
 
     __slots__ = ()
@@ -51,15 +55,54 @@ class Node(tuple):
 
     __le__ = __gt__ = __ge__ = __lt__
 
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make and _replace skip __new__
+        return cls(*iterable)
+
 
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
+#: Every type built so far, keyed by (constructor, *fields).  Entries are
+#: never dropped: a type still in use must stay the one object for its
+#: fields, and a tuple subclass cannot be weakly referenced, so the table
+#: cannot tell which types are still in use.
+_TYPES: dict[tuple, TypeExpr] = {}
+
+
 class TypeExpr(Node):
-    """Base class for type expressions."""
+    """Base class for type expressions, which are hash-consed.
+
+    Constructing a type returns the one object for its constructor and
+    fields, whichever way it is built (positional or keyword arguments,
+    ``_make``, ``_replace``, ``copy``, ``deepcopy``, ``pickle``).  So two
+    types are equal exactly when they are the same object, and equality and
+    hashing are identity tests.  The table only grows, by the distinct types
+    seen; ``dict.setdefault`` under the GIL keeps one object per type when
+    threads build the same type at once.
+    """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        if not kwargs:  # fast path: the key without building a type first
+            ty = _TYPES.get((cls,) + args)  # faster than (cls, *args)
+            if ty is not None:
+                return ty
+        ty = super().__new__(cls, *args, **kwargs)
+        return _TYPES.setdefault((cls,) + ty, ty)
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild through __new__
+        return type(self), tuple(self)
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+    __hash__ = object.__hash__
 
 
 class Atom(TypeExpr, namedtuple("Atom", "name")):
@@ -97,9 +140,16 @@ _ARG_L = 1    # left of an infix / function position
 _ARG_R = 2    # argument position (tightest)
 
 
+#: print_type's results; it keeps alive no type that _TYPES does not
+_PRINTED: dict[TypeExpr, str] = {}
+
+
 def print_type(ty: TypeExpr) -> str:
     """A type in the surface syntax, with minimal parentheses."""
-    return _ptype(ty, _TOP)
+    text = _PRINTED.get(ty)
+    if text is None:
+        text = _PRINTED[ty] = _ptype(ty, _TOP)
+    return text
 
 
 def _ptype(ty: TypeExpr, ctx: int) -> str:
@@ -210,10 +260,6 @@ class DistinctBinders:
         if first == second:
             raise IllFormedTermError(f"{cls.__name__} binds {first!r} twice")
         return self
-
-    @classmethod
-    def _make(cls, iterable):  # namedtuple's _make and _replace skip __new__
-        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------

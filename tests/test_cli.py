@@ -57,7 +57,13 @@ class TestCheck:
          "cannot unify ?1 * ?2 with ?3 -> ?4 at [0, 0]"),
         ("infer", "\\x:A. break x as <phi, f> @ B in f phi",
          "occurs check: ?2 in (?1 -> ?2) -> ?2 at [0, 1]"),
-    ], ids=["not-a-function", "not-a-pair", "unification", "occurs"])
+        ("check", "break (f : A) (y : B) as <p, g> @ C in p",
+         "line 1, column 7: applied term has non-function type A"),
+        ("check", "-- scrutinee on line 3\n\\x:A.\n  break (f : A)\n"
+                  "  (y : B) as <p, g> @ C in p",
+         "line 3, column 9: applied term has non-function type A"),
+    ], ids=["not-a-function", "not-a-pair", "unification", "occurs",
+            "break-scrutinee", "break-scrutinee-line-3"])
     def test_type_error_text(self, cli, command, source, message):
         code, out, err = cli([command, "-"], stdin=source + "\n")
         assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from breakcalc.catalog import divisibility_terms, identity_break
-from breakcalc.parser import parse_term
+from breakcalc.parser import (
+    ParseError, TokenStream, parse_term, parse_type_stream,
+)
 from breakcalc.printer import print_term
 from breakcalc.reduction import RuleName, find_redexes, normalize
 from breakcalc.sequent import (
@@ -388,7 +390,107 @@ class TestSerialization:
             assert check_derivation(back) == d.conclusion
 
     def test_parse_error_on_unknown_rule(self):
-        from breakcalc.parser import ParseError
-
         with pytest.raises(ParseError):
             parse_derivation("(WAT [A |- A])")
+
+
+def unmemoised_parse_derivation(text: str) -> SDerivation:
+    """parse_derivation without its formula memo: the reference it must
+    agree with, result and ParseError alike."""
+    def derivation(ts: TokenStream) -> SDerivation:
+        ts.expect("LPAREN", "'('")
+        tok = ts.expect("IDENT", "rule name")
+        try:
+            rule = SRule(tok[1])
+        except ValueError:
+            raise ts.error(tok, f"unknown rule {tok[1]!r}",
+                           [r.value for r in SRule]) from None
+        data = None
+        if ts.accept("LBRACE"):
+            data = parse_type_stream(ts)
+            ts.expect("RBRACE", "'}'")
+        ts.expect("LBRACK", "'['")
+        ant = []
+        if ts.peek()[0] != "TURNSTILE":
+            ant.append(parse_type_stream(ts))
+            while ts.accept("COMMA"):
+                ant.append(parse_type_stream(ts))
+        ts.expect("TURNSTILE", "'|-'")
+        suc = parse_type_stream(ts)
+        ts.expect("RBRACK", "']'")
+        premises = []
+        while ts.peek()[0] == "LPAREN":
+            premises.append(derivation(ts))
+        ts.expect("RPAREN", "')'")
+        return SDerivation(rule, sequent(ant, suc), tuple(premises), data)
+
+    return TokenStream(text).parse(derivation)
+
+
+def parse_outcome(parse, text: str):
+    """The parsed derivation, or the ParseError's message, span and
+    expected list."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.span, exc.expected
+
+
+#: every formula but C repeats; ``A -> B`` appears before ``,``, `` |-``,
+#: ``]`` and ``}``
+REPEATING = """(ArrR [(A -> B) -> C |- (A -> B) -> A -> C]
+  (ArrR [(A -> B) -> C, A -> B |- A -> C]
+    (CUT [(A -> B) -> C, A, A -> B |- C]
+      (ASM [(A -> B) -> C |- (A -> B) -> C])
+      (ArrL {(A -> B) -> C} [(A -> B) -> C, A, A -> B |- C]
+        (ASM [A -> B |- A -> B])
+        (ASM [A, C |- C])))))"""
+
+
+class TestFormulaMemo:
+    """parse_derivation reads each formula text once per call."""
+
+    def test_respaced_and_commented_formulas_parse_equal(self):
+        spellings = iter(["A->B", "(A -> B)", "A -- a comment, ] |- }\n -> B",
+                          "A\t->  B", "((A)) -> (B)"] * 4)
+        parts = REPEATING.split("A -> B")
+        respaced = parts[0] + "".join(next(spellings) + part
+                                      for part in parts[1:])
+        assert respaced != REPEATING
+        d = parse_derivation(REPEATING)
+        assert parse_derivation(respaced) == d
+        assert check_derivation(d) == d.conclusion
+
+    @pytest.mark.parametrize("text", [
+        "(ASM [A -> B, A -> B C , A |- A])",
+        "(ASM [A -> B, A -> B C, A |- A])",
+        "(ArrL {A -> B} [A -> B, A -> B C |- B] (ASM [A |- A]))",
+        "(ASM [A -> B |- A -> B C])",
+        "(ASM [A -> B, C |- A -> B ) ])",
+    ], ids=["before-comma", "tight-comma", "antecedent", "succedent",
+            "rparen"])
+    def test_stray_tokens_after_a_known_formula(self, text):
+        error = parse_outcome(parse_derivation, text)
+        assert isinstance(error, tuple)
+        assert error == parse_outcome(unmemoised_parse_derivation, text)
+
+    @pytest.mark.parametrize("text", [
+        "(ASM [A -> B, C |- A -> B",
+        "(ASM [A -> B, C |- A -> B ",
+        "(ASM [A -> B, C |- A ->",
+        "(ArrL {A -> B",
+    ], ids=["hit", "hit-space", "inside", "datum"])
+    def test_formula_at_end_of_truncated_text(self, text):
+        error = parse_outcome(parse_derivation, text)
+        assert isinstance(error, tuple)
+        assert error == parse_outcome(unmemoised_parse_derivation, text)
+
+    def test_agrees_with_the_unmemoised_parser_on_mutations(self):
+        texts = [REPEATING[:i] for i in range(len(REPEATING) + 1)]
+        texts += [REPEATING[:i] + REPEATING[i + 1:]
+                  for i in range(len(REPEATING))]
+        texts += [REPEATING[:i] + c + REPEATING[i:]
+                  for i in range(0, len(REPEATING), 3) for c in "C,)]"]
+        for text in texts:
+            assert (parse_outcome(parse_derivation, text)
+                    == parse_outcome(unmemoised_parse_derivation, text)), text

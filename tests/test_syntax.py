@@ -1,6 +1,8 @@
 """Core syntax operations: free variables, substitution, sizes, affinity,
 and the value contract of syntax nodes and records."""
 
+import copy
+import pickle
 import random
 import subprocess
 import sys
@@ -8,16 +10,18 @@ import sys
 import pytest
 
 from breakcalc.lambda_pair import LApp, LLam, LPair, LProj0, LProj1, LVar
+from breakcalc.parser import parse_type
 from breakcalc.reduction import Redex, RuleName
 from breakcalc.sequent import arr_r, asm, sequent
 from breakcalc.syntax import (
     App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair, Tensor, Var,
     affine_check, all_names, alpha_eq, annotated_type, canonicalize,
-    free_vars, fresh_name, ks_types, substitute, subterms, term_size,
-    type_size,
+    free_vars, fresh_name, ks_types, print_type, substitute, subterms,
+    term_size, type_size,
 )
+from breakcalc.syntax import _TOP, _ptype
 from breakcalc.typecheck import UApp, ULam, UPair, UVar
-from termgen import random_typable_term
+from termgen import random_type, random_typable_term
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -321,3 +325,57 @@ class TestValueContract:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+
+class TestInterning:
+    """Equal types are one object, however they are built."""
+
+    @pytest.mark.parametrize("build, ty", [
+        (lambda: Atom("A"), A),
+        (lambda: Atom(name="A"), A),
+        (lambda: Arrow(Atom("A"), Tensor(Atom("B"), Atom("C"))),
+         Arrow(A, Tensor(B, C))),
+        (lambda: Arrow(cod=Tensor(B, C), dom=A), Arrow(A, Tensor(B, C))),
+        (lambda: Tensor._make([A, B]), Tensor(A, B)),
+        (lambda: Tensor(A, C)._replace(right=B), Tensor(A, B)),
+        (lambda: Arrow(A, B)._replace(), Arrow(A, B)),
+    ], ids=["positional", "keyword", "nested", "keyword-nested", "make",
+            "replace", "replace-nothing"])
+    def test_every_constructor_path_returns_the_one_object(self, build, ty):
+        assert build() is ty
+
+    @pytest.mark.parametrize("ty", [A, Arrow(A, Tensor(B, C)),
+                                    Tensor(Arrow(A, B), Arrow(B, A))],
+                             ids=["atom", "arrow", "tensor"])
+    def test_copies_are_the_one_object(self, ty):
+        assert copy.copy(ty) is ty
+        assert copy.deepcopy(ty) is ty
+        assert copy.deepcopy([ty, (ty,)])[1][0] is ty
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(ty, protocol)) is ty
+
+    def test_pickled_term_carries_interned_types(self):
+        t = Lam("x", Arrow(A, B), Var("x", Arrow(A, B)))
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and back.binder_type is Arrow(A, B)
+
+    def test_parse_type_returns_the_interned_object(self):
+        assert parse_type("A -> B * C") is Arrow(A, Tensor(B, C))
+        assert parse_type("(A)  -- comment\n") is A
+
+    def test_equality_and_hash_are_identity(self):
+        ab = Arrow(A, B)
+        assert ab == Arrow(A, B) and hash(ab) == object.__hash__(ab)
+        assert ab != Arrow(B, A) and not ab == Tensor(A, B)
+
+    def test_constructor_arity_still_checked(self):
+        with pytest.raises(TypeError):
+            Atom()
+        with pytest.raises(TypeError):
+            Arrow(A, B, C)
+
+    def test_print_type_equals_the_unmemoised_printer(self):
+        rng = random.Random(20261018)
+        for _ in range(10_000):
+            ty = random_type(rng, rng.randint(0, 6))
+            assert print_type(ty) == _ptype(ty, _TOP)
