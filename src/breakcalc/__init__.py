@@ -33,7 +33,7 @@ from .sequent import (
     BudgetExceeded, InvalidRule, PreconditionViolation, SDerivation, SRule,
     Sequent, brk_via_cut_empty, brk_via_cut_superfluous, check_derivation,
     eliminate_cuts, nd_to_sequent, parse_derivation, print_derivation,
-    prove_bounded, sequent, sequent_to_term,
+    prove_bounded, sequent_to_term,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import enum
 import itertools
-from bisect import bisect_left
+import re
 from collections import Counter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .parser import TokenStream, parse_type_stream
+from .parser import ParseError, TokenStream, parse_type, parse_type_stream
 from .syntax import (
-    App, Arrow, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var,
-    canonicalize, free_names, ks_types, print_type, substitute,
+    App, Arrow, Break, FreeNames, Lam, Let, Pair, Tensor, Term, TypeExpr, Var,
+    canonicalize, ks_types, print_type, substitute,
 )
 from .typecheck import check
 
@@ -238,39 +238,48 @@ def nd_to_sequent(t: Term) -> SDerivation:
     Gamma |- A, where Gamma is the multiset of free-variable types."""
     t = canonicalize(t)
     check(t)
-    return _translate(t)
+    return _translate(t, (), FreeNames())
 
 
-def _translate(t: Term) -> SDerivation:
+def _translate(t: Term, pending: tuple[TypeExpr, ...],
+               free: FreeNames) -> SDerivation:
+    """The derivation of t, weakened by pending.
+
+    The types of binders a body leaves unused join pending, which rides the
+    last-premise path down to the axiom leaf where `weaken` would put it, so
+    every node is built once, with its final sequent.
+    """
     match t:
         case Var(_, ty):
-            return asm([ty], ty)
+            return asm((ty, *pending), ty)
         case Lam(b, bt, body):
-            return arr_r(_bind(_translate(body), body, [(b, bt)]), bt)
+            extra = _unused(body, ((b, bt),), free)
+            return arr_r(_translate(body, pending + extra, free), bt)
         case App(fun, arg):
-            df = _translate(fun)
+            df = _translate(fun, (), free)
             fty = df.conclusion.succedent
             assert isinstance(fty, Arrow)
-            hook = asm([fty.cod], fty.cod)
-            return cut(df, arr_l(_translate(arg), hook, fty))
+            hook = asm((fty.cod, *pending), fty.cod)
+            return cut(df, arr_l(_translate(arg, (), free), hook, fty))
         case Pair(a, b):
-            return tens_r(_translate(a), _translate(b))
+            return tens_r(_translate(a, (), free), _translate(b, pending, free))
         case Let(x, xt, y, yt, scrut, body):
-            db = _bind(_translate(body), body, [(x, xt), (y, yt)])
-            return cut(_translate(scrut), tens_l(db, Tensor(xt, yt)))
+            extra = _unused(body, ((x, xt), (y, yt)), free)
+            db = _translate(body, pending + extra, free)
+            return cut(_translate(scrut, (), free), tens_l(db, Tensor(xt, yt)))
         case Break(scrut, phi, f, residue, body):
-            ds = _translate(scrut)
+            ds = _translate(scrut, (), free)
             k, s = ks_types(ds.conclusion.succedent, residue)
-            db = _bind(_translate(body), body, [(phi, k), (f, s)])
-            return brk(ds, db, residue)
+            extra = _unused(body, ((phi, k), (f, s)), free)
+            return brk(ds, _translate(body, pending + extra, free), residue)
     raise TypeError(f"not a term: {t!r}")
 
 
-def _bind(d: SDerivation, body: Term, binders) -> SDerivation:
-    """d, derived from body, weakened by the type of each binder body leaves
-    unused, so that the rule closing the binders finds them all."""
-    fns = free_names(body)
-    return weaken(d, [ty for name, ty in binders if name not in fns])
+def _unused(body: Term, binders, free: FreeNames) -> tuple[TypeExpr, ...]:
+    """The type of each binder that body leaves unused: the formulas the rule
+    closing the binders must find weakened in."""
+    fns = free(body)
+    return tuple(ty for name, ty in binders if name not in fns)
 
 
 def sequent_to_term(d: SDerivation) -> Term:
@@ -637,9 +646,8 @@ def print_derivation(d: SDerivation, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _derivation(ts: TokenStream,
-                formula: Callable[[], TypeExpr]) -> SDerivation:
-    """The derivation at ts, reading each formula with formula()."""
+def _derivation(ts: TokenStream) -> SDerivation:
+    """The derivation at ts."""
     ts.expect("LPAREN", "'('")
     tok = ts.expect("IDENT", "rule name")
     try:
@@ -649,55 +657,92 @@ def _derivation(ts: TokenStream,
                        [r.value for r in SRule]) from None
     data = None
     if ts.accept("LBRACE"):
-        data = formula()
+        data = parse_type_stream(ts)
         ts.expect("RBRACE", "'}'")
     ts.expect("LBRACK", "'['")
     ant: list[TypeExpr] = []
     if ts.peek()[0] != "TURNSTILE":
-        ant.append(formula())
+        ant.append(parse_type_stream(ts))
         while ts.accept("COMMA"):
-            ant.append(formula())
+            ant.append(parse_type_stream(ts))
     ts.expect("TURNSTILE", "'|-'")
-    suc = formula()
+    suc = parse_type_stream(ts)
     ts.expect("RBRACK", "']'")
     premises = []
     while ts.peek()[0] == "LPAREN":
-        premises.append(_derivation(ts, formula))
+        premises.append(_derivation(ts))
     ts.expect("RPAREN", "')'")
     return SDerivation(rule, sequent(ant, suc), tuple(premises), data)
 
 
-#: the tokens that end a formula in derivation text: no type contains one
-_FORMULA_ENDS = frozenset({"COMMA", "TURNSTILE", "RBRACK", "RBRACE", "EOF"})
+#: one event of derivation text: a closing ``)`` (group 1), or a node head
+#: ``(RULE {datum} [antecedent |- succedent]`` (groups 2 to 5).  No formula
+#: holds ``{``, ``}``, ``[``, ``]``, ``|`` or ``,``, so the groups end where
+#: the token parser's formulas end.
+_EVENT = re.compile(r"\s*(?:(\))|\(\s*([A-Za-z][A-Za-z0-9_']*)\s*"
+                    r"(?:\{([^{}]*)\}\s*)?\[([^\]|]*)\|-([^\]]*)\])")
+_END = re.compile(r"\s*\Z")
+_RULES = {r.value: r for r in SRule}
+
+
+def _read_layout(text: str) -> SDerivation | None:
+    """The derivation that text spells, read one node head per regular
+    expression match with an explicit stack, or None when the text holds a
+    comment or anything the events do not fit.
+
+    Each formula's stripped text is parsed once per call by parse_type.  A
+    formula group is exactly the tokens the token parser reads as that
+    formula, followed there by a token that ends it as end of input does, so
+    a text read here is one the token parser reads to the same derivation.
+    """
+    if "--" in text:
+        return None
+    memo: dict[str, TypeExpr] = {}
+
+    def formula(part: str) -> TypeExpr:
+        key = part.strip()
+        ty = memo.get(key)
+        if ty is None:
+            ty = memo[key] = parse_type(key)
+        return ty
+
+    match = _EVENT.match
+    stack: list[tuple[SRule, Sequent, TypeExpr | None, list]] = []
+    pos = 0
+    try:
+        while True:
+            m = match(text, pos)
+            if m is None:
+                return None
+            pos = m.end()
+            if m.lastindex == 1:  # ')'
+                if not stack:
+                    return None
+                rule, concl, data, premises = stack.pop()
+                d = SDerivation(rule, concl, tuple(premises), data)
+                if not stack:
+                    return d if _END.match(text, pos) else None
+                stack[-1][3].append(d)
+                continue
+            name, datum, ant, suc = m.group(2, 3, 4, 5)
+            rule = _RULES.get(name)
+            if rule is None:
+                return None
+            data = None if datum is None else formula(datum)
+            ants = [formula(f) for f in ant.split(",")] if ant.strip() else ()
+            stack.append((rule, sequent(ants, formula(suc)), data, []))
+    except ParseError:
+        return None
 
 
 def parse_derivation(text: str) -> SDerivation:
     """The derivation that text spells, in the syntax of print_derivation.
 
-    Every node repeats formulas its parent already spelled, so each formula
-    text is parsed once: a formula runs up to the next token of
-    _FORMULA_ENDS, and its text up to there is the memo key.  A text is
-    stored only when the type parser stopped exactly at that token, so a hit
-    reads the same tokens to the same type, and every ParseError is the one
-    the unmemoised parser raises.
+    _read_layout reads the text first; on a comment, or on anything it does
+    not fit, the token parser reads it from the start, so the token parser
+    defines the grammar and raises every ParseError.
     """
-    ts = TokenStream(text)
-    tokens = ts.tokens
-    ends = [i for i, tok in enumerate(tokens) if tok[0] in _FORMULA_ENDS]
-    memo: dict[str, TypeExpr] = {}
-
-    # not recursive, so no reference cycle keeps the tokens alive
-    def formula() -> TypeExpr:
-        start = ts.pos
-        end = ends[bisect_left(ends, start)]
-        key = text[tokens[start][2]:tokens[end][2]]
-        ty = memo.get(key)
-        if ty is not None:
-            ts.pos = end
-            return ty
-        ty = parse_type_stream(ts)
-        if ts.pos == end:
-            memo[key] = ty
-        return ty
-
-    return ts.parse(lambda ts: _derivation(ts, formula))
+    d = _read_layout(text)
+    if d is not None:
+        return d
+    return TokenStream(text).parse(_derivation)

@@ -252,3 +252,10 @@ class TestDeepNesting:
         self._assert_budget_exit(self._run(["axioms", "B2", "--A", deep,
                                             "--B", "B"]))
 
+    @pytest.mark.parametrize("command", ["sequent-check", "sequent-cutelim"])
+    def test_deep_cut_chain(self, command):
+        # parsing keeps its own stack, so checking meets the limit first
+        depth = 1500
+        text = ("(CUT [A |- A] (ASM [A |- A]) " * depth + "(ASM [A |- A])"
+                + ")" * depth + "\n")
+        self._assert_budget_exit(self._run([command, "-"], stdin=text))

@@ -2,9 +2,11 @@
 break-from-cut constructions, bounded search, and serialization."""
 
 import random
+import types
 
 import pytest
 
+import breakcalc.sequent as sequent_module
 from breakcalc.catalog import divisibility_terms, identity_break
 from breakcalc.parser import (
     ParseError, TokenStream, parse_term, parse_type_stream,
@@ -15,14 +17,19 @@ from breakcalc.sequent import (
     InvalidRule, PreconditionViolation, SDerivation, Sequent, SRule, arr_l,
     arr_r, asm, brk, brk_via_cut_empty, brk_via_cut_superfluous,
     check_derivation, cut, eliminate_cuts, nd_to_sequent, parse_derivation,
-    print_derivation, prove_bounded, sequent, sequent_to_term, tens_r, weaken,
+    print_derivation, prove_bounded, sequent, sequent_to_term, tens_l, tens_r,
+    weaken,
 )
 from breakcalc.syntax import (
-    Arrow, Atom, Break, Pair, Tensor, Var, free_names, free_vars, ks_types,
-    subterm_at,
+    App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Var, canonicalize,
+    free_names, free_vars, ks_types, subterm_at,
 )
 from breakcalc.typecheck import check
 from termgen import random_typable_term
+from test_parse_errors import (
+    SAMPLES, SEED as PARSE_ERRORS_SEED, catalog_terms,
+    inputs as parse_error_inputs, mutations as parse_error_mutations,
+)
 
 A, B, C, P = Atom("A"), Atom("B"), Atom("C"), Atom("P")
 
@@ -34,6 +41,12 @@ def translated_population(seed: int, count: int, max_size: int = 22):
         t = random_typable_term(rng, max_size=max_size)
         out.append((t, nd_to_sequent(t)))
     return out
+
+
+def test_import_as_gives_the_module():
+    import breakcalc.sequent as m
+    assert isinstance(m, types.ModuleType)
+    assert m.sequent is sequent
 
 
 class TestCheckDerivation:
@@ -162,6 +175,81 @@ class TestNdToSequent:
             got = check_derivation(d)
             fv = free_vars(t)
             assert got == sequent(fv.values(), check(t))
+
+
+def reference_nd_to_sequent(t):
+    """nd_to_sequent as it was with a weaken call at each binder: the
+    reference that placing each weakening once must agree with."""
+    t = canonicalize(t)
+    check(t)
+    return _reference_translate(t)
+
+
+def _reference_translate(t):
+    match t:
+        case Var(_, ty):
+            return asm([ty], ty)
+        case Lam(b, bt, body):
+            return arr_r(_reference_bind(_reference_translate(body), body,
+                                         [(b, bt)]), bt)
+        case App(fun, arg):
+            df = _reference_translate(fun)
+            fty = df.conclusion.succedent
+            hook = asm([fty.cod], fty.cod)
+            return cut(df, arr_l(_reference_translate(arg), hook, fty))
+        case Pair(a, b):
+            return tens_r(_reference_translate(a), _reference_translate(b))
+        case Let(x, xt, y, yt, scrut, body):
+            db = _reference_bind(_reference_translate(body), body,
+                                 [(x, xt), (y, yt)])
+            return cut(_reference_translate(scrut), tens_l(db, Tensor(xt, yt)))
+        case Break(scrut, phi, f, residue, body):
+            ds = _reference_translate(scrut)
+            k, s = ks_types(ds.conclusion.succedent, residue)
+            db = _reference_bind(_reference_translate(body), body,
+                                 [(phi, k), (f, s)])
+            return brk(ds, db, residue)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _reference_bind(d, body, binders):
+    fns = free_names(body)
+    return weaken(d, [ty for name, ty in binders if name not in fns])
+
+
+def lambda_nest(n: int):
+    """\\xn:A. ... \\x1:A. (x0 : A): n binders, none of them used."""
+    return parse_term("".join(f"\\x{i}:A. " for i in range(n, 0, -1))
+                      + "(x0 : A)")
+
+
+class TestPendingWeakening:
+    """nd_to_sequent places each weakened formula once, on the way down."""
+
+    def test_equals_the_weakening_reference(self):
+        terms = [parse_term(path.read_text(encoding="utf-8"))
+                 for path in sorted(SAMPLES.glob("*.bterm"))]
+        terms += [t for _, t in catalog_terms()]
+        assert len(terms) == 4 + 12
+        rng = random.Random(20261018)
+        terms += [random_typable_term(rng) for _ in range(2000)]
+        for t in terms:
+            assert nd_to_sequent(t) == reference_nd_to_sequent(t), t
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_builds_each_sequent_once_on_a_lambda_nest(self, n, monkeypatch):
+        calls = [0]
+
+        def counted(antecedent, succedent):
+            calls[0] += 1
+            return sequent(antecedent, succedent)
+
+        t = lambda_nest(n)
+        monkeypatch.setattr(sequent_module, "sequent", counted)
+        d = nd_to_sequent(t)
+        assert calls[0] == d.node_count() == n + 1
+        monkeypatch.undo()
+        assert d == reference_nd_to_sequent(t)
 
 
 class TestSequentToTerm:
@@ -395,8 +483,9 @@ class TestSerialization:
 
 
 def unmemoised_parse_derivation(text: str) -> SDerivation:
-    """parse_derivation without its formula memo: the reference it must
-    agree with, result and ParseError alike."""
+    """The token parser without a formula memo or a layout reader: the
+    reference parse_derivation must agree with, result and ParseError
+    alike."""
     def derivation(ts: TokenStream) -> SDerivation:
         ts.expect("LPAREN", "'('")
         tok = ts.expect("IDENT", "rule name")
@@ -494,3 +583,78 @@ class TestFormulaMemo:
         for text in texts:
             assert (parse_outcome(parse_derivation, text)
                     == parse_outcome(unmemoised_parse_derivation, text)), text
+
+
+def derivation_error_inputs():
+    """The derivation texts of parse_errors.json: each printed derivation,
+    and its mutations in the fixture's order."""
+    rng = random.Random(PARSE_ERRORS_SEED + 1)
+    for _, kind, text in parse_error_inputs():
+        # every input draws its mutations, so rng runs as in the fixture
+        mutated = [m for _, m in parse_error_mutations(text, rng)]
+        if kind == "derivation":
+            yield text
+            yield from mutated
+
+
+def respellings(text: str):
+    """text as printed, then with other spacing and with a comment added."""
+    yield text
+    yield text.replace(" ", "\t")
+    yield text.replace("\n", "\r\n")
+    yield text.replace(" ", "\u00a0")
+    yield "".join(text.split())  # no token needs a space after it
+    # an ASM leaf has an antecedent, so every printed derivation has a
+    # " |-"; the comment before it would add A if read as a formula
+    yield text.replace(" |-", " -- a comment, A\n|-", 1)
+
+
+def printed_population(seed: int, count: int):
+    """Printed nd_to_sequent and eliminate_cuts derivations of count seeded
+    terms."""
+    for _, d in translated_population(seed, count):
+        yield print_derivation(d)
+        yield print_derivation(eliminate_cuts(d))
+
+
+class TestLayoutReader:
+    """parse_derivation reads printed layout without the token parser, and
+    agrees with it on every text, read or rejected."""
+
+    def test_agrees_with_the_token_parser_on_parse_error_inputs(self):
+        texts = list(derivation_error_inputs())
+        assert len(texts) == 10 * 31
+        for text in texts:
+            assert (parse_outcome(parse_derivation, text)
+                    == parse_outcome(unmemoised_parse_derivation, text)), text
+
+    def test_agrees_with_the_token_parser_on_respelled_derivations(self):
+        for printed in printed_population(83, 300):
+            for text in respellings(printed):
+                d = parse_derivation(text)
+                assert d == unmemoised_parse_derivation(text), text
+
+    def test_printed_derivations_never_reach_the_token_parser(
+            self, monkeypatch):
+        texts = list(printed_population(89, 100))
+        texts += [REPEATING, REPEATING.replace("A -> B", "A->B")]
+
+        def token_parser(ts):
+            raise AssertionError("the token parser read printed layout")
+
+        monkeypatch.setattr(sequent_module, "_derivation", token_parser)
+        for printed in texts:
+            # every spelling but the last, which holds a comment
+            for text in list(respellings(printed))[:-1]:
+                assert parse_derivation(text) == \
+                    unmemoised_parse_derivation(text), text
+
+    def test_reads_nesting_deeper_than_the_recursion_limit(self):
+        depth = 1500
+        text = ("(CUT [A |- A] (ASM [A |- A]) " * depth + "(ASM [A |- A])"
+                + ")" * depth)
+        d = parse_derivation(text)
+        for _ in range(depth):
+            assert d.rule == SRule.CUT and d.conclusion == sequent([A], A)
+            d = d.premises[1]
+        assert d == asm([A], A)
