@@ -21,9 +21,9 @@ from typing import NamedTuple
 from .parser import ParseError, TokenStream, parse_type, parse_type_stream
 from .syntax import (
     App, Arrow, Break, FreeNames, Lam, Let, Pair, Tensor, Term, TypeExpr, Var,
-    canonicalize, ks_types, print_type, substitute,
+    _PRINTED, canonicalize, ks_types, print_type, substitute,
 )
-from .typecheck import check
+from .typecheck import _check_canonical
 
 
 class InvalidRule(Exception):
@@ -41,6 +41,11 @@ class BudgetExceeded(Exception):
     pass
 
 
+#: print_type as a C-level function, for sort keys and printing sequents:
+#: a formula printed before is one dictionary lookup with no Python frame
+_formula_text = _PRINTED.__getitem__
+
+
 class Sequent(NamedTuple):
     """antecedent |- succedent; the antecedent tuple is kept canonically sorted."""
 
@@ -48,13 +53,13 @@ class Sequent(NamedTuple):
     succedent: TypeExpr
 
     def __str__(self) -> str:
-        ant = ", ".join(print_type(f) for f in self.antecedent)
-        return f"{ant} |- {print_type(self.succedent)}" if ant \
-            else f"|- {print_type(self.succedent)}"
+        ant = ", ".join(map(_formula_text, self.antecedent))
+        return f"{ant} |- {_formula_text(self.succedent)}" if ant \
+            else f"|- {_formula_text(self.succedent)}"
 
 
 def sequent(antecedent, succedent: TypeExpr) -> Sequent:
-    return Sequent(tuple(sorted(antecedent, key=print_type)), succedent)
+    return Sequent(tuple(sorted(antecedent, key=_formula_text)), succedent)
 
 
 def _take(formulas, formula: TypeExpr, path: tuple[int, ...],
@@ -237,7 +242,7 @@ def nd_to_sequent(t: Term) -> SDerivation:
     """Compositional translation of a typable term into a derivation of
     Gamma |- A, where Gamma is the multiset of free-variable types."""
     t = canonicalize(t)
-    check(t)
+    _check_canonical(t)
     return _translate(t, (), FreeNames())
 
 
@@ -482,7 +487,7 @@ def _residues(a: TypeExpr, ant, which: int):
     """Each residue B, in print order of the assumptions, such that ant holds
     ks_types(a, B)[which]: the higher-order assumption (0) or the section (1).
     """
-    for formula in sorted(set(ant), key=print_type):
+    for formula in sorted(set(ant), key=_formula_text):
         if isinstance(formula, Arrow):
             b = formula.dom if which else formula.cod
             if ks_types(a, b)[which] == formula:
@@ -593,7 +598,7 @@ def prove_bounded(goal: Sequent, depth: int = 8) -> SDerivation | None:
                     if s2 is not None:
                         return tens_r(s1, s2)
         # left rules
-        for formula in sorted(set(goal.antecedent), key=print_type):
+        for formula in sorted(set(goal.antecedent), key=_formula_text):
             rest = tuple(_take(goal.antecedent, formula, (), "assumption"))
             match formula:
                 case Arrow(dom, cod):
@@ -621,7 +626,7 @@ def _splits(formulas: tuple[TypeExpr, ...]):
     for mask in range(1 << n):
         left = tuple(formulas[i] for i in range(n) if mask >> i & 1)
         right = tuple(formulas[i] for i in range(n) if not mask >> i & 1)
-        key = tuple(sorted(left, key=print_type))
+        key = tuple(sorted(left, key=_formula_text))
         if key in seen:
             continue
         seen.add(key)
@@ -682,21 +687,29 @@ def _derivation(ts: TokenStream) -> SDerivation:
 _EVENT = re.compile(r"\s*(?:(\))|\(\s*([A-Za-z][A-Za-z0-9_']*)\s*"
                     r"(?:\{([^{}]*)\}\s*)?\[([^\]|]*)\|-([^\]]*)\])")
 _END = re.compile(r"\s*\Z")
+#: a comment, up to the end of its line; deleting it joins no two tokens,
+#: since a line break or the end of the text follows it
+_COMMENT = re.compile(r"--[^\n]*")
 _RULES = {r.value: r for r in SRule}
 
 
 def _read_layout(text: str) -> SDerivation | None:
     """The derivation that text spells, read one node head per regular
-    expression match with an explicit stack, or None when the text holds a
-    comment or anything the events do not fit.
+    expression match with an explicit stack, or None when the text holds
+    anything the events do not fit.
+
+    Comments are deleted first.  Outside a comment, every ``--`` starts one
+    for the tokenizer too, except right after ``|``, where the first ``-``
+    ends a turnstile; deleting from there leaves a ``|`` before a line break
+    or the end, which no event and no formula reads, so such a text goes to
+    the token parser.
 
     Each formula's stripped text is parsed once per call by parse_type.  A
     formula group is exactly the tokens the token parser reads as that
     formula, followed there by a token that ends it as end of input does, so
     a text read here is one the token parser reads to the same derivation.
     """
-    if "--" in text:
-        return None
+    text = _COMMENT.sub("", text)
     memo: dict[str, TypeExpr] = {}
 
     def formula(part: str) -> TypeExpr:
@@ -738,9 +751,9 @@ def _read_layout(text: str) -> SDerivation | None:
 def parse_derivation(text: str) -> SDerivation:
     """The derivation that text spells, in the syntax of print_derivation.
 
-    _read_layout reads the text first; on a comment, or on anything it does
-    not fit, the token parser reads it from the start, so the token parser
-    defines the grammar and raises every ParseError.
+    _read_layout reads the text first; on anything it does not fit, the
+    token parser reads it from the start, so the token parser defines the
+    grammar and raises every ParseError.
     """
     d = _read_layout(text)
     if d is not None:

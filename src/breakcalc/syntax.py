@@ -140,16 +140,27 @@ _ARG_L = 1    # left of an infix / function position
 _ARG_R = 2    # argument position (tightest)
 
 
-#: print_type's results; it keeps alive no type that _TYPES does not
-_PRINTED: dict[TypeExpr, str] = {}
+class _Printed(dict):
+    """print_type's results by type; a miss prints the type and stores it.
+
+    ``_PRINTED.__getitem__`` is print_type as a C-level function, so a sort
+    keyed by it calls no Python code for a type already printed.  The memo
+    keeps alive no type that _TYPES does not.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, ty: TypeExpr) -> str:
+        text = self[ty] = _ptype(ty, _TOP)
+        return text
+
+
+_PRINTED = _Printed()
 
 
 def print_type(ty: TypeExpr) -> str:
     """A type in the surface syntax, with minimal parentheses."""
-    text = _PRINTED.get(ty)
-    if text is None:
-        text = _PRINTED[ty] = _ptype(ty, _TOP)
-    return text
+    return _PRINTED[ty]
 
 
 def _ptype(ty: TypeExpr, ctx: int) -> str:
@@ -695,8 +706,11 @@ def distinct_reducts(t, redexes, contract) -> list:
 def canonicalize(t):
     """Rename binders so all are distinct from each other and from free names.
 
-    Original names are kept when they do not collide.
+    Original names are kept when they do not collide, so a canonical t (see
+    is_canonical) comes back as itself.
     """
+    if is_canonical(t):
+        return t
     used = set(free_names(t))
 
     def pick(n: str) -> str:
@@ -727,9 +741,49 @@ def canonicalize(t):
 
 
 def is_canonical(t) -> bool:
-    """True if all binders are pairwise distinct and distinct from free names."""
-    bound = [b for _, sub in subterms(t) for b in binders(sub)]
-    return len(set(bound)) == len(bound) and free_names(t).isdisjoint(bound)
+    """True if all binders are pairwise distinct and distinct from free names.
+
+    One walk, which stops at the first clash.  While binders are distinct,
+    a variable is free exactly when its name is not in scope (`live`), so
+    a free variable clashes with any binder of its name, seen before or
+    after it.  A binder's scope child is walked first, between adding the
+    binders to `live` and a marker (their tuple) that removes them.
+    """
+    seen: set[str] = set()   # every binder so far
+    free: set[str] = set()   # every free name so far
+    live: set[str] = set()   # the binders in scope
+    stack = [t]
+    pop, push = stack.pop, stack.append
+    while stack:
+        t = pop()
+        if type(t) is tuple:  # a scope's binders, leaving it
+            live.difference_update(t)
+            continue
+        sp = SPECS[type(t)]
+        if sp.var is not None:
+            n = sp.var(t)
+            if n not in live:
+                if n in seen:
+                    return False
+                free.add(n)
+            continue
+        kids = sp.kids(t)
+        scope = sp.scope
+        if scope < 0:
+            stack.extend(kids)
+            continue
+        bound = sp.binders(t)
+        for b in bound:
+            if b in seen or b in free:
+                return False
+            seen.add(b)
+        for i, c in enumerate(kids):
+            if i != scope:
+                push(c)
+        push(bound)
+        push(kids[scope])
+        live.update(bound)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +799,7 @@ def first_contraction(t) -> str | None:
     renamed copy of t, as typecheck.check does, so both name the same
     variable.
     """
-    return canonical_contraction(t if is_canonical(t) else canonicalize(t))
+    return canonical_contraction(canonicalize(t))
 
 
 def canonical_contraction(t) -> str | None:

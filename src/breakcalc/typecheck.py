@@ -14,8 +14,7 @@ from typing import NamedTuple
 from .syntax import (
     App, Arrow, Atom, Break, DistinctBinders, IllFormedTermError, Lam, Let,
     Node, Pair, Tensor, Term, TypeExpr, Var, canonical_contraction,
-    canonicalize, constructor, first_contraction, is_canonical, ks_types,
-    print_type,
+    canonicalize, constructor, first_contraction, ks_types, print_type,
 )
 
 
@@ -73,8 +72,11 @@ def check(t: Term) -> TypeExpr:
     before anything else, then validates annotations against binders and
     rejects a free name occurring at two types.
     """
-    if not is_canonical(t):
-        t = canonicalize(t)
+    return _check_canonical(canonicalize(t))
+
+
+def _check_canonical(t: Term) -> TypeExpr:
+    """check of a canonical t (see syntax.is_canonical)."""
     name = canonical_contraction(t)
     if name is not None:
         raise AffinityViolation(name)

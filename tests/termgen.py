@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 
 from breakcalc.syntax import (
-    App, Arrow, Atom, Break, Lam, Let, Pair, Term, Tensor, TypeExpr, Var,
-    annotated_type, ks_types, term_size,
+    SPECS, App, Arrow, Atom, Break, Lam, Let, Pair, Term, Tensor, TypeExpr,
+    Var, all_names, annotated_type, free_names, fresh_name, ks_types,
+    term_size,
 )
 from breakcalc.reduction import normalize
 
@@ -203,3 +204,47 @@ def random_closed_normal_term(rng: random.Random, max_size: int = 20) -> Term:
     t = random_closed_term(rng, max_size)
     nf, _ = normalize(t)
     return nf
+
+
+def clashing_copy(t, rng: random.Random, keep: frozenset[str] = frozenset()):
+    """An alpha-equivalent copy of t whose binders reuse t's names.
+
+    Each binder is renamed, with probability 0.7, to a name drawn from every
+    name in t: an outer or sibling binder's name, or a free name used
+    elsewhere.  A name that would capture a free name of the binder's scope
+    is never drawn, the two binders of one node stay distinct (the let and
+    break constructors require it), and a binder that cannot keep its name
+    gets a primed one.  Binders named in keep keep their names, and no other
+    binder takes one.  Serves every term family.
+    """
+    pool = sorted(all_names(t) - keep)
+    avoid = all_names(t)
+
+    def go(t, ren: dict[str, str]):
+        sp = SPECS[type(t)]
+        vals = list(t)
+        if sp.var is not None:
+            (i,) = sp.name_slots
+            vals[i] = ren.get(vals[i], vals[i])
+            return type(t)(*vals)
+        bound = sp.binders(t)
+        for k, (slot, c) in enumerate(zip(sp.kid_slots, sp.kids(t))):
+            if k != sp.scope:
+                vals[slot] = go(c, ren)
+                continue
+            # what the scope's free names become: a binder named so captures
+            taken = {ren.get(n, n) for n in free_names(c).difference(bound)}
+            names: list[str] = []
+            for b in bound:
+                n = b
+                if b not in keep and rng.random() < 0.7:
+                    n = rng.choice(pool)
+                if n in taken or n in names:
+                    n = fresh_name(b, avoid | taken | set(names))
+                names.append(n)
+            for slot_b, n in zip(sp.name_slots, names):
+                vals[slot_b] = n
+            vals[slot] = go(c, ren | dict(zip(bound, names)))
+        return type(t)(*vals)
+
+    return go(t, {})

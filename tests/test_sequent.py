@@ -22,8 +22,9 @@ from breakcalc.sequent import (
 )
 from breakcalc.syntax import (
     App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Var, canonicalize,
-    free_names, free_vars, ks_types, subterm_at,
+    free_names, free_vars, ks_types, print_type, subterm_at,
 )
+from breakcalc.syntax import _TOP, _ptype
 from breakcalc.typecheck import check
 from termgen import random_typable_term
 from test_parse_errors import (
@@ -469,6 +470,45 @@ class TestProofSearch:
         assert prove_bounded(goal, depth=8) is None
 
 
+def fresh_types(rng: random.Random, count: int):
+    """count types, most never built before: random shapes over atoms
+    that no other test names."""
+    atoms = [Atom(f"Order{i}") for i in range(4)]
+
+    def draw(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(atoms)
+        return rng.choice((Arrow, Tensor))(draw(depth - 1), draw(depth - 1))
+
+    return [draw(rng.randint(0, 5)) for _ in range(count)]
+
+
+class TestFormulaOrder:
+    """sequent() and the sequent printer read formula text through the
+    print_type memo's C-level lookup, which orders and prints formulas as
+    print_type does."""
+
+    def test_key_first_prints_as_print_type(self):
+        key = sequent_module._formula_text
+        types = fresh_types(random.Random(20261024), 2000)
+        unprinted = [ty for ty in dict.fromkeys(types)
+                     if ty not in sequent_module._PRINTED]
+        assert len(unprinted) > 500
+        for ty in unprinted:  # printed through the key first
+            assert key(ty) == _ptype(ty, _TOP) == print_type(ty)
+
+    def test_sequents_sort_as_print_type_does(self):
+        rng = random.Random(20261025)
+        for _ in range(300):
+            types = fresh_types(rng, rng.randint(0, 8))
+            s = sequent(types, A)
+            assert s.antecedent == tuple(sorted(types, key=print_type))
+            assert s.antecedent == tuple(
+                sorted(types, key=lambda ty: _ptype(ty, _TOP)))
+            ant = ", ".join(map(print_type, s.antecedent))
+            assert str(s) == (f"{ant} |- A" if ant else "|- A")
+
+
 class TestSerialization:
     def test_round_trip(self):
         for _, d in translated_population(75, 60, max_size=15):
@@ -598,7 +638,8 @@ def derivation_error_inputs():
 
 
 def respellings(text: str):
-    """text as printed, then with other spacing and with a comment added."""
+    """text as printed, then with other spacing and with a comment added;
+    commented() adds more."""
     yield text
     yield text.replace(" ", "\t")
     yield text.replace("\n", "\r\n")
@@ -607,6 +648,18 @@ def respellings(text: str):
     # an ASM leaf has an antecedent, so every printed derivation has a
     # " |-"; the comment before it would add A if read as a formula
     yield text.replace(" |-", " -- a comment, A\n|-", 1)
+
+
+def commented(text: str):
+    """text with a comment at the end of every line, a comment line before
+    each, and one ending the text without a line break.  The comments hold
+    delimiters, ``|-``, ``-->``, a ``(`` and more ``--``."""
+    lines = text.split("\n")
+    yield "\n".join(f"{line} -- ) ] |- A, --> (" for line in lines)
+    yield "".join(f"-- node {i}: (ASM [A |- B])\n{line}\n"
+                  for i, line in enumerate(lines))
+    yield text + "\n--- no line break after this ]"
+    yield text.replace("[", "[--\n", 1).replace(" |-", "---)\r\n|-", 1)
 
 
 def printed_population(seed: int, count: int):
@@ -644,10 +697,30 @@ class TestLayoutReader:
 
         monkeypatch.setattr(sequent_module, "_derivation", token_parser)
         for printed in texts:
-            # every spelling but the last, which holds a comment
-            for text in list(respellings(printed))[:-1]:
+            for text in [*respellings(printed), *commented(printed)]:
                 assert parse_derivation(text) == \
                     unmemoised_parse_derivation(text), text
+
+    @pytest.mark.parametrize("text", [
+        "(ASM [A |---\n A])",
+        "(ASM [A |--- a comment\nA]) -- and another",
+        "(ASM [A |-- A])",
+        "(ASM [A -- x\n|--\nA])",
+    ], ids=["dashes", "comments", "error", "after-comment"])
+    def test_a_dash_after_a_turnstile_goes_to_the_token_parser(
+            self, text, monkeypatch):
+        expected = parse_outcome(unmemoised_parse_derivation, text)
+        assert parse_outcome(parse_derivation, text) == expected
+
+        class FellBack(Exception):
+            pass
+
+        def token_stream(text):
+            raise FellBack
+
+        monkeypatch.setattr(sequent_module, "TokenStream", token_stream)
+        with pytest.raises(FellBack):
+            parse_derivation(text)
 
     def test_reads_nesting_deeper_than_the_recursion_limit(self):
         depth = 1500

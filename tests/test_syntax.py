@@ -9,19 +9,23 @@ import sys
 
 import pytest
 
-from breakcalc.lambda_pair import LApp, LLam, LPair, LProj0, LProj1, LVar
+from breakcalc.lambda_pair import (
+    LApp, LLam, LPair, LProj0, LProj1, LVar, star_translate,
+)
 from breakcalc.parser import parse_type
 from breakcalc.reduction import Redex, RuleName
 from breakcalc.sequent import arr_r, asm, sequent
 from breakcalc.syntax import (
     App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair, Tensor, Var,
-    affine_check, all_names, alpha_eq, annotated_type, canonicalize,
-    free_vars, fresh_name, ks_types, print_type, substitute, subterms,
-    term_size, type_size,
+    affine_check, all_names, alpha_eq, annotated_type, binders, canonicalize,
+    free_names, free_vars, fresh_name, is_canonical, ks_types, print_type,
+    substitute, subterms, term_size, type_size,
 )
 from breakcalc.syntax import _TOP, _ptype
-from breakcalc.typecheck import UApp, ULam, UPair, UVar
-from termgen import random_type, random_typable_term
+from breakcalc.typecheck import UApp, UBreak, ULam, ULet, UPair, UVar, erase
+from termgen import (
+    clashing_copy, random_large_term, random_type, random_typable_term,
+)
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -171,6 +175,79 @@ class TestAlphaEq:
         out1 = substitute(t1, [("x", s)])
         out2 = substitute(t2, [("x", s)])
         assert alpha_eq(out1, out2)
+
+
+def reference_is_canonical(t) -> bool:
+    """is_canonical as two walks: every binder, then the free names."""
+    bound = [b for _, sub in subterms(t) for b in binders(sub)]
+    return len(set(bound)) == len(bound) and free_names(t).isdisjoint(bound)
+
+
+def canonicity_population(seed: int, count: int):
+    """count termgen terms and a clashing copy of each, with their
+    erasures, their star images and a clashing copy of each image: every
+    term family, as generated and renamed."""
+    rng = random.Random(seed)
+    for i in range(count):
+        t = (random_large_term(rng, 100) if i % 10 == 0
+             else random_typable_term(rng, max_size=30))
+        c = clashing_copy(t, rng)
+        for u in (t, c):
+            yield u
+            yield erase(u)
+            yield star_translate(u)
+            yield clashing_copy(star_translate(u), rng)
+
+
+class TestCanonicity:
+    """is_canonical is one walk; canonicalize returns a canonical term
+    itself."""
+
+    X, Y = Var("x", A), Var("y", B)
+
+    @pytest.mark.parametrize("t, expected", [
+        (Pair(X, Lam("y", B, Y)), True),
+        (Pair(X, Lam("x", A, X)), False),          # free, then bound
+        (Pair(Lam("x", A, X), X), False),          # bound, then free
+        (Pair(Lam("x", A, X), Lam("x", A, X)), False),  # sibling binders
+        (Lam("x", A, Lam("x", A, X)), False),      # nested binders
+        (Let("x", A, "y", B, Var("x", Tensor(A, B)), X), False),  # scrutinee
+        (Let("x", A, "y", B, Var("z", Tensor(A, B)), Pair(X, Y)), True),
+        (Pair(Let("x", A, "y", B, Var("z", Tensor(A, B)), X), Y), False),
+        (Break(X, "p", "f", B, Var("f", Arrow(B, A))), True),
+        (Break(Var("f", A), "p", "f", B, Var("p", A)), False),
+        (ULet("x", "y", UVar("z"), ULam("z", UVar("x"))), False),
+        (UBreak(UVar("x"), "p", "f", UApp(UVar("p"), UVar("f"))), True),
+        (LPair(LLam("x", A, LVar("x")), LLam("y", A, LVar("y"))), True),
+        (LPair(LLam("x", A, LVar("x")), LVar("x")), False),
+    ])
+    def test_small_cases(self, t, expected):
+        assert reference_is_canonical(t) == expected
+        assert is_canonical(t) == expected
+
+    def test_agrees_with_the_two_walk_reference(self):
+        clashes = 0
+        for t in canonicity_population(20261019, 200):
+            expected = reference_is_canonical(t)
+            assert is_canonical(t) == expected, t
+            clashes += not expected
+        assert clashes > 400
+
+    def test_clashing_copies_are_alpha_equal(self):
+        rng = random.Random(20261020)
+        for _ in range(200):
+            t = random_typable_term(rng, max_size=30)
+            c = clashing_copy(t, rng)
+            assert alpha_eq(c, t)
+            assert alpha_eq(erase(c), erase(t))
+
+    def test_canonical_term_comes_back_itself(self):
+        for t in canonicity_population(20261021, 100):
+            u = canonicalize(t)
+            assert is_canonical(u) and alpha_eq(u, t)
+            assert canonicalize(u) is u
+            if is_canonical(t):
+                assert u is t
 
 
 class TestSizes:

@@ -5,16 +5,20 @@ import random
 import pytest
 
 from breakcalc.catalog import AxiomId, axiom_term
+from breakcalc.lambda_pair import star_translate
 from breakcalc.parser import parse_term
 from breakcalc.printer import print_type
+from breakcalc.sequent import nd_to_sequent
 from breakcalc.syntax import (
-    Arrow, Atom, Lam, Pair, Tensor, Var, affine_check,
+    App, Arrow, Atom, Lam, Pair, Tensor, Var, affine_check, alpha_eq,
+    first_contraction, free_names, free_vars, is_canonical, replace_at,
+    subterms,
 )
 from breakcalc.typecheck import (
-    AffinityViolation, TypeMismatch, UBreak, ULam, ULet, UPair, UVar,
-    UApp, check, erase, infer_principal, scheme_admits,
+    AffinityViolation, TypeCheckError, TypeMismatch, UBreak, ULam, ULet,
+    UPair, UVar, UApp, check, erase, infer_principal, scheme_admits,
 )
-from termgen import random_typable_term
+from termgen import clashing_copy, random_typable_term
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -140,3 +144,89 @@ class TestInfer:
             t = random_typable_term(rng, max_size=30)
             scheme = infer_principal(erase(t))
             assert scheme_admits(scheme, check(t)), print_type(scheme.body)
+
+
+def outcome(f, t):
+    """f(t), or the class and message of the TypeCheckError it raises."""
+    try:
+        return f(t)
+    except TypeCheckError as exc:
+        return type(exc), str(exc)
+
+
+def ill_typed_variants(t):
+    """Variants of a typable term t that check rejects, each with the name
+    the check reports (None for a type error): a bound variable annotated
+    at another type; a free variable used twice, under an application of a
+    pair; and a bound variable used twice, in a pair applied to it.  The
+    last two are also ill-typed, so they pin contraction before typing."""
+    out = []
+    for path, sub in subterms(t):
+        if isinstance(sub, Lam) and sub.binder in free_names(sub.body):
+            x = Var(sub.binder, sub.binder_type)
+            for inner, v in subterms(sub.body):
+                if v == x:  # that binder's first use, at another type
+                    wrong = Var(v.name, Arrow(v.type, v.type))
+                    out.append((replace_at(t, path + (0,) + inner, wrong),
+                                None))
+                    break
+            twice = Lam(sub.binder, sub.binder_type,
+                        App(Pair(sub.body, x), x))
+            out.append((replace_at(t, path, twice), sub.binder))
+            break
+    for name, ty in sorted(free_vars(t).items()):
+        out.append((App(Pair(t, Var(name, ty)), Var(name, ty)), name))
+        break
+    return out
+
+
+class TestNonCanonicalCopies:
+    """check, nd_to_sequent, star_translate and inference canonicalise a
+    term that is not canonical, and agree with the term they copy."""
+
+    def test_typable_terms(self):
+        rng = random.Random(20261022)
+        copies = 0
+        for _ in range(200):
+            t = random_typable_term(rng, max_size=30)
+            assert is_canonical(t)
+            c = clashing_copy(t, rng)
+            copies += not is_canonical(c)
+            assert check(c) == check(t)
+            assert nd_to_sequent(c) == nd_to_sequent(t)
+            assert alpha_eq(star_translate(c), star_translate(t))
+            assert infer_principal(erase(c)) == infer_principal(erase(t))
+        assert copies > 150
+
+    def test_rejected_terms_report_the_same_error(self):
+        rng = random.Random(20261023)
+        seen = {None: 0, "bound": 0, "free": 0}
+        while min(seen.values()) < 40:
+            t = random_typable_term(rng, max_size=30)
+            for bad, name in ill_typed_variants(t):
+                keep = frozenset() if name is None else frozenset((name,))
+                c = clashing_copy(bad, rng, keep)
+                if is_canonical(c):
+                    continue
+                expected = outcome(check, bad)
+                assert outcome(check, c) == expected
+                assert outcome(nd_to_sequent, c) == expected
+                assert (outcome(infer_principal, erase(c))
+                        == outcome(infer_principal, erase(bad)))
+                if name is None:
+                    assert expected[0] is TypeMismatch
+                    seen[None] += 1
+                else:  # contraction, although the term is also ill-typed
+                    assert expected == (AffinityViolation,
+                                        str(AffinityViolation(name)))
+                    assert first_contraction(c) == name
+                    seen["free" if name in free_names(bad) else "bound"] += 1
+
+    def test_a_renamed_binder_is_reported_by_its_canonical_name(self):
+        # the binder a clashes with the free a, so canonicalize primes it
+        t = Pair(Var("a", A), Lam("a", B, Pair(Var("a", B), Var("a", B))))
+        expected = (AffinityViolation, str(AffinityViolation("a'")))
+        assert outcome(check, t) == expected
+        assert outcome(nd_to_sequent, t) == expected
+        assert outcome(infer_principal, erase(t)) == expected
+        assert first_contraction(t) == "a'"
