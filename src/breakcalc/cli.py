@@ -31,6 +31,19 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 4
 
 
+#: Each catalog name's term builder and the type options it takes, in order.
+_CATALOG = {
+    "identity": (catalog.identity_break, ("A",)),
+    "divisibility-t": (lambda a, b: catalog.divisibility_terms(a, b)[0],
+                       ("A", "B")),
+    "divisibility-u": (lambda a, b: catalog.divisibility_terms(a, b)[1],
+                       ("A", "B")),
+    "axiom-l": (catalog.axiom_L_term, ("A", "B")),
+    "homomorphism": (catalog.homomorphism_term, ("A", "B", "C")),
+    "break-free-split": (catalog.break_free_split, ("A", "B")),
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -80,9 +93,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--C", metavar="TYPE")
 
     p = sub.add_parser("catalog", help="emit a named catalog term")
-    p.add_argument("name", choices=("identity", "divisibility-t",
-                                    "divisibility-u", "axiom-l",
-                                    "homomorphism", "break-free-split"))
+    p.add_argument("name", choices=tuple(_CATALOG))
     p.add_argument("--A", metavar="TYPE")
     p.add_argument("--B", metavar="TYPE")
     p.add_argument("--C", metavar="TYPE")
@@ -141,24 +152,8 @@ def _run(args) -> int:
         term = catalog.axiom_term(catalog.AxiomId(args.id), *types, c)
         print(print_term(term), file=out)
     elif args.command == "catalog":
-        if args.name == "identity":
-            (a,) = _require_types(args, "A")
-            print(print_term(catalog.identity_break(a)), file=out)
-        elif args.name == "divisibility-t":
-            a, b = _require_types(args, "A", "B")
-            print(print_term(catalog.divisibility_terms(a, b)[0]), file=out)
-        elif args.name == "divisibility-u":
-            a, b = _require_types(args, "A", "B")
-            print(print_term(catalog.divisibility_terms(a, b)[1]), file=out)
-        elif args.name == "axiom-l":
-            a, b = _require_types(args, "A", "B")
-            print(print_term(catalog.axiom_L_term(a, b)), file=out)
-        elif args.name == "homomorphism":
-            a, b, c = _require_types(args, "A", "B", "C")
-            print(print_term(catalog.homomorphism_term(a, b, c)), file=out)
-        else:
-            a, b = _require_types(args, "A", "B")
-            print(print_term(catalog.break_free_split(a, b)), file=out)
+        build, names = _CATALOG[args.name]
+        print(print_term(build(*_require_types(args, *names))), file=out)
     elif args.command == "sequent-check":
         d = parse_derivation(_read(args.file))
         print(str(check_derivation(d)), file=out)

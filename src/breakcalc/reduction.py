@@ -13,10 +13,10 @@ import functools
 from typing import NamedTuple
 
 from .syntax import (
-    App, Arrow, Break, FreeNames, Lam, Let, Pair, Term, Var, annotated_type,
-    avoid_capture, binders, children, distinct_reducts, free_names,
-    fresh_name, rebuild_spine, spine_at, subterm_at, substitute, subterms,
-    term_size, type_size,
+    App, Arrow, Break, FreeNames, Lam, Let, Pair, Term, Var, _rebuild,
+    annotated_type, avoid_capture, binders, children, distinct_reducts,
+    free_names, fresh_name, rebuild_spine, spine_at, subterm_at, substitute,
+    subterms, term_size, type_size,
 )
 
 
@@ -35,8 +35,13 @@ class RuleName(str, enum.Enum):
 
 
 STANDARD_RULES = frozenset({RuleName.BETA, RuleName.L_CONV, RuleName.B_CONV})
-PERMUTING_RULES = frozenset({RuleName.AP_L_CONV, RuleName.L_L_CONV,
-                             RuleName.AP_B_CONV, RuleName.L_B_CONV})
+#: The permuting conversions by (outer class, inner class); b-l-conv, off
+#: unless experimental, is (Break, Let).  All five are two schemata: an
+#: argument (outer App) or an outer body (outer Let or Break) moves under
+#: the binders of the inner let or break (see _contract).
+_PERMUTING = {(App, Let): RuleName.AP_L_CONV, (App, Break): RuleName.AP_B_CONV,
+              (Let, Let): RuleName.L_L_CONV, (Let, Break): RuleName.L_B_CONV}
+PERMUTING_RULES = frozenset(_PERMUTING.values())
 
 
 class Redex(NamedTuple):
@@ -79,25 +84,19 @@ class TraceStep(NamedTuple):
 # Redex discovery
 # ---------------------------------------------------------------------------
 
-def _node_rules(t: Term, experimental: bool,
-                fn=free_names) -> list[RuleName]:
+def _node_rules(t: Term, experimental: bool, fn) -> list[RuleName]:
     """The rules matching at the root of t; fn gives free names of subterms."""
     rules: list[RuleName] = []
     match t:
         case App(fun=Lam()):
             rules.append(RuleName.BETA)
-        case App(fun=Let()):
-            rules.append(RuleName.AP_L_CONV)
-        case App(fun=Break()):
-            rules.append(RuleName.AP_B_CONV)
+        case App(fun=Let() | Break() as inner):
+            rules.append(_PERMUTING[App, type(inner)])
         case Let(scrutinee=Pair()):
             rules.append(RuleName.L_CONV)
-        case Let(scrutinee=Let() as inner, body=body):
+        case Let(scrutinee=Let() | Break() as inner, body=body):
             if fn(body).isdisjoint(binders(inner)):
-                rules.append(RuleName.L_L_CONV)
-        case Let(scrutinee=Break() as inner, body=body):
-            if fn(body).isdisjoint(binders(inner)):
-                rules.append(RuleName.L_B_CONV)
+                rules.append(_PERMUTING[Let, type(inner)])
         case Break(scrutinee=scrut, phi=phi, f=f, body=body):
             fns = fn(body)
             if phi not in fns or f not in fns or not fn(scrut):
@@ -124,23 +123,22 @@ def apply_step(t: Term, r: Redex) -> Term:
         spine = spine_at(t, r.position)
     except IndexError as exc:
         raise InvalidRedex(str(exc)) from None
-    if r.rule not in _node_rules(spine[-1], experimental=True):
+    fn = FreeNames()
+    if r.rule not in _node_rules(spine[-1], True, fn):
         raise InvalidRedex(f"{r.rule} does not match at {list(r.position)}")
-    new = _contract(spine[-1], r.rule, FreeNames())
+    new = _contract(spine[-1], r.rule, fn)
     return rebuild_spine(spine, r.position, new)[0]
 
 
 def _contract(t: Term, rule: RuleName, fn: FreeNames) -> Term:
+    """The contractum of t, a redex of rule as _node_rules matched it."""
     match rule:
         case RuleName.BETA:
-            assert isinstance(t, App) and isinstance(t.fun, Lam)
             return substitute(t.fun.body, [(t.fun.binder, t.arg)], fn)
         case RuleName.L_CONV:
-            assert isinstance(t, Let) and isinstance(t.scrutinee, Pair)
             return substitute(t.body, [(t.x, t.scrutinee.first),
                                        (t.y, t.scrutinee.second)], fn)
         case RuleName.B_CONV:
-            assert isinstance(t, Break)
             scrut = t.scrutinee
             a = annotated_type(scrut)
             b = t.residue
@@ -150,33 +148,17 @@ def _contract(t: Term, rule: RuleName, fn: FreeNames) -> Term:
             k_term = Lam(p, Arrow(a, b), App(Var(p, Arrow(a, b)), scrut))
             s_term = Lam(z, b, scrut)
             return substitute(t.body, [(t.phi, k_term), (t.f, s_term)], fn)
-        case RuleName.AP_L_CONV:
-            assert isinstance(t, App) and isinstance(t.fun, Let)
+        case RuleName.AP_L_CONV | RuleName.AP_B_CONV:
+            # the argument moves under the binders of the let or break
             inner = avoid_capture(t.fun, fn(t.arg), fn)
-            return Let(inner.x, inner.x_type, inner.y, inner.y_type,
-                       inner.scrutinee, App(inner.body, t.arg))
-        case RuleName.AP_B_CONV:
-            assert isinstance(t, App) and isinstance(t.fun, Break)
-            inner = avoid_capture(t.fun, fn(t.arg), fn)
-            return Break(inner.scrutinee, inner.phi, inner.f, inner.residue,
-                         App(inner.body, t.arg))
-        case RuleName.L_L_CONV:
-            assert isinstance(t, Let) and isinstance(t.scrutinee, Let)
-            inner = t.scrutinee
-            return Let(inner.x, inner.x_type, inner.y, inner.y_type,
-                       inner.scrutinee,
-                       Let(t.x, t.x_type, t.y, t.y_type, inner.body, t.body))
-        case RuleName.L_B_CONV:
-            assert isinstance(t, Let) and isinstance(t.scrutinee, Break)
-            inner = t.scrutinee
-            return Break(inner.scrutinee, inner.phi, inner.f, inner.residue,
-                         Let(t.x, t.x_type, t.y, t.y_type, inner.body, t.body))
-        case RuleName.B_L_CONV:
-            assert isinstance(t, Break) and isinstance(t.scrutinee, Let)
+            scrut, body = children(inner)
+            return _rebuild(inner, (scrut, App(body, t.arg)))
+        case RuleName.L_L_CONV | RuleName.L_B_CONV | RuleName.B_L_CONV:
+            # t's body moves under the binders of its scrutinee; for
+            # l-l-conv and l-b-conv the side condition leaves nothing to rename
             inner = avoid_capture(t.scrutinee, fn(t.body), fn)
-            return Let(inner.x, inner.x_type, inner.y, inner.y_type,
-                       inner.scrutinee,
-                       Break(inner.body, t.phi, t.f, t.residue, t.body))
+            scrut, body = children(inner)
+            return _rebuild(inner, (scrut, _rebuild(t, (body, t.body))))
     raise InvalidRedex(f"unknown rule {rule}")
 
 

@@ -1,7 +1,10 @@
 """Gentzen-style sequent calculus with a break rule: checking, translations
 to and from terms, cut elimination, and bounded proof search.
 
-Antecedents are multisets of formulas (stored as canonically sorted tuples).
+Antecedents are multisets of formulas, stored as tuples sorted by formula
+text (see `sequent`).  Distinct formulas print differently, so two
+antecedents are the same multiset exactly when their sorted tuples are
+equal; the checker compares them so, re-sorting a stated antecedent first.
 There is no contraction rule, so affinity carries over; weakening is
 admissible because the axiom rule allows an arbitrary context.
 
@@ -15,7 +18,6 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from collections import Counter
 from typing import NamedTuple
 
 from .parser import ParseError, TokenStream, parse_type, parse_type_stream
@@ -47,7 +49,7 @@ _formula_text = _PRINTED.__getitem__
 
 
 class Sequent(NamedTuple):
-    """antecedent |- succedent; the antecedent tuple is kept canonically sorted."""
+    """antecedent |- succedent; `sequent` sorts the antecedent by formula text."""
 
     antecedent: tuple[TypeExpr, ...]
     succedent: TypeExpr
@@ -175,7 +177,7 @@ def _check_node(d: SDerivation, path: tuple[int, ...]) -> None:
     if d.rule == SRule.ArrR and not isinstance(concl.succedent, Arrow):
         raise InvalidRule(path, "right arrow rule with non-arrow succedent")
     ant, suc = _conclude(d.rule, d.premises, _formula(d), path)
-    if suc != concl.succedent or Counter(ant) != Counter(concl.antecedent):
+    if sequent(ant, suc) != sequent(*concl):
         raise InvalidRule(
             path, f"{d.rule.value} conclusion does not match its premises")
 
@@ -287,6 +289,24 @@ def _unused(body: Term, binders, free: FreeNames) -> tuple[TypeExpr, ...]:
     return tuple(ty for name, ty in binders if name not in fns)
 
 
+def _pick(ctx: list[tuple[str, TypeExpr]], ty: TypeExpr):
+    """The first (name, type) entry of ctx at type ty, and ctx without it."""
+    for i, (name, t2) in enumerate(ctx):
+        if t2 == ty:
+            return (name, ty), ctx[:i] + ctx[i + 1:]
+    raise InvalidRule((), f"no assumption of type {print_type(ty)}")
+
+
+def _split(ctx: list[tuple[str, TypeExpr]], needed):
+    """The entries of ctx that _pick takes for each formula of the multiset
+    needed, and the rest of ctx."""
+    taken = []
+    for ty in needed:
+        entry, ctx = _pick(ctx, ty)
+        taken.append(entry)
+    return taken, ctx
+
+
 def sequent_to_term(d: SDerivation) -> Term:
     """Extract a term from a valid derivation: cuts become substitutions,
     break nodes become break terms."""
@@ -296,36 +316,15 @@ def sequent_to_term(d: SDerivation) -> Term:
     def fresh(base: str) -> str:
         return f"{base}{next(counter)}"
 
-    def split(ctx: list[tuple[str, TypeExpr]], needed):
-        """Partition ctx entries into one part matching the multiset `needed`
-        and the rest."""
-        need = Counter(needed)
-        taken, rest = [], []
-        for name, ty in ctx:
-            if need[ty] > 0:
-                need[ty] -= 1
-                taken.append((name, ty))
-            else:
-                rest.append((name, ty))
-        if +need:
-            raise InvalidRule((), "context split failed")
-        return taken, rest
-
-    def pick(ctx: list[tuple[str, TypeExpr]], ty: TypeExpr):
-        for i, (name, t2) in enumerate(ctx):
-            if t2 == ty:
-                return (name, ty), ctx[:i] + ctx[i + 1:]
-        raise InvalidRule((), f"no assumption of type {print_type(ty)}")
-
     def go(d: SDerivation, ctx: list[tuple[str, TypeExpr]]) -> Term:
         match d.rule:
             case SRule.ASM:
-                (name, ty), _ = pick(ctx, d.conclusion.succedent)
+                (name, ty), _ = _pick(ctx, d.conclusion.succedent)
                 return Var(name, ty)
             case SRule.CUT:
                 p1, p2 = d.premises
                 a = p1.conclusion.succedent
-                ctx1, rest = split(ctx, p1.conclusion.antecedent)
+                ctx1, rest = _split(ctx, p1.conclusion.antecedent)
                 x = fresh("cutv")
                 t2 = go(p2, rest + [(x, a)])
                 t1 = go(p1, ctx1)
@@ -334,7 +333,7 @@ def sequent_to_term(d: SDerivation) -> Term:
                 p1, p2 = d.premises
                 a = p1.conclusion.succedent
                 k, s = ks_types(a, d.data)
-                ctx1, rest = split(ctx, p1.conclusion.antecedent)
+                ctx1, rest = _split(ctx, p1.conclusion.antecedent)
                 phi, f = fresh("phi"), fresh("sec")
                 t2 = go(p2, rest + [(phi, k), (f, s)])
                 t1 = go(p1, ctx1)
@@ -347,20 +346,20 @@ def sequent_to_term(d: SDerivation) -> Term:
             case SRule.ArrL:
                 p1, p2 = d.premises
                 principal: Arrow = d.data
-                (g, _), rest0 = pick(ctx, principal)
-                ctx1, rest = split(rest0, p1.conclusion.antecedent)
+                (g, _), rest0 = _pick(ctx, principal)
+                ctx1, rest = _split(rest0, p1.conclusion.antecedent)
                 x = fresh("r")
                 t2 = go(p2, rest + [(x, principal.cod)])
                 t1 = go(p1, ctx1)
                 return substitute(t2, [(x, App(Var(g, principal), t1))])
             case SRule.TensR:
                 p1, p2 = d.premises
-                ctx1, ctx2 = split(ctx, p1.conclusion.antecedent)
+                ctx1, ctx2 = _split(ctx, p1.conclusion.antecedent)
                 return Pair(go(p1, ctx1), go(p2, ctx2))
             case SRule.TensL:
                 (p,) = d.premises
                 principal: Tensor = d.data
-                (v, _), rest = pick(ctx, principal)
+                (v, _), rest = _pick(ctx, principal)
                 x, y = fresh("a"), fresh("b")
                 body = go(p, rest + [(x, principal.left), (y, principal.right)])
                 return Let(x, principal.left, y, principal.right,
@@ -637,17 +636,28 @@ def _splits(formulas: tuple[TypeExpr, ...]):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def print_derivation(d: SDerivation, indent: int = 0) -> str:
-    pad = "  " * indent
-    head = f"({d.rule.value}"
-    if d.data is not None:
-        head += " {" + print_type(d.data) + "}"
-    head += f" [{d.conclusion}]"
-    if not d.premises:
-        return pad + head + ")"
-    lines = [pad + head]
-    lines.extend(print_derivation(p, indent + 1) for p in d.premises)
-    lines[-1] += ")"
+def print_derivation(d: SDerivation) -> str:
+    """One line per node, in preorder, indented two spaces per level.
+
+    A node's closing parenthesis ends the line of its last leaf, so a leaf
+    line ends with one per subtree it closes (`close`).  An explicit stack,
+    so that any depth prints.
+    """
+    lines = []
+    stack = [(d, 0, 1)]  # node, depth, parentheses its subtree closes
+    while stack:
+        d, depth, close = stack.pop()
+        line = "  " * depth + "(" + d.rule.value
+        if d.data is not None:
+            line += " {" + print_type(d.data) + "}"
+        line += f" [{d.conclusion}]"
+        if not d.premises:
+            lines.append(line + ")" * close)
+            continue
+        lines.append(line)
+        *side, last = d.premises
+        stack.append((last, depth + 1, close + 1))
+        stack.extend((p, depth + 1, 1) for p in reversed(side))
     return "\n".join(lines)
 
 

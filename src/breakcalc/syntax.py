@@ -12,6 +12,10 @@ that each constructor declares with @constructor.  They serve Term, the
 untyped terms of typecheck and the lambda-pair terms of lambda_pair alike:
 lambda binds one name over its body, let and break bind two names over their
 body only.
+
+alpha_key writes a term's alpha-equivalence class as one string: a bound
+name as the level of its binder, a free name as itself, and an annotation as
+its print_type text, so the type printer is the only code that spells types.
 """
 
 from __future__ import annotations
@@ -608,19 +612,6 @@ def alpha_eq(t, u) -> bool:
     return alpha_key(t) == alpha_key(u)
 
 
-def _type_key(ty: TypeExpr) -> str:
-    # exact class tests: this runs once per annotation in alpha_key, and a
-    # match statement here doubles alpha_key's time
-    cls = type(ty)
-    if cls is Atom:
-        return ty.name
-    if cls is Arrow:
-        return f"({_type_key(ty.dom)}>{_type_key(ty.cod)})"
-    if cls is Tensor:
-        return f"({_type_key(ty.left)}*{_type_key(ty.right)})"
-    raise TypeError(f"not a type: {ty!r}")
-
-
 def alpha_key(t) -> str:
     """Canonical string key identifying t's alpha-equivalence class."""
     parts: list[str] = []
@@ -637,7 +628,15 @@ def _key_parts(t, env: dict[str, int], depth: int, parts: list[str],
     in preorder: its key is parts[start:end], written in that context.
     """
     # module level, not a closure: a self-referencing closure is a cycle that
-    # keeps every key fragment alive until the cycle collector runs
+    # keeps every key fragment alive until the cycle collector runs.
+    # An annotation is written as ":" and its print_type text.  The key is
+    # injective because each annotation's end can be found in it:
+    # print_type round-trips through parse_type, and a printed type has no
+    # ":" or ",", balanced parentheses, and no "(" after an identifier or a
+    # ")".  So after a variable's annotation comes the end of the key, a ","
+    # or an unbalanced ")"; the annotations of one node are separated by
+    # ":"; and the "(" that opens a node's children is the first "(" after
+    # an identifier or a ")".
     sp = SPECS[type(t)]
     append = parts.append
     if spans is not None:
@@ -647,11 +646,11 @@ def _key_parts(t, env: dict[str, int], depth: int, parts: list[str],
         n = sp.var(t)
         append(f"{sp.tag}#{env[n]}" if n in env else sp.tag + n)
         for a in sp.annots(t):
-            append(":" + _type_key(a))
+            append(":" + _PRINTED[a])
     else:
         append(sp.tag)
         for a in sp.annots(t):
-            append(":" + _type_key(a))
+            append(":" + _PRINTED[a])
         append("(")
         scope = sp.scope
         for i, c in enumerate(sp.kids(t)):
@@ -854,8 +853,6 @@ def annotated_type(t: Term) -> TypeExpr:
             return ft.cod
         case Pair(a, b):
             return Tensor(annotated_type(a), annotated_type(b))
-        case Let(_, _, _, _, _, body):
-            return annotated_type(body)
-        case Break(_, _, _, _, body):
+        case Let(body=body) | Break(body=body):
             return annotated_type(body)
     raise TypeError(f"not a term: {t!r}")

@@ -283,9 +283,7 @@ class _Inferencer:
                 return self.walk(body, env | {x: xa, y: yb}, free, path + (1,))
             case UBreak(scrut, phi, f, body):
                 alpha = self.walk(scrut, env, free, path + (0,))
-                beta = self.fresh()
-                kty = Arrow(Arrow(alpha, beta), beta)
-                sty = Arrow(beta, alpha)
+                kty, sty = ks_types(alpha, self.fresh())
                 return self.walk(body, env | {phi: kty, f: sty}, free,
                                  path + (1,))
         raise TypeError(f"not an untyped term: {u!r}")

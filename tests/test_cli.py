@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from breakcalc import catalog
 from breakcalc.cli import main
+from breakcalc.parser import parse_type
+from breakcalc.printer import print_term
 
 B1_SOURCE = "\\f:A -> B. \\g:B -> C. \\x:A. g (f x)\n"
 U_SOURCE = ("\\x':A. \\g':A -> B. let <m:B, n:B -> A> = "
@@ -159,6 +162,28 @@ class TestCatalogCommands:
         code2, out2, _ = cli(["check", "-"], stdin=out)
         assert code2 == 0
         assert out2.strip() == "(A -> A * A) -> (A -> B * C) -> (A -> B) * (A -> C)"
+
+    @pytest.mark.parametrize("name, build, options", [
+        ("identity", catalog.identity_break, "A"),
+        ("divisibility-t", lambda a, b: catalog.divisibility_terms(a, b)[0],
+         "AB"),
+        ("divisibility-u", lambda a, b: catalog.divisibility_terms(a, b)[1],
+         "AB"),
+        ("axiom-l", catalog.axiom_L_term, "AB"),
+        ("homomorphism", catalog.homomorphism_term, "ABC"),
+        ("break-free-split", catalog.break_free_split, "AB"),
+    ])
+    def test_every_catalog_name(self, cli, name, build, options):
+        spelled = {"A": "P1", "B": "P2 -> P3", "C": "P4 * P5"}
+        given = {o: ["--" + o, spelled[o]] for o in options}
+        code, out, err = cli(["catalog", name, *sum(given.values(), [])])
+        expected = print_term(build(*(parse_type(spelled[o])
+                                      for o in options)))
+        assert (code, out, err) == (0, expected + "\n", "")
+        for left_out in options:
+            argv = sum((v for o, v in given.items() if o != left_out), [])
+            assert cli(["catalog", name, *argv]) == (
+                4, "", f"usage error: missing --{left_out}\n")
 
     def test_unknown_catalog_name_usage_error(self, cli):
         code, _, _ = cli(["catalog", "nope", "--A", "A"])

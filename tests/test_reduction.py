@@ -15,17 +15,18 @@ from breakcalc.lambda_pair import (
 from breakcalc.parser import parse_term
 from breakcalc.printer import TermPrinter, print_term
 from breakcalc.reduction import (
-    InvalidRedex, Measure, Redex, RuleName, StepBudgetExceeded, apply_step,
-    find_redexes, format_trace, is_silent, measure, normalize,
-    reducts_one_step,
+    PERMUTING_RULES, InvalidRedex, Measure, Redex, RuleName,
+    StepBudgetExceeded, apply_step, find_redexes, format_trace, is_silent,
+    measure, normalize, reducts_one_step,
 )
 from breakcalc.syntax import (
-    App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Var, alpha_eq, alpha_key,
-    free_vars, substitute,
+    App, Arrow, Atom, Break, FreeNames, Lam, Let, Pair, Tensor, Var, alpha_eq,
+    alpha_key, avoid_capture, binders, free_vars, replace_at, substitute,
+    subterm_at,
 )
 from breakcalc.typecheck import check
 from schemas import critical_pair_instances, join_within, nonconfluence_witness
-from termgen import random_typable_term
+from termgen import clashing_copy, random_typable_term
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -429,6 +430,83 @@ def test_l_normalize_matches_listing_every_redex():
         if n:
             with pytest.raises(StepBudgetExceeded):
                 l_normalize(e, max_steps=n - 1)
+
+
+# ---------------------------------------------------------------------------
+# The two permuting schemata against the five rules written out one by one
+# ---------------------------------------------------------------------------
+
+def reference_permute(t, rule):
+    """The contractum of a permuting redex, one case per rule."""
+    fn = FreeNames()
+    match rule:
+        case RuleName.AP_L_CONV:
+            inner = avoid_capture(t.fun, fn(t.arg), fn)
+            return Let(inner.x, inner.x_type, inner.y, inner.y_type,
+                       inner.scrutinee, App(inner.body, t.arg))
+        case RuleName.AP_B_CONV:
+            inner = avoid_capture(t.fun, fn(t.arg), fn)
+            return Break(inner.scrutinee, inner.phi, inner.f, inner.residue,
+                         App(inner.body, t.arg))
+        case RuleName.L_L_CONV:
+            inner = t.scrutinee
+            return Let(inner.x, inner.x_type, inner.y, inner.y_type,
+                       inner.scrutinee,
+                       Let(t.x, t.x_type, t.y, t.y_type, inner.body, t.body))
+        case RuleName.L_B_CONV:
+            inner = t.scrutinee
+            return Break(inner.scrutinee, inner.phi, inner.f, inner.residue,
+                         Let(t.x, t.x_type, t.y, t.y_type, inner.body, t.body))
+        case RuleName.B_L_CONV:
+            inner = avoid_capture(t.scrutinee, fn(t.body), fn)
+            return Let(inner.x, inner.x_type, inner.y, inner.y_type,
+                       inner.scrutinee,
+                       Break(inner.body, t.phi, t.f, t.residue, t.body))
+    raise AssertionError(rule)
+
+
+def capturing_permutations():
+    """Permuting redexes whose moving argument or outer body has a free name
+    equal to a binder it moves under."""
+    pq = Tensor(P, Q)
+    let_xy = Let("x", P, "y", Q, Var("t", pq), Var("u", Arrow(R, A)))
+    brk = Break(Var("t", P), "phi", "f", Q, Var("u", Arrow(R, A)))
+    return [
+        App(let_xy, Var("x", R)),                           # ap-l-conv
+        App(let_xy, Pair(Var("y", R), Var("z", R))),
+        App(brk, Var("phi", R)),                            # ap-b-conv
+        App(brk, Pair(Var("f", R), Var("phi", R))),
+        Break(let_xy, "phi", "f", B, Var("x", A)),          # b-l-conv
+        Break(let_xy, "x", "f", B, App(Var("y", Arrow(A, B)), Var("x", A))),
+        # l-l-conv and l-b-conv: the side condition leaves nothing to rename
+        Let("v", R, "w", A, Let("x", P, "y", Q, Var("t", pq), Var("s", pq)),
+            Var("v", R)),
+        Let("v", R, "w", A, brk, Var("w", A)),
+    ]
+
+
+def test_permuting_schemata_match_the_five_rules():
+    rng = random.Random(1809)
+    terms = capturing_permutations()
+    for _ in range(1500):
+        t = random_typable_term(rng)
+        terms += [t, clashing_copy(t, rng)]
+    five = PERMUTING_RULES | {RuleName.B_L_CONV}
+    seen, renamed = set(), set()
+    for t in terms:
+        for r in find_redexes(t, experimental=True):
+            if r.rule not in five:
+                continue
+            node = subterm_at(t, r.position)
+            expected = reference_permute(node, r.rule)
+            assert apply_step(t, r) == replace_at(t, r.position, expected)
+            seen.add(r.rule)
+            inner = node.fun if isinstance(node, App) else node.scrutinee
+            if binders(expected) != binders(inner):
+                renamed.add(r.rule)
+    assert seen == five
+    assert renamed == {RuleName.AP_L_CONV, RuleName.AP_B_CONV,
+                       RuleName.B_L_CONV}
 
 
 # ---------------------------------------------------------------------------

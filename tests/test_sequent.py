@@ -3,6 +3,7 @@ break-from-cut constructions, bounded search, and serialization."""
 
 import random
 import types
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from breakcalc.syntax import (
 from breakcalc.syntax import _TOP, _ptype
 from breakcalc.typecheck import check
 from termgen import random_typable_term
+from test_golden_outputs import golden_items
 from test_parse_errors import (
     SAMPLES, SEED as PARSE_ERRORS_SEED, catalog_terms,
     inputs as parse_error_inputs, mutations as parse_error_mutations,
@@ -265,8 +267,6 @@ class TestSequentToTerm:
         assert check(t) == Tensor(A, B)
 
     def test_round_trip_preserves_type(self):
-        from collections import Counter
-
         for t, d in translated_population(72, 200):
             back = sequent_to_term(d)
             assert check(back) == check(t)
@@ -275,6 +275,62 @@ class TestSequentToTerm:
             have = Counter(free_vars(back).values())
             allowed = Counter(d.conclusion.antecedent)
             assert not have - allowed
+
+
+def unsorted(d: SDerivation) -> SDerivation:
+    """d with every stated antecedent in reverse sorted order."""
+    c = d.conclusion
+    return SDerivation(d.rule, Sequent(c.antecedent[::-1], c.succedent),
+                       tuple(map(unsorted, d.premises)), d.data)
+
+
+def counter_split(ctx, needed):
+    """sequent_to_term's context split as written with a Counter: the
+    entries of ctx matching the multiset needed, in ctx order, and the
+    rest."""
+    need = Counter(needed)
+    taken, rest = [], []
+    for name, ty in ctx:
+        if need[ty] > 0:
+            need[ty] -= 1
+            taken.append((name, ty))
+        else:
+            rest.append((name, ty))
+    if +need:
+        raise InvalidRule((), "context split failed")
+    return taken, rest
+
+
+class TestAntecedentMultisets:
+    """Antecedents are compared and split as multisets, whatever the order
+    a hand-built Sequent states them in."""
+
+    def test_unsorted_stated_antecedent_accepted(self):
+        d = tens_r(asm([A], A), asm([B], B))
+        u = SDerivation(SRule.TensR, Sequent((B, A), Tensor(A, B)),
+                        d.premises)
+        assert d.conclusion.antecedent == (A, B)
+        assert check_derivation(u) == Sequent((B, A), Tensor(A, B))
+        assert check(sequent_to_term(u)) == Tensor(A, B)
+
+    def test_unsorted_population_checks_and_extracts(self):
+        changed = 0
+        for _, d in translated_population(91, 200):
+            for e in (d, eliminate_cuts(d)):
+                u = unsorted(e)
+                changed += u != e
+                assert check_derivation(u) == u.conclusion
+                assert check(sequent_to_term(u)) == e.conclusion.succedent
+        assert changed > 100
+
+    def test_extraction_matches_the_counter_split(self, monkeypatch):
+        terms = [t for _, t in golden_items()]
+        terms += [t for t, _ in translated_population(92, 500)]
+        derivations = [nd_to_sequent(t) for t in terms]
+        derivations += [eliminate_cuts(d) for d in derivations]
+        got = [print_term(sequent_to_term(d)) for d in derivations]
+        monkeypatch.setattr(sequent_module, "_split", counter_split)
+        assert [print_term(sequent_to_term(d)) for d in derivations] == got
 
 
 class TestWeaken:
@@ -721,6 +777,20 @@ class TestLayoutReader:
         monkeypatch.setattr(sequent_module, "TokenStream", token_stream)
         with pytest.raises(FellBack):
             parse_derivation(text)
+
+    def test_prints_nesting_deeper_than_the_recursion_limit(self):
+        depth = 3000
+        d = parse_derivation("(CUT [A |- A] (ASM [A |- A]) " * depth
+                             + "(ASM [A |- A])" + ")" * depth)
+        lines = []
+        for i in range(depth):
+            lines += ["  " * i + "(CUT [A |- A]",
+                      "  " * (i + 1) + "(ASM [A |- A])"]
+        lines.append("  " * depth + "(ASM [A |- A])" + ")" * depth)
+        text = print_derivation(d)
+        assert text == "\n".join(lines)
+        # texts, not derivations: == on derivations this deep recurses
+        assert print_derivation(parse_derivation(text)) == text
 
     def test_reads_nesting_deeper_than_the_recursion_limit(self):
         depth = 1500

@@ -16,10 +16,11 @@ from breakcalc.parser import parse_type
 from breakcalc.reduction import Redex, RuleName
 from breakcalc.sequent import arr_r, asm, sequent
 from breakcalc.syntax import (
-    App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair, Tensor, Var,
-    affine_check, all_names, alpha_eq, annotated_type, binders, canonicalize,
-    free_names, free_vars, fresh_name, is_canonical, ks_types, print_type,
-    substitute, subterms, term_size, type_size,
+    SPECS, App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair,
+    Tensor, TypeExpr, Var, affine_check, all_names, alpha_eq, annotated_type,
+    binders, canonicalize, free_names, free_vars, fresh_name, is_canonical,
+    ks_types, print_type, replace_at, substitute, subterm_at, subterms,
+    term_size, type_size,
 )
 from breakcalc.syntax import _TOP, _ptype
 from breakcalc.typecheck import UApp, UBreak, ULam, ULet, UPair, UVar, erase
@@ -248,6 +249,78 @@ class TestCanonicity:
             assert canonicalize(u) is u
             if is_canonical(t):
                 assert u is t
+
+
+def _type_key(ty) -> str:
+    """The type text that alpha keys wrote before they used print_type."""
+    if type(ty) is Atom:
+        return ty.name
+    if type(ty) is Arrow:
+        return f"({_type_key(ty.dom)}>{_type_key(ty.cod)})"
+    return f"({_type_key(ty.left)}*{_type_key(ty.right)})"
+
+
+def reference_alpha_key(t, env=None, depth: int = 0) -> str:
+    """alpha_key with each annotation written by _type_key."""
+    env = {} if env is None else env
+    sp = SPECS[type(t)]
+    annots = "".join(":" + _type_key(a) for a in sp.annots(t))
+    if sp.var is not None:
+        n = sp.var(t)
+        return (f"{sp.tag}#{env[n]}" if n in env else sp.tag + n) + annots
+    parts = []
+    for i, c in enumerate(sp.kids(t)):
+        if i == sp.scope:
+            bound = sp.binders(t)
+            inner = env | {b: d for d, b in enumerate(bound, depth)}
+            parts.append(reference_alpha_key(c, inner, depth + len(bound)))
+        else:
+            parts.append(reference_alpha_key(c, env, depth))
+    return f"{sp.tag}{annots}(" + ",".join(parts) + ")"
+
+
+def annotation_changes(t, rng: random.Random, count: int = 3):
+    """Copies of t, each with one annotation replaced by another type."""
+    spots = [(path, i) for path, sub in subterms(t)
+             for i, v in enumerate(sub) if isinstance(v, TypeExpr)]
+    for path, i in rng.sample(spots, min(count, len(spots))):
+        node = subterm_at(t, path)
+        fields = list(node)
+        while fields[i] is node[i]:
+            fields[i] = random_type(rng)
+        yield replace_at(t, path, type(node)(*fields))
+
+
+class TestAlphaKeyTypeText:
+    """Annotations in alpha keys are print_type text: alpha_eq agrees with
+    the key that spelled types on its own."""
+
+    AB, BC = Atom("AB"), Atom("BC")
+    PAIR = Var("s", Tensor(A, B))
+
+    @pytest.mark.parametrize("t, u", [
+        (Var("x", AB), Var("xA", B)),
+        (Let("x", A, "y", BC, PAIR, Var("x", A)),
+         Let("x", AB, "y", C, PAIR, Var("x", AB))),
+        (Lam("x", Arrow(A, B), Var("x", Arrow(A, B))),
+         Lam("x", Tensor(A, B), Var("x", Tensor(A, B)))),
+    ], ids=["name-or-type", "first-or-second", "arrow-or-pair"])
+    def test_where_an_annotation_ends(self, t, u):
+        assert reference_alpha_key(t) != reference_alpha_key(u)
+        assert not alpha_eq(t, u)
+
+    def test_agrees_with_the_reference_on_every_family(self):
+        rng = random.Random(20261022)
+        pairs = []
+        for t in canonicity_population(20261022, 150):
+            pairs += [(t, canonicalize(t)), (t, clashing_copy(t, rng))]
+            pairs += [(t, u) for u in annotation_changes(t, rng)]
+        equal = 0
+        for t, u in pairs:
+            expected = reference_alpha_key(t) == reference_alpha_key(u)
+            assert alpha_eq(t, u) == expected, (t, u)
+            equal += expected
+        assert equal > 2000 and len(pairs) - equal > 1500
 
 
 class TestSizes:
