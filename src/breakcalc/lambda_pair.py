@@ -186,31 +186,35 @@ def star_translate(t: Term) -> LTerm:
     """Translate a typable term; lets and breaks become substitutions.
 
     The image is simply typable at the same type, with the pair type read as a
-    product.
+    product.  t is canonicalised, so that _star substitutes with no capture.
     """
-    return _star(canonicalize(t))
+    return _star(canonicalize(t), {})
 
 
-def _star(t: Term) -> LTerm:
+def _star(t: Term, env: dict[str, LTerm]) -> LTerm:
+    """The image of a canonical t, where env, empty at the top, maps each
+    let and break binder met so far to its image.  No binder can capture a
+    name of an image: the combinators are closed, and a canonical term's
+    binders shadow nothing, which also lets env only grow."""
     match t:
         case Var(name, _):
-            return LVar(name)
+            return env[name] if name in env else LVar(name)
         case Lam(b, bt, body):
-            return LLam(b, bt, _star(body))
+            return LLam(b, bt, _star(body, env))
         case App(fun, arg):
-            return LApp(_star(fun), _star(arg))
+            return LApp(_star(fun, env), _star(arg, env))
         case Pair(a, b):
-            return LPair(_star(a), _star(b))
+            return LPair(_star(a, env), _star(b, env))
         case Let(x, _, y, _, scrut, body):
-            s_img = _star(scrut)
-            return substitute(_star(body), {x: LProj0(s_img),
-                                            y: LProj1(s_img)})
+            s_img = _star(scrut, env)
+            env[x], env[y] = LProj0(s_img), LProj1(s_img)
+            return _star(body, env)
         case Break(scrut, phi, f, residue, body):
             a = annotated_type(scrut)
-            s_img = _star(scrut)
-            return substitute(_star(body),
-                              {phi: LApp(_k0(a, residue), s_img),
-                               f: LApp(_k1(a, residue), s_img)})
+            s_img = _star(scrut, env)
+            env[phi] = LApp(_k0(a, residue), s_img)
+            env[f] = LApp(_k1(a, residue), s_img)
+            return _star(body, env)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -246,7 +250,7 @@ def _local_spots(node: Term, rule: RuleName) -> list[tuple[int, ...]]:
         case RuleName.BETA:
             return [()]
         case RuleName.L_CONV | RuleName.B_CONV:
-            body_img = _star(node.body)
+            body_img = _star(node.body, {})
             return [p for b in binders(node) for p in free_positions(body_img, b)]
     raise MappingFailure(f"{rule} is not a standard conversion")
 
@@ -268,7 +272,7 @@ def check_step_mapping(t: Term, r: Redex) -> StepMappingVerdict:
     if r.rule == RuleName.B_L_CONV:
         raise MappingFailure("experimental rule has no mapping guarantee")
     t_after = apply_step(t, r)
-    img_before = _star(t)
+    img_before = _star(t, {})
     img_after = star_translate(t_after)
 
     silent = r.rule in (RuleName.L_CONV, RuleName.B_CONV) and is_silent(t, r)
@@ -285,7 +289,7 @@ def check_step_mapping(t: Term, r: Redex) -> StepMappingVerdict:
     node = subterm_at(t, r.position)
     hole = fresh_name("hole", all_names(t))
     ctx = replace_at(t, r.position, Var(hole, annotated_type(node)))
-    ctx_img = _star(ctx)
+    ctx_img = _star(ctx, {})
     hole_paths = free_positions(ctx_img, hole)
     if not hole_paths:
         return equal_verdict()

@@ -31,8 +31,8 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, TypeVar
 
 from .syntax import (
-    App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair, Tensor, Term,
-    TypeExpr, Var, annotated_type, canonicalize, ks_types,
+    KEYWORDS, App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair,
+    Tensor, Term, TypeExpr, Var, annotated_type, canonicalize, ks_types,
 )
 
 _T = TypeVar("_T")
@@ -55,8 +55,6 @@ class ParseError(Exception):
             message = f"{message} (expected one of: {', '.join(self.expected)})"
         super().__init__(f"{loc}: {message}")
 
-
-KEYWORDS = frozenset({"let", "in", "break", "as"})
 
 _PUNCT = {
     "->": "ARROW", "|-": "TURNSTILE",

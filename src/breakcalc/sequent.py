@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from .parser import ParseError, TokenStream, parse_type, parse_type_stream
 from .syntax import (
-    App, Arrow, Break, FreeNames, Lam, Let, Pair, Tensor, Term, TypeExpr, Var,
-    _PRINTED, canonicalize, ks_types, print_type, substitute,
+    App, Arrow, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var, _PARSED,
+    _PRINTED, _canonical_names, ks_types, print_type, substitute,
 )
 from .typecheck import _check_canonical
 
@@ -102,10 +102,17 @@ class SDerivation(NamedTuple):
     data: TypeExpr | None = None
 
     def node_count(self) -> int:
-        return 1 + sum(p.node_count() for p in self.premises)
+        return sum(1 for _ in self._nodes())
 
     def uses_rule(self, rule: SRule) -> bool:
-        return self.rule == rule or any(p.uses_rule(rule) for p in self.premises)
+        return any(d.rule == rule for d in self._nodes())
+
+    def _nodes(self):  # an explicit stack, so that any depth is walked
+        stack = [self]
+        while stack:
+            d = stack.pop()
+            yield d
+            stack.extend(d.premises)
 
 
 def _conclude(rule: SRule, premises: tuple[SDerivation, ...],
@@ -243,14 +250,14 @@ def weaken(d: SDerivation, extras) -> SDerivation:
 def nd_to_sequent(t: Term) -> SDerivation:
     """Compositional translation of a typable term into a derivation of
     Gamma |- A, where Gamma is the multiset of free-variable types."""
-    t = canonicalize(t)
-    _check_canonical(t)
-    return _translate(t, (), FreeNames())
+    t, names = _canonical_names(t)
+    _check_canonical(t, names)
+    return _translate(t, (), names)
 
 
 def _translate(t: Term, pending: tuple[TypeExpr, ...],
-               free: FreeNames) -> SDerivation:
-    """The derivation of t, weakened by pending.
+               names: set[str]) -> SDerivation:
+    """The derivation of a canonical t, weakened by pending.
 
     The types of binders a body leaves unused join pending, which rides the
     last-premise path down to the axiom leaf where `weaken` would put it, so
@@ -260,39 +267,40 @@ def _translate(t: Term, pending: tuple[TypeExpr, ...],
         case Var(_, ty):
             return asm((ty, *pending), ty)
         case Lam(b, bt, body):
-            extra = _unused(body, ((b, bt),), free)
-            return arr_r(_translate(body, pending + extra, free), bt)
+            extra = _unused(((b, bt),), names)
+            return arr_r(_translate(body, pending + extra, names), bt)
         case App(fun, arg):
-            df = _translate(fun, (), free)
+            df = _translate(fun, (), names)
             fty = df.conclusion.succedent
             assert isinstance(fty, Arrow)
             hook = asm((fty.cod, *pending), fty.cod)
-            return cut(df, arr_l(_translate(arg, (), free), hook, fty))
+            return cut(df, arr_l(_translate(arg, (), names), hook, fty))
         case Pair(a, b):
-            return tens_r(_translate(a, (), free), _translate(b, pending, free))
+            return tens_r(_translate(a, (), names),
+                          _translate(b, pending, names))
         case Let(x, xt, y, yt, scrut, body):
-            extra = _unused(body, ((x, xt), (y, yt)), free)
-            db = _translate(body, pending + extra, free)
-            return cut(_translate(scrut, (), free), tens_l(db, Tensor(xt, yt)))
+            extra = _unused(((x, xt), (y, yt)), names)
+            db = _translate(body, pending + extra, names)
+            return cut(_translate(scrut, (), names), tens_l(db, Tensor(xt, yt)))
         case Break(scrut, phi, f, residue, body):
-            ds = _translate(scrut, (), free)
+            ds = _translate(scrut, (), names)
             k, s = ks_types(ds.conclusion.succedent, residue)
-            extra = _unused(body, ((phi, k), (f, s)), free)
-            return brk(ds, _translate(body, pending + extra, free), residue)
+            extra = _unused(((phi, k), (f, s)), names)
+            return brk(ds, _translate(body, pending + extra, names), residue)
     raise TypeError(f"not a term: {t!r}")
 
 
-def _unused(body: Term, binders, free: FreeNames) -> tuple[TypeExpr, ...]:
-    """The type of each binder that body leaves unused: the formulas the rule
-    closing the binders must find weakened in."""
-    fns = free(body)
-    return tuple(ty for name, ty in binders if name not in fns)
+def _unused(binders, names: set[str]) -> tuple[TypeExpr, ...]:
+    """The type of each binder its body leaves unused: the formulas the rule
+    closing the binders must find weakened in.  A canonical term's binder is
+    used when its name is in names, those of all the term's variables."""
+    return tuple(ty for name, ty in binders if name not in names)
 
 
 def _pick(ctx: list[tuple[str, TypeExpr]], ty: TypeExpr):
     """The first (name, type) entry of ctx at type ty, and ctx without it."""
     for i, (name, t2) in enumerate(ctx):
-        if t2 == ty:
+        if t2 is ty:  # types are interned
             return (name, ty), ctx[:i] + ctx[i + 1:]
     raise InvalidRule((), f"no assumption of type {print_type(ty)}")
 
@@ -714,7 +722,8 @@ def _read_layout(text: str) -> SDerivation | None:
     or the end, which no event and no formula reads, so such a text goes to
     the token parser.
 
-    Each formula's stripped text is parsed once per call by parse_type.  A
+    A formula's stripped text that print_type wrote is looked up in
+    syntax._PARSED; any other is parsed once per call by parse_type.  A
     formula group is exactly the tokens the token parser reads as that
     formula, followed there by a token that ends it as end of input does, so
     a text read here is one the token parser reads to the same derivation.
@@ -724,7 +733,7 @@ def _read_layout(text: str) -> SDerivation | None:
 
     def formula(part: str) -> TypeExpr:
         key = part.strip()
-        ty = memo.get(key)
+        ty = _PARSED.get(key) or memo.get(key)
         if ty is None:
             ty = memo[key] = parse_type(key)
         return ty

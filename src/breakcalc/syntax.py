@@ -21,6 +21,7 @@ its print_type text, so the type printer is the only code that spells types.
 from __future__ import annotations
 
 import operator
+import re
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import accumulate
@@ -156,10 +157,23 @@ class _Printed(dict):
 
     def __missing__(self, ty: TypeExpr) -> str:
         text = self[ty] = _ptype(ty, _TOP)
+        if _reads_back(ty):
+            _PARSED[text] = ty
         return text
 
 
 _PRINTED = _Printed()
+_PARSED: dict[str, TypeExpr] = {}  # the inverse of _PRINTED, where it reads back
+KEYWORDS = frozenset({"let", "in", "break", "as"})  # not identifiers
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
+
+
+def _reads_back(ty: TypeExpr) -> bool:
+    """True if parse_type reads print_type(ty) back as ty: each atom is
+    named by an identifier."""
+    if type(ty) is Atom:
+        return ty.name not in KEYWORDS and _IDENT.fullmatch(ty.name) is not None
+    return all(map(_reads_back, ty))
 
 
 def print_type(ty: TypeExpr) -> str:
@@ -708,8 +722,19 @@ def canonicalize(t):
     Original names are kept when they do not collide, so a canonical t (see
     is_canonical) comes back as itself.
     """
-    if is_canonical(t):
-        return t
+    return _canonical_names(t)[0]
+
+
+def _canonical_names(t):
+    """canonicalize(t), and its variables' names, or None when a name occurs
+    twice, which is when the canonical term contracts: two occurrences of a
+    name lie in two children of their lowest common ancestor, and are free
+    there, since that node binds in one child only and a binder below it
+    would leave the other occurrence outside its scope, which canonicity
+    forbids.  Conversely, contraction is a name free in two children."""
+    canonical, names = _scan(t)
+    if canonical:
+        return t, names
     used = set(free_names(t))
 
     def pick(n: str) -> str:
@@ -736,21 +761,30 @@ def canonicalize(t):
             return t
         return _rebuild(t, new, names)
 
-    return go(t, {})
+    t = go(t, {})
+    return t, _scan(t)[1]
 
 
 def is_canonical(t) -> bool:
-    """True if all binders are pairwise distinct and distinct from free names.
+    """True if all binders are pairwise distinct and distinct from free names."""
+    return _scan(t)[0]
 
-    One walk, which stops at the first clash.  While binders are distinct,
-    a variable is free exactly when its name is not in scope (`live`), so
-    a free variable clashes with any binder of its name, seen before or
-    after it.  A binder's scope child is walked first, between adding the
-    binders to `live` and a marker (their tuple) that removes them.
+
+def _scan(t) -> tuple[bool, set[str] | None]:
+    """is_canonical(t), and the names of t's variables, or None if one occurs
+    twice or t is not canonical.  One walk, which stops at the first clash.
+
+    While binders are distinct, a variable is free exactly when its name is
+    not in scope (`live`), so a free variable clashes with any binder of its
+    name, seen before or after it; a variable bound by an earlier binder of
+    a new binder's name is a clash too.  A binder's scope child is walked
+    first, between adding the binders to `live` and a marker (their tuple)
+    that removes them.
     """
     seen: set[str] = set()   # every binder so far
-    free: set[str] = set()   # every free name so far
+    names: set[str] = set()  # every variable's name so far
     live: set[str] = set()   # the binders in scope
+    twice = False
     stack = [t]
     pop, push = stack.pop, stack.append
     while stack:
@@ -761,10 +795,10 @@ def is_canonical(t) -> bool:
         sp = SPECS[type(t)]
         if sp.var is not None:
             n = sp.var(t)
-            if n not in live:
-                if n in seen:
-                    return False
-                free.add(n)
+            if n not in live and n in seen:
+                return False, None
+            twice = twice or n in names
+            names.add(n)
             continue
         kids = sp.kids(t)
         scope = sp.scope
@@ -773,8 +807,8 @@ def is_canonical(t) -> bool:
             continue
         bound = sp.binders(t)
         for b in bound:
-            if b in seen or b in free:
-                return False
+            if b in seen or b in names:
+                return False, None
             seen.add(b)
         for i, c in enumerate(kids):
             if i != scope:
@@ -782,7 +816,7 @@ def is_canonical(t) -> bool:
         push(bound)
         push(kids[scope])
         live.update(bound)
-    return True
+    return True, None if twice else names
 
 
 # ---------------------------------------------------------------------------
@@ -796,13 +830,15 @@ def first_contraction(t) -> str | None:
     counting a binder's child only outside its binders; weakening (an unused
     binder) is allowed.  This runs canonical_contraction on a canonically
     renamed copy of t, as typecheck.check does, so both name the same
-    variable.
+    variable, but only when a name occurs twice (see _canonical_names).
     """
-    return canonical_contraction(canonicalize(t))
+    t, names = _canonical_names(t)
+    return None if names is not None else canonical_contraction(t)
 
 
 def canonical_contraction(t) -> str | None:
-    """first_contraction of a canonical t (see is_canonical).
+    """first_contraction of a canonical t (see is_canonical), which callers
+    run only when a name occurs in t twice (see _canonical_names).
 
     Nodes are visited in post-order and the least shared name is reported.
     """

@@ -3,7 +3,8 @@
 The checking context is implicit: the free variables of a term, with their
 annotations, form its context.  Two-premise rules demand disjoint used-variable
 sets, which is what makes every typable term affine.  check and
-infer_principal test this first, with the one contraction walk in syntax.
+infer_principal test this first: the canonicity walk in syntax finds
+contraction, and only a term that contracts is walked again to name it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import NamedTuple
 
 from .syntax import (
     App, Arrow, Atom, Break, DistinctBinders, IllFormedTermError, Lam, Let,
-    Node, Pair, Tensor, Term, TypeExpr, Var, canonical_contraction,
-    canonicalize, constructor, first_contraction, ks_types, print_type,
+    Node, Pair, Tensor, Term, TypeExpr, Var, _canonical_names, constructor,
+    canonical_contraction, first_contraction, ks_types, print_type,
 )
 
 
@@ -72,19 +73,20 @@ def check(t: Term) -> TypeExpr:
     before anything else, then validates annotations against binders and
     rejects a free name occurring at two types.
     """
-    return _check_canonical(canonicalize(t))
+    return _check_canonical(*_canonical_names(t))
 
 
-def _check_canonical(t: Term) -> TypeExpr:
-    """check of a canonical t (see syntax.is_canonical)."""
-    name = canonical_contraction(t)
-    if name is not None:
-        raise AffinityViolation(name)
+def _check_canonical(t: Term, names: set[str] | None) -> TypeExpr:
+    """check of a canonical t with the names of syntax._canonical_names."""
+    if names is None:
+        raise AffinityViolation(canonical_contraction(t))
     return _check(t, {}, (), {})
 
 
 def _check(t: Term, env: dict[str, TypeExpr], path: tuple[int, ...],
            free_seen: dict[str, TypeExpr]) -> TypeExpr:
+    """The type of a canonical t, where env types each binder met so far:
+    none shadows another, so env only grows."""
     match t:
         case Var(name, ty):
             if name in env:
@@ -98,8 +100,8 @@ def _check(t: Term, env: dict[str, TypeExpr], path: tuple[int, ...],
                 free_seen[name] = ty
             return ty
         case Lam(b, bt, body):
-            return Arrow(bt, _check(body, env | {b: bt}, path + (0,),
-                                    free_seen))
+            env[b] = bt
+            return Arrow(bt, _check(body, env, path + (0,), free_seen))
         case App(fun, arg):
             fty = _check(fun, env, path + (0,), free_seen)
             aty = _check(arg, env, path + (1,), free_seen)
@@ -115,11 +117,12 @@ def _check(t: Term, env: dict[str, TypeExpr], path: tuple[int, ...],
             sty = _check(scrut, env, path + (0,), free_seen)
             if sty != Tensor(xt, yt):
                 raise TypeMismatch(Tensor(xt, yt), sty, path + (0,))
-            return _check(body, env | {x: xt, y: yt}, path + (1,), free_seen)
+            env[x], env[y] = xt, yt
+            return _check(body, env, path + (1,), free_seen)
         case Break(scrut, phi, f, residue, body):
             sty = _check(scrut, env, path + (0,), free_seen)
-            k, s = ks_types(sty, residue)
-            return _check(body, env | {phi: k, f: s}, path + (1,), free_seen)
+            env[phi], env[f] = ks_types(sty, residue)
+            return _check(body, env, path + (1,), free_seen)
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -10,13 +10,15 @@ from breakcalc.lambda_pair import (
     l_alpha_eq, l_alpha_key, l_check, l_normalize, l_step, check_step_mapping,
     check_substitution_lemma, star_translate,
 )
+from breakcalc.lambda_pair import _k0, _k1
 from breakcalc.reduction import Redex, RuleName, find_redexes, is_silent
 from breakcalc.syntax import (
-    App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Var, free_vars,
-    fresh_name,
+    App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Var, annotated_type,
+    canonicalize, free_vars, fresh_name, substitute,
 )
 from breakcalc.typecheck import check
-from termgen import random_typable_term
+from termgen import clashing_copy, random_typable_term
+from test_golden_outputs import golden_items
 
 P, Q, R = Atom("P"), Atom("Q"), Atom("R")
 A, B = Atom("A"), Atom("B")
@@ -45,6 +47,56 @@ class TestStarTranslate:
             t = random_typable_term(rng, max_size=28)
             ty = check(t)
             assert l_check(star_translate(t), free_vars(t)) == ty
+
+
+def substituting_star(t):
+    """The translation as it was, with a capture-avoiding substitution for
+    each let and break: the reference the environment must agree with."""
+    match t:
+        case Var(name, _):
+            return LVar(name)
+        case Lam(b, bt, body):
+            return LLam(b, bt, substituting_star(body))
+        case App(fun, arg):
+            return LApp(substituting_star(fun), substituting_star(arg))
+        case Pair(a, b):
+            return LPair(substituting_star(a), substituting_star(b))
+        case Let(x, _, y, _, scrut, body):
+            s_img = substituting_star(scrut)
+            return substitute(substituting_star(body),
+                              {x: LProj0(s_img), y: LProj1(s_img)})
+        case Break(scrut, phi, f, residue, body):
+            a = annotated_type(scrut)
+            s_img = substituting_star(scrut)
+            return substitute(substituting_star(body),
+                              {phi: LApp(_k0(a, residue), s_img),
+                               f: LApp(_k1(a, residue), s_img)})
+    raise TypeError(f"not a term: {t!r}")
+
+
+class TestStarEnvironment:
+    """_star substitutes through an environment, which builds the same
+    image as substituting after each let and break."""
+
+    def test_equals_the_substituting_reference(self):
+        terms = [t for _, t in golden_items()]
+        rng = random.Random(20261024)
+        for _ in range(1000):
+            t = random_typable_term(rng, max_size=30)
+            terms += [t, clashing_copy(t, rng)]
+        for t in terms:
+            assert star_translate(t) == substituting_star(canonicalize(t)), t
+
+    def test_each_translation_starts_with_an_empty_environment(self):
+        ab = Tensor(A, B)
+        first = Lam("p", ab, Let("x", A, "y", B, Var("p", ab), Var("x", A)))
+        again = Lam("q", ab, Let("x", A, "y", B, Var("q", ab), Var("x", A)))
+        bound = Lam("x", A, Var("x", A))
+        free = Pair(Var("x", A), Var("y", B))
+        star_translate(first)
+        assert star_translate(again) == LLam("q", ab, LProj0(LVar("q")))
+        assert star_translate(bound) == LLam("x", A, LVar("x"))
+        assert star_translate(free) == LPair(LVar("x"), LVar("y"))
 
 
 class TestLCheckErrors:

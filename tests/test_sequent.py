@@ -2,6 +2,7 @@
 break-from-cut constructions, bounded search, and serialization."""
 
 import random
+import re
 import types
 from collections import Counter
 
@@ -10,7 +11,7 @@ import pytest
 import breakcalc.sequent as sequent_module
 from breakcalc.catalog import divisibility_terms, identity_break
 from breakcalc.parser import (
-    ParseError, TokenStream, parse_term, parse_type_stream,
+    ParseError, TokenStream, parse_term, parse_type, parse_type_stream,
 )
 from breakcalc.printer import print_term
 from breakcalc.reduction import RuleName, find_redexes, normalize
@@ -22,12 +23,12 @@ from breakcalc.sequent import (
     weaken,
 )
 from breakcalc.syntax import (
-    App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Var, canonicalize,
-    free_names, free_vars, ks_types, print_type, subterm_at,
+    App, Arrow, Atom, Break, FreeNames, Lam, Let, Pair, Tensor, Var,
+    canonicalize, free_names, free_vars, ks_types, print_type, subterm_at,
 )
-from breakcalc.syntax import _TOP, _ptype
+from breakcalc.syntax import _PARSED, _PRINTED, _TOP, _ptype
 from breakcalc.typecheck import check
-from termgen import random_typable_term
+from termgen import clashing_copy, random_typable_term
 from test_golden_outputs import golden_items
 from test_parse_errors import (
     SAMPLES, SEED as PARSE_ERRORS_SEED, catalog_terms,
@@ -253,6 +254,88 @@ class TestPendingWeakening:
         assert calls[0] == d.node_count() == n + 1
         monkeypatch.undo()
         assert d == reference_nd_to_sequent(t)
+
+
+def free_names_nd_to_sequent(t):
+    """nd_to_sequent as it was with a FreeNames memo: a binder is unused
+    when its name is not free in its body.  The reference that reading
+    weakening off the names of the whole term must agree with."""
+    t = canonicalize(t)
+    check(t)
+    return _free_names_translate(t, (), FreeNames())
+
+
+def _free_names_translate(t, pending, free):
+    def unused(body, binders):
+        fns = free(body)
+        return tuple(ty for name, ty in binders if name not in fns)
+
+    match t:
+        case Var(_, ty):
+            return asm((ty, *pending), ty)
+        case Lam(b, bt, body):
+            extra = unused(body, ((b, bt),))
+            return arr_r(_free_names_translate(body, pending + extra, free), bt)
+        case App(fun, arg):
+            df = _free_names_translate(fun, (), free)
+            fty = df.conclusion.succedent
+            hook = asm((fty.cod, *pending), fty.cod)
+            return cut(df, arr_l(_free_names_translate(arg, (), free), hook,
+                                 fty))
+        case Pair(a, b):
+            return tens_r(_free_names_translate(a, (), free),
+                          _free_names_translate(b, pending, free))
+        case Let(x, xt, y, yt, scrut, body):
+            extra = unused(body, ((x, xt), (y, yt)))
+            db = _free_names_translate(body, pending + extra, free)
+            return cut(_free_names_translate(scrut, (), free),
+                       tens_l(db, Tensor(xt, yt)))
+        case Break(scrut, phi, f, residue, body):
+            ds = _free_names_translate(scrut, (), free)
+            k, s = ks_types(ds.conclusion.succedent, residue)
+            extra = unused(body, ((phi, k), (f, s)))
+            return brk(ds, _free_names_translate(body, pending + extra, free),
+                       residue)
+    raise TypeError(f"not a term: {t!r}")
+
+
+class TestWeakeningByOccurrence:
+    """A canonical term's binder is unused exactly when no variable of the
+    whole term has its name."""
+
+    def test_golden_items_equal_the_free_names_reference(self):
+        for name, t in golden_items():
+            assert nd_to_sequent(t) == free_names_nd_to_sequent(t), name
+
+    def test_clashing_copies_equal_the_free_names_reference(self):
+        rng = random.Random(20261021)
+        weakened = 0
+        for _ in range(2000):
+            t = random_typable_term(rng)
+            for u in (t, clashing_copy(t, rng)):
+                d = nd_to_sequent(u)
+                assert d == free_names_nd_to_sequent(u), u
+            # an axiom holds more than its formula only below an unused binder
+            weakened += any(len(e.conclusion.antecedent) > 1
+                            for _, e in _nodes(d) if e.rule == SRule.ASM)
+        assert weakened > 200, weakened
+
+
+class TestDerivationWalks:
+    def test_count_and_search_nesting_deeper_than_the_recursion_limit(self):
+        depth = 3000
+        d = parse_derivation("(CUT [A |- A] (ASM [A |- A]) " * depth
+                             + "(ASM [A |- A])" + ")" * depth)
+        assert d.node_count() == 2 * depth + 1
+        assert d.uses_rule(SRule.CUT) and d.uses_rule(SRule.ASM)
+        assert not d.uses_rule(SRule.BRK)
+
+    def test_count_and_search_every_node(self):
+        for _, d in translated_population(96, 100):
+            nodes = [e for _, e in _nodes(d)]
+            assert d.node_count() == len(nodes)
+            for rule in SRule:
+                assert d.uses_rule(rule) == any(e.rule == rule for e in nodes)
 
 
 class TestSequentToTerm:
@@ -679,6 +762,59 @@ class TestFormulaMemo:
         for text in texts:
             assert (parse_outcome(parse_derivation, text)
                     == parse_outcome(unmemoised_parse_derivation, text)), text
+
+
+class TestPrintedFormulaLookup:
+    """_read_layout looks up a formula that print_type wrote in _PARSED, the
+    inverse of the print_type memo, and parses any other text."""
+
+    def test_parsed_is_the_inverse_of_printed(self):
+        for _, d in translated_population(93, 50):
+            print_derivation(eliminate_cuts(d))
+        assert len(_PARSED) > 100
+        for text, ty in _PARSED.items():
+            assert _PRINTED[ty] is text
+            assert parse_type(text) is ty
+        for ty, text in list(_PRINTED.items()):
+            reads_back = parse_outcome(parse_type, text) is ty
+            assert (_PARSED.get(text) is ty) == reads_back, text
+
+    def test_printed_formulas_are_not_parsed(self, monkeypatch):
+        texts = [print_derivation(d)
+                 for _, d in translated_population(94, 100)]
+
+        def parse(text):
+            raise AssertionError(f"parsed the printed formula {text!r}")
+
+        monkeypatch.setattr(sequent_module, "parse_type", parse)
+        for text in texts:
+            assert parse_derivation(text) == unmemoised_parse_derivation(text)
+
+    def test_respelled_formulas_read_as_the_token_parser_reads_them(self):
+        spellings = [("A -> B", "((A) -> (B))"), ("A -> B", "A->B"),
+                     ("A -> B", "A --  a comment\n  ->\tB"),
+                     ("(A -> B) -> C", "(A->B)->((C))")]
+        for old, new in spellings:
+            text = REPEATING.replace(old, new)
+            assert text != REPEATING
+            assert parse_derivation(text) == \
+                TokenStream(text).parse(sequent_module._derivation) == \
+                parse_derivation(REPEATING)
+        for printed in printed_population(95, 50):
+            for text in [printed.replace(" -> ", "->"),
+                         re.sub(r"\|- ([^\]]*)", r"|-  ((\1)) ", printed),
+                         re.sub(r"\{([^}]*)\}", r"{ (\1)}", printed),
+                         *commented(printed)]:
+                assert parse_derivation(text) == \
+                    TokenStream(text).parse(sequent_module._derivation), text
+
+    @pytest.mark.parametrize("atom", ["?1", "let", "A -> B", "1A", ""])
+    def test_a_type_printed_from_no_identifier_is_not_read_back(self, atom):
+        text = f"(ASM [{atom} |- {atom}])"
+        expected = parse_outcome(unmemoised_parse_derivation, text)
+        print_type(Atom(atom))
+        print_type(Arrow(Atom(atom), A))
+        assert parse_outcome(parse_derivation, text) == expected
 
 
 def derivation_error_inputs():

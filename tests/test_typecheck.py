@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import breakcalc.syntax as syntax_module
+import breakcalc.typecheck as typecheck_module
 from breakcalc.catalog import AxiomId, axiom_term
 from breakcalc.lambda_pair import star_translate
 from breakcalc.parser import parse_term
@@ -11,8 +13,8 @@ from breakcalc.printer import print_type
 from breakcalc.sequent import nd_to_sequent
 from breakcalc.syntax import (
     App, Arrow, Atom, Lam, Pair, Tensor, Var, affine_check, alpha_eq,
-    first_contraction, free_names, free_vars, is_canonical, replace_at,
-    subterms,
+    canonical_contraction, canonicalize, first_contraction, free_names,
+    free_vars, is_canonical, replace_at, subterms,
 )
 from breakcalc.typecheck import (
     AffinityViolation, TypeCheckError, TypeMismatch, UBreak, ULam, ULet,
@@ -230,3 +232,78 @@ class TestNonCanonicalCopies:
         assert outcome(nd_to_sequent, t) == expected
         assert outcome(infer_principal, erase(t)) == expected
         assert first_contraction(t) == "a'"
+
+
+def reference_first_contraction(t):
+    """first_contraction as it was: the post-order walk on every term."""
+    return canonical_contraction(canonicalize(t))
+
+
+def reference_affine(f):
+    """f, after the reference rejects contraction, as check, nd_to_sequent
+    and infer_principal did before they read contraction off the names."""
+    def checked(t):
+        name = reference_first_contraction(t)
+        if name is not None:
+            raise AffinityViolation(name)
+        return f(t)
+    return checked
+
+
+def affinity_population(seed: int, count: int):
+    """count seeded typable terms, each with a clashing copy, and every
+    contracting variant of ill_typed_variants with a clashing copy."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = random_typable_term(rng, max_size=30)
+        yield t
+        yield clashing_copy(t, rng)
+        for bad, name in ill_typed_variants(t):
+            if name is not None:
+                yield bad
+                yield clashing_copy(bad, rng, frozenset((name,)))
+
+
+def infer_erased(t):
+    return infer_principal(erase(t))
+
+
+class TestAffinityByOccurrence:
+    """A canonical term contracts exactly when a name occurs in it twice;
+    the post-order walk runs only to name the variable."""
+
+    def test_outcomes_equal_the_post_order_reference(self):
+        contracting = 0
+        for t in affinity_population(20261019, 300):
+            expected = reference_first_contraction(t)
+            contracting += expected is not None
+            assert first_contraction(t) == expected, t
+            assert affine_check(t) == (expected is None)
+            for f in (check, nd_to_sequent, infer_erased):
+                assert outcome(f, t) == outcome(reference_affine(f), t), t
+        assert contracting > 300
+
+    def test_free_variable_used_twice(self):
+        t = Pair(Var("a", A), Var("a", A))
+        assert first_contraction(t) == "a"
+        expected = (AffinityViolation, str(AffinityViolation("a")))
+        for f in (check, nd_to_sequent, infer_erased):
+            assert outcome(f, t) == expected
+        assert outcome(check, App(t, Var("a", A))) == expected
+
+    def test_affine_terms_never_run_the_post_order_walk(self, monkeypatch):
+        def walk(t):
+            raise AssertionError("canonical_contraction ran on an affine term")
+
+        monkeypatch.setattr(syntax_module, "canonical_contraction", walk)
+        monkeypatch.setattr(typecheck_module, "canonical_contraction", walk)
+        rng = random.Random(20261020)
+        for _ in range(200):
+            t = random_typable_term(rng, max_size=30)
+            for u in (t, clashing_copy(t, rng)):
+                check(u)
+                nd_to_sequent(u)
+                infer_principal(erase(u))
+                assert first_contraction(u) is None
+        with pytest.raises(AssertionError):
+            check(Pair(Var("a", A), Var("a", A)))
