@@ -13,10 +13,10 @@ import functools
 from typing import NamedTuple
 
 from .syntax import (
-    App, Arrow, Break, FreeNames, Lam, Let, Pair, Term, Var, _rebuild,
-    annotated_type, avoid_capture, binders, children, distinct_reducts,
-    free_names, fresh_name, rebuild_spine, spine_at, subterm_at, substitute,
-    subterms, term_size, type_size,
+    App, Arrow, Break, FreeNames, Lam, Let, Pair, Term, Var, _freshen,
+    _rebuild, annotated_type, avoid_capture, binders, children,
+    distinct_reducts, free_names, rebuild_spine, spine_at, subterm_at,
+    substitute, subterms, term_size, type_size,
 )
 
 
@@ -143,8 +143,7 @@ def _contract(t: Term, rule: RuleName, fn: FreeNames) -> Term:
             a = annotated_type(scrut)
             b = t.residue
             avoid = fn(scrut) | fn(t.body) | {t.phi, t.f}
-            p = fresh_name("p", avoid)
-            z = fresh_name("z", avoid | {p})
+            (p, z), _ = _freshen(("p", "z"), avoid)
             k_term = Lam(p, Arrow(a, b), App(Var(p, Arrow(a, b)), scrut))
             s_term = Lam(z, b, scrut)
             return substitute(t.body, [(t.phi, k_term), (t.f, s_term)], fn)

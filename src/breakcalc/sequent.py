@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .parser import ParseError, TokenStream, parse_type, parse_type_stream
 from .syntax import (
     App, Arrow, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var, _PARSED,
-    _PRINTED, _canonical_names, ks_types, print_type, substitute,
+    _PRINTED, _canonical_names, ks_types, print_type,
 )
 from .typecheck import _check_canonical
 
@@ -297,15 +297,15 @@ def _unused(binders, names: set[str]) -> tuple[TypeExpr, ...]:
     return tuple(ty for name, ty in binders if name not in names)
 
 
-def _pick(ctx: list[tuple[str, TypeExpr]], ty: TypeExpr):
-    """The first (name, type) entry of ctx at type ty, and ctx without it."""
-    for i, (name, t2) in enumerate(ctx):
+def _pick(ctx: list[tuple[Term, TypeExpr]], ty: TypeExpr):
+    """The first (term, type) entry of ctx at type ty, and ctx without it."""
+    for i, (term, t2) in enumerate(ctx):
         if t2 is ty:  # types are interned
-            return (name, ty), ctx[:i] + ctx[i + 1:]
+            return (term, ty), ctx[:i] + ctx[i + 1:]
     raise InvalidRule((), f"no assumption of type {print_type(ty)}")
 
 
-def _split(ctx: list[tuple[str, TypeExpr]], needed):
+def _split(ctx: list[tuple[Term, TypeExpr]], needed):
     """The entries of ctx that _pick takes for each formula of the multiset
     needed, and the rest of ctx."""
     taken = []
@@ -316,50 +316,48 @@ def _split(ctx: list[tuple[str, TypeExpr]], needed):
 
 
 def sequent_to_term(d: SDerivation) -> Term:
-    """Extract a term from a valid derivation: cuts become substitutions,
-    break nodes become break terms."""
+    """Extract a term from a valid derivation; break nodes become break terms.
+
+    Each context entry pairs a formula with its term: a variable for a
+    hypothesis or binder, the first premise's term for a cut formula, and g
+    applied to it for an ArrL's codomain.  Binders come from one counter and
+    each entry goes to one premise, so no term is captured or placed twice.
+    """
     check_derivation(d)
     counter = itertools.count()
 
     def fresh(base: str) -> str:
         return f"{base}{next(counter)}"
 
-    def go(d: SDerivation, ctx: list[tuple[str, TypeExpr]]) -> Term:
+    def go(d: SDerivation, ctx: list[tuple[Term, TypeExpr]]) -> Term:
         match d.rule:
             case SRule.ASM:
-                (name, ty), _ = _pick(ctx, d.conclusion.succedent)
-                return Var(name, ty)
+                (term, _), _ = _pick(ctx, d.conclusion.succedent)
+                return term
             case SRule.CUT:
                 p1, p2 = d.premises
-                a = p1.conclusion.succedent
                 ctx1, rest = _split(ctx, p1.conclusion.antecedent)
-                x = fresh("cutv")
-                t2 = go(p2, rest + [(x, a)])
                 t1 = go(p1, ctx1)
-                return substitute(t2, [(x, t1)])
+                return go(p2, rest + [(t1, p1.conclusion.succedent)])
             case SRule.BRK:
                 p1, p2 = d.premises
-                a = p1.conclusion.succedent
-                k, s = ks_types(a, d.data)
+                k, s = ks_types(p1.conclusion.succedent, d.data)
                 ctx1, rest = _split(ctx, p1.conclusion.antecedent)
                 phi, f = fresh("phi"), fresh("sec")
-                t2 = go(p2, rest + [(phi, k), (f, s)])
-                t1 = go(p1, ctx1)
-                return Break(t1, phi, f, d.data, t2)
+                return Break(go(p1, ctx1), phi, f, d.data,
+                             go(p2, rest + [(Var(phi, k), k), (Var(f, s), s)]))
             case SRule.ArrR:
                 (p,) = d.premises
                 dom = d.conclusion.succedent.dom
                 x = fresh("x")
-                return Lam(x, dom, go(p, ctx + [(x, dom)]))
+                return Lam(x, dom, go(p, ctx + [(Var(x, dom), dom)]))
             case SRule.ArrL:
                 p1, p2 = d.premises
                 principal: Arrow = d.data
                 (g, _), rest0 = _pick(ctx, principal)
                 ctx1, rest = _split(rest0, p1.conclusion.antecedent)
-                x = fresh("r")
-                t2 = go(p2, rest + [(x, principal.cod)])
                 t1 = go(p1, ctx1)
-                return substitute(t2, [(x, App(Var(g, principal), t1))])
+                return go(p2, rest + [(App(g, t1), principal.cod)])
             case SRule.TensR:
                 p1, p2 = d.premises
                 ctx1, ctx2 = _split(ctx, p1.conclusion.antecedent)
@@ -368,13 +366,14 @@ def sequent_to_term(d: SDerivation) -> Term:
                 (p,) = d.premises
                 principal: Tensor = d.data
                 (v, _), rest = _pick(ctx, principal)
+                left, right = principal
                 x, y = fresh("a"), fresh("b")
-                body = go(p, rest + [(x, principal.left), (y, principal.right)])
-                return Let(x, principal.left, y, principal.right,
-                           Var(v, principal), body)
+                body = go(p, rest + [(Var(x, left), left),
+                                     (Var(y, right), right)])
+                return Let(x, left, y, right, v, body)
         raise TypeError(f"unknown rule {d.rule!r}")
 
-    ctx0 = [(fresh("h"), ty) for ty in d.conclusion.antecedent]
+    ctx0 = [(Var(fresh("h"), ty), ty) for ty in d.conclusion.antecedent]
     return go(d, ctx0)
 
 
@@ -431,30 +430,22 @@ def eliminate_cuts(d: SDerivation, node_budget: int = 1_000_000) -> SDerivation:
             # the axiom's formula is the cut formula itself
             return weaken(p1, others)
 
-        if p1.rule in (SRule.ArrR, SRule.TensR):
-            if _principal_match(p1, p2):
-                return principal_cut(p1, p2)
-            return push_right(p1, p2)
+        match p1.rule, p2.rule:
+            case SRule.ArrR, SRule.ArrL if p2.data == a:
+                # cut of A1 -> A2 against its left rule: two smaller cuts
+                (q,) = p1.premises
+                q1, q2 = p2.premises
+                return combine(combine(q1, q), q2)
+            case SRule.TensR, SRule.TensL if p2.data == a:
+                # pair: cut each component
+                r1, r2 = p1.premises
+                (q,) = p2.premises
+                return combine(r1, combine(r2, q))
+            case (SRule.ArrR | SRule.TensR), _:
+                return push_right(p1, p2)
         # p1 ends in a left rule or break: push the cut into the branch
         # providing the succedent
         return push_left(p1, p2)
-
-    def _principal_match(p1: SDerivation, p2: SDerivation) -> bool:
-        a = p1.conclusion.succedent
-        if p1.rule == SRule.ArrR:
-            return p2.rule == SRule.ArrL and p2.data == a
-        return p2.rule == SRule.TensL and p2.data == a
-
-    def principal_cut(p1: SDerivation, p2: SDerivation) -> SDerivation:
-        if p1.rule == SRule.ArrR:
-            # cut of A1 -> A2 against its left rule: two smaller cuts
-            (q,) = p1.premises
-            q1, q2 = p2.premises
-            return combine(combine(q1, q), q2)
-        # pair: cut each component
-        r1, r2 = p1.premises
-        (q,) = p2.premises
-        return combine(r1, combine(r2, q))
 
     def push_left(p1: SDerivation, p2: SDerivation) -> SDerivation:
         *side, last = p1.premises

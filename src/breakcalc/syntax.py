@@ -567,7 +567,9 @@ def _subst(t, sub: dict, fn: FreeNames):
 
 
 def _freshen(names: tuple[str, ...], avoid: set[str]):
-    """Binder names renamed away from avoid, and the renaming that applies it."""
+    """The one binder-renaming policy: one node's binder names, each one in
+    avoid renamed to its first primed variant not in avoid, not among names
+    and not given to an earlier one; and the renaming that applies it."""
     taken = set(avoid)
     ren: dict[str, str] = {}
     out = []
@@ -581,11 +583,12 @@ def _freshen(names: tuple[str, ...], avoid: set[str]):
 
 
 def avoid_capture(t, moving: frozenset[str], names: FreeNames | None = None):
-    """t, or t with all its root binders renamed if one of them is in moving.
+    """t with its root binders renamed away from moving, or t itself when
+    none of them is in moving.
 
     Used before a term whose free names are `moving` enters the binders'
-    scope.  The new names avoid moving, the names free in the scope and the
-    old binders.  `names` is as for substitute.
+    scope.  _freshen renames each binder that is in moving or free in the
+    scope, away from both.  `names` is as for substitute.
     """
     sp = SPECS[type(t)]
     old = sp.binders(t)
@@ -593,12 +596,8 @@ def avoid_capture(t, moving: frozenset[str], names: FreeNames | None = None):
         return t
     fn = FreeNames() if names is None else names
     kids = list(sp.kids(t))
-    taken = set(moving).union(fn(kids[sp.scope]), old)
-    new = []
-    for b in old:
-        new.append(fresh_name(b, taken))
-        taken.add(new[-1])
-    kids[sp.scope] = _subst(kids[sp.scope], dict(zip(old, new)), fn)
+    new, ren = _freshen(old, moving | fn(kids[sp.scope]))
+    kids[sp.scope] = _subst(kids[sp.scope], ren, fn)
     return _rebuild(t, kids, new)
 
 
@@ -719,8 +718,8 @@ def distinct_reducts(t, redexes, contract) -> list:
 def canonicalize(t):
     """Rename binders so all are distinct from each other and from free names.
 
-    Original names are kept when they do not collide, so a canonical t (see
-    is_canonical) comes back as itself.
+    _freshen keeps a binder's name unless it is free in t or already given
+    to a binder, so a canonical t (see is_canonical) comes back as itself.
     """
     return _canonical_names(t)[0]
 
@@ -737,11 +736,6 @@ def _canonical_names(t):
         return t, names
     used = set(free_names(t))
 
-    def pick(n: str) -> str:
-        n2 = fresh_name(n, used)
-        used.add(n2)
-        return n2
-
     def go(t, ren: dict[str, str]):
         sp = SPECS[type(t)]
         if sp.var is not None:
@@ -752,8 +746,9 @@ def _canonical_names(t):
         for i, c in enumerate(kids):
             if i == sp.scope:
                 # a kept name cannot shadow a renamed one: that name is taken
-                names = tuple(map(pick, bound))
-                c = go(c, ren | {b: n for b, n in zip(bound, names) if b != n})
+                names, fresh = _freshen(bound, used)
+                used.update(names)
+                c = go(c, ren | fresh)
             else:
                 c = go(c, ren)
             new.append(c)

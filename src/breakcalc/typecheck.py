@@ -214,16 +214,6 @@ class _Inferencer:
             ty = self.sub[ty.name]
         return ty
 
-    def deep_resolve(self, ty: TypeExpr) -> TypeExpr:
-        ty = self.resolve(ty)
-        match ty:
-            case Arrow(d, c):
-                return Arrow(self.deep_resolve(d), self.deep_resolve(c))
-            case Tensor(l, r):
-                return Tensor(self.deep_resolve(l), self.deep_resolve(r))
-            case _:
-                return ty
-
     def occurs(self, name: str, ty: TypeExpr) -> bool:
         ty = self.resolve(ty)
         match ty:
@@ -302,12 +292,12 @@ def infer_principal(u: UntypedTerm) -> TypeScheme:
     if name is not None:
         raise AffinityViolation(name)
     inf = _Inferencer()
-    ty = inf.deep_resolve(inf.walk(u, {}, {}, ()))
-    return _canonical_scheme(ty)
+    return _canonical_scheme(inf.walk(u, {}, {}, ()), inf.resolve)
 
 
-def _canonical_scheme(ty: TypeExpr) -> TypeScheme:
-    """Rename leftover unification variables to a, b, c, ... in occurrence order."""
+def _canonical_scheme(ty: TypeExpr, resolve) -> TypeScheme:
+    """ty resolved node by node (resolve), with the unification variables
+    left over renamed to a, b, c, ... in occurrence order."""
     mapping: dict[str, Atom] = {}
 
     def name_for(i: int) -> str:
@@ -316,7 +306,7 @@ def _canonical_scheme(ty: TypeExpr) -> TypeScheme:
         return f"{_SCHEME_LETTERS[i % 26]}{i // 26}"
 
     def go(ty: TypeExpr) -> TypeExpr:
-        match ty:
+        match resolve(ty):
             case Atom(n) if n.startswith("?"):
                 if n not in mapping:
                     mapping[n] = Atom(name_for(len(mapping)))
@@ -325,8 +315,8 @@ def _canonical_scheme(ty: TypeExpr) -> TypeScheme:
                 return Arrow(go(d), go(c))
             case Tensor(l, r):
                 return Tensor(go(l), go(r))
-            case _:
-                return ty
+            case resolved:
+                return resolved
 
     body = go(ty)
     return TypeScheme(body, frozenset(a.name for a in mapping.values()))

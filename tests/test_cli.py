@@ -108,6 +108,14 @@ class TestNormalize:
         code2, out2, _ = cli(["check", "-"], stdin=out)
         assert code2 == 0 and out2.strip() == "A -> (A -> B) -> B"
 
+    def test_renamed_binder_avoids_its_sibling(self, cli):
+        # x is free, so the let's x is renamed, past its sibling x'
+        code, out, _ = cli(["normalize", "-"],
+                           stdin="<(x : A), let <x:A, x':A> = (p : A * A)"
+                                 " in x'>\n")
+        assert code == 0
+        assert out == "<(x : A), let <x'':A, x':A> = (p : A * A) in x'>\n"
+
     def test_budget_exit_3(self, cli):
         code, _, err = cli(["normalize", "--max-steps", "1", "-"],
                            stdin=U_SOURCE)

@@ -103,6 +103,9 @@ class TestApplyStep:
         out = apply_step(w, Redex((), RuleName.AP_L_CONV))
         assert check(out) == check(w)
         assert free_vars(out) == free_vars(w)
+        # only the binder that would capture is renamed
+        assert print_term(out) == ("let <x':P -> Q, y:R> = (t0 : (P -> Q) * R)"
+                                   " in (u0 : P -> Q) (x : P)")
 
 
 class TestIsSilent:

@@ -1,6 +1,7 @@
 """Sequent calculus: checking, the two translations, cut elimination, the
 break-from-cut constructions, bounded search, and serialization."""
 
+import itertools
 import random
 import re
 import types
@@ -23,8 +24,9 @@ from breakcalc.sequent import (
     weaken,
 )
 from breakcalc.syntax import (
-    App, Arrow, Atom, Break, FreeNames, Lam, Let, Pair, Tensor, Var,
-    canonicalize, free_names, free_vars, ks_types, print_type, subterm_at,
+    App, Arrow, Atom, Break, FreeNames, Lam, Let, Pair, Tensor, Var, alpha_eq,
+    canonicalize, free_names, free_vars, ks_types, print_type, substitute,
+    subterm_at,
 )
 from breakcalc.syntax import _PARSED, _PRINTED, _TOP, _ptype
 from breakcalc.typecheck import check
@@ -384,6 +386,87 @@ def counter_split(ctx, needed):
     return taken, rest
 
 
+def reference_sequent_to_term(d: SDerivation):
+    """sequent_to_term as it extracted through placeholders: a context of
+    (name, type) entries, where a cut and an ArrL extract their second
+    premise with a fresh name for the cut formula or the codomain, and
+    substitute the first premise's term (applied to the arrow, for ArrL)
+    for it."""
+    check_derivation(d)
+    counter = itertools.count()
+
+    def fresh(base: str) -> str:
+        return f"{base}{next(counter)}"
+
+    def pick(ctx, ty):
+        (entry,), rest = counter_split(ctx, [ty])
+        return entry, rest
+
+    def go(d: SDerivation, ctx):
+        p = d.premises
+        match d.rule:
+            case SRule.ASM:
+                return Var(*pick(ctx, d.conclusion.succedent)[0])
+            case SRule.CUT:
+                ctx1, rest = counter_split(ctx, p[0].conclusion.antecedent)
+                x = fresh("cutv")
+                t2 = go(p[1], rest + [(x, p[0].conclusion.succedent)])
+                return substitute(t2, [(x, go(p[0], ctx1))])
+            case SRule.BRK:
+                k, s = ks_types(p[0].conclusion.succedent, d.data)
+                ctx1, rest = counter_split(ctx, p[0].conclusion.antecedent)
+                phi, f = fresh("phi"), fresh("sec")
+                t2 = go(p[1], rest + [(phi, k), (f, s)])
+                return Break(go(p[0], ctx1), phi, f, d.data, t2)
+            case SRule.ArrR:
+                dom = d.conclusion.succedent.dom
+                x = fresh("x")
+                return Lam(x, dom, go(p[0], ctx + [(x, dom)]))
+            case SRule.ArrL:
+                (g, _), rest = pick(ctx, d.data)
+                ctx1, rest = counter_split(rest, p[0].conclusion.antecedent)
+                x = fresh("r")
+                t2 = go(p[1], rest + [(x, d.data.cod)])
+                return substitute(
+                    t2, [(x, App(Var(g, d.data), go(p[0], ctx1)))])
+            case SRule.TensR:
+                ctx1, ctx2 = counter_split(ctx, p[0].conclusion.antecedent)
+                return Pair(go(p[0], ctx1), go(p[1], ctx2))
+            case SRule.TensL:
+                (v, _), rest = pick(ctx, d.data)
+                x, y = fresh("a"), fresh("b")
+                left, right = d.data
+                body = go(p[0], rest + [(x, left), (y, right)])
+                return Let(x, left, y, right, Var(v, d.data), body)
+        raise AssertionError(d.rule)
+
+    return go(d, [(fresh("h"), ty) for ty in d.conclusion.antecedent])
+
+
+class TestExtractionThroughTheContext:
+    """sequent_to_term places each term through its context, and extracts
+    what the placeholder substitution did, up to the names of binders."""
+
+    def test_alpha_equal_to_placeholder_substitution(self):
+        terms = [t for _, t in golden_items()]
+        terms += [t for t, _ in translated_population(93, 300)]
+        derivations = [nd_to_sequent(t) for t in terms]
+        derivations += [eliminate_cuts(d) for d in derivations]
+        cuts = sum(d.uses_rule(SRule.CUT) for d in derivations)
+        assert cuts > 250 and len(derivations) - cuts > 300
+        for d in derivations:
+            got = sequent_to_term(d)
+            assert alpha_eq(got, reference_sequent_to_term(d)), d
+            assert check(got) == d.conclusion.succedent
+
+    def test_cut_term_goes_where_the_second_premise_uses_it(self):
+        # CUT of |- A -> A against an ArrL that applies it to a hypothesis
+        ident = arr_r(asm([A], A), A)
+        use = arr_l(asm([A], A), asm([A], A), Arrow(A, A))
+        t = sequent_to_term(cut(ident, use))
+        assert print_term(t) == r"(\x1:A. x1) (h0 : A)"
+
+
 class TestAntecedentMultisets:
     """Antecedents are compared and split as multisets, whatever the order
     a hand-built Sequent states them in."""
@@ -453,6 +536,20 @@ class TestEliminateCuts:
         d = cut(arr_r(asm([A], A), A), right)
         out = eliminate_cuts(d)
         assert not out.uses_rule(SRule.CUT) and out.rule == rule
+        assert check_derivation(out) == d.conclusion
+
+    @pytest.mark.parametrize("p1", [arr_r(asm([A], A), A),
+                                    tens_r(asm([A], A), asm([A], A))],
+                             ids=["ArrR", "TensR"])
+    def test_break_whose_residue_is_the_cut_formula_is_not_principal(
+            self, p1):
+        # only a left rule on the cut formula makes a principal pair: here
+        # the datum of the BRK equals the cut formula, and the cut rides up
+        a = p1.conclusion.succedent
+        k, s = ks_types(B, a)
+        d = cut(p1, brk(asm([B], B), asm([k, s, a], a), a))
+        out = eliminate_cuts(d)
+        assert not out.uses_rule(SRule.CUT) and out.rule == SRule.BRK
         assert check_derivation(out) == d.conclusion
 
     def test_negative_budget_rejected(self):

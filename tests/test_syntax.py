@@ -2,6 +2,7 @@
 and the value contract of syntax nodes and records."""
 
 import copy
+import functools
 import pickle
 import random
 import subprocess
@@ -16,17 +17,19 @@ from breakcalc.parser import parse_type
 from breakcalc.reduction import Redex, RuleName
 from breakcalc.sequent import arr_r, asm, sequent
 from breakcalc.syntax import (
-    SPECS, App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair,
-    Tensor, TypeExpr, Var, affine_check, all_names, alpha_eq, annotated_type,
-    binders, canonicalize, free_names, free_vars, fresh_name, is_canonical,
-    ks_types, print_type, replace_at, substitute, subterm_at, subterms,
-    term_size, type_size,
+    SPECS, App, Arrow, Atom, Break, FreeNames, IllFormedTermError, Lam, Let,
+    Pair, Tensor, TypeExpr, Var, affine_check, all_names, alpha_eq,
+    annotated_type, avoid_capture, binders, canonicalize, free_names,
+    free_vars, fresh_name, is_canonical, ks_types, print_type, replace_at,
+    substitute, subterm_at, subterms, term_size, type_size,
 )
-from breakcalc.syntax import _TOP, _ptype
+from breakcalc.syntax import _TOP, _freshen, _ptype, _rebuild, _subst
 from breakcalc.typecheck import UApp, UBreak, ULam, ULet, UPair, UVar, erase
 from termgen import (
     clashing_copy, random_large_term, random_type, random_typable_term,
 )
+from test_golden_outputs import golden_items
+from test_reduction import capturing_permutations
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -249,6 +252,132 @@ class TestCanonicity:
             assert canonicalize(u) is u
             if is_canonical(t):
                 assert u is t
+
+
+def reference_avoid_capture(t, moving):
+    """avoid_capture as it primed every root binder once one of them was in
+    moving, avoiding moving, the scope's free names and the old binders."""
+    sp = SPECS[type(t)]
+    old = sp.binders(t)
+    if moving.isdisjoint(old):
+        return t
+    fn = FreeNames()
+    kids = list(sp.kids(t))
+    taken = set(moving).union(fn(kids[sp.scope]), old)
+    new = []
+    for b in old:
+        new.append(fresh_name(b, taken))
+        taken.add(new[-1])
+    kids[sp.scope] = _subst(kids[sp.scope], dict(zip(old, new)), fn)
+    return _rebuild(t, kids, new)
+
+
+def reference_canonicalize(t):
+    """canonicalize as it named each binder, in the same walk, by the first
+    primed variant of its name not yet used, ignoring its sibling."""
+    if is_canonical(t):
+        return t
+    used = set(free_names(t))
+
+    def pick(n: str) -> str:
+        n2 = fresh_name(n, used)
+        used.add(n2)
+        return n2
+
+    def go(t, ren: dict[str, str]):
+        sp = SPECS[type(t)]
+        if sp.var is not None:
+            n = sp.var(t)
+            return _rebuild(t, (), (ren.get(n, n),))
+        kids, bound, names = sp.kids(t), sp.binders(t), None
+        new = []
+        for i, c in enumerate(kids):
+            if i == sp.scope:
+                names = tuple(map(pick, bound))
+                c = go(c, ren | {b: n for b, n in zip(bound, names) if b != n})
+            else:
+                c = go(c, ren)
+            new.append(c)
+        return _rebuild(t, new, names)
+
+    return go(t, {})
+
+
+def renamed_binders(t, u) -> set[tuple[tuple[int, ...], int]]:
+    """(position, index) of each binder of t that u, of the same shape,
+    names differently."""
+    out = set()
+    for (path, a), (_, b) in zip(subterms(t), subterms(u)):
+        out.update((path, i) for i, (x, y)
+                   in enumerate(zip(binders(a), binders(b))) if x != y)
+    return out
+
+
+@functools.cache
+def renaming_population() -> tuple:
+    """The golden items, the capturing permutations, and 3,000 seeded terms
+    with a clashing copy of each."""
+    rng = random.Random(20261023)
+    terms = [t for _, t in golden_items()] + capturing_permutations()
+    for _ in range(3000):
+        t = random_typable_term(rng)
+        terms += [t, clashing_copy(t, rng)]
+    return tuple(terms)
+
+
+class TestOneRenamingPolicy:
+    """Every binder rename goes through _freshen: the new names are alpha
+    equal to those of the earlier policies, and rename no binder that those
+    kept."""
+
+    @pytest.mark.parametrize("names, avoid, expected", [
+        (("x",), set(), (("x",), {})),
+        (("x", "y"), {"x"}, (("x'", "y"), {"x": "x'"})),
+        (("x", "x'"), {"x"}, (("x''", "x'"), {"x": "x''"})),
+        (("x", "y"), {"x", "y", "x'"}, (("x''", "y'"), {"x": "x''",
+                                                        "y": "y'"})),
+        (("y'", "y"), {"y", "y'"}, (("y''", "y'''"), {"y'": "y''",
+                                                      "y": "y'''"})),
+    ])
+    def test_freshen_renames_only_a_clash_past_its_siblings(
+            self, names, avoid, expected):
+        assert _freshen(names, avoid) == expected
+
+    def test_avoid_capture_against_priming_every_binder(self):
+        rng = random.Random(20261022)
+        calls = renames = 0
+        for t in renaming_population():
+            names = sorted(all_names(t))
+            nodes = [s for _, s in subterms(t) if binders(s)]
+            for s in rng.sample(nodes, min(2, len(nodes))):
+                bound = binders(s)
+                moving = frozenset(rng.sample(names, min(3, len(names))))
+                moving |= {rng.choice(bound)}
+                new = avoid_capture(s, moving)
+                ref = reference_avoid_capture(s, moving)
+                assert alpha_eq(new, ref), s
+                assert free_names(new) == free_names(ref)
+                assert moving.isdisjoint(binders(new))
+                changed = renamed_binders(s, new)
+                assert changed <= renamed_binders(s, ref), (s, moving)
+                calls += 1
+                renames += len(changed)
+        assert calls > 10000 and renames > 10000
+
+    def test_avoid_capture_keeps_a_term_that_captures_nothing(self):
+        t = Let("x", A, "y", B, Var("p", Tensor(A, B)), Var("x", A))
+        assert avoid_capture(t, frozenset({"p", "z"})) is t
+
+    def test_canonicalize_against_the_pick_policy(self):
+        nontrivial = 0
+        for t in renaming_population():
+            new, ref = canonicalize(t), reference_canonicalize(t)
+            assert is_canonical(new) and alpha_eq(new, ref), t
+            assert free_names(new) == free_names(ref)
+            changed = renamed_binders(t, new)
+            assert changed <= renamed_binders(t, ref), t
+            nontrivial += bool(changed)
+        assert nontrivial > 1000
 
 
 def _type_key(ty) -> str:
