@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import re
 from typing import NamedTuple
 
 from .parser import ParseError, TokenStream, parse_type, parse_type_stream
 from .syntax import (
     App, Arrow, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var, _PARSED,
-    _PRINTED, _canonical_names, ks_types, print_type,
+    _PRINTED, _canonical_names, _remember_last, ks_types, print_type,
 )
 from .typecheck import _check_canonical
 
@@ -161,8 +162,12 @@ def _formula(d: SDerivation) -> TypeExpr | None:
 # Checking
 # ---------------------------------------------------------------------------
 
+@_remember_last
 def check_derivation(d: SDerivation) -> Sequent:
-    """Validate every node; returns the end sequent of a valid derivation."""
+    """Validate every node; returns the end sequent of a valid derivation.
+
+    A repeated call on the same object (`is`) reuses the last result; a
+    failing one raises again."""
     _check_node(d, ())
     return d.conclusion
 
@@ -249,7 +254,10 @@ def weaken(d: SDerivation, extras) -> SDerivation:
 
 def nd_to_sequent(t: Term) -> SDerivation:
     """Compositional translation of a typable term into a derivation of
-    Gamma |- A, where Gamma is the multiset of free-variable types."""
+    Gamma |- A, where Gamma is the multiset of free-variable types.
+
+    Right after check(t) on the same object, the canonical renaming and the
+    typing are not redone (see typecheck.check)."""
     t, names = _canonical_names(t)
     _check_canonical(t, names)
     return _translate(t, (), names)
@@ -322,6 +330,8 @@ def sequent_to_term(d: SDerivation) -> Term:
     hypothesis or binder, the first premise's term for a cut formula, and g
     applied to it for an ArrL's codomain.  Binders come from one counter and
     each entry goes to one premise, so no term is captured or placed twice.
+    d is validated by check_derivation, which reuses its result when d was
+    the last derivation it checked.
     """
     check_derivation(d)
     counter = itertools.count()
@@ -404,15 +414,15 @@ def eliminate_cuts(d: SDerivation, node_budget: int = 1_000_000) -> SDerivation:
         if built[0] > node_budget:
             raise BudgetExceeded(f"more than {node_budget} nodes built")
 
-    def rebuild(d: SDerivation, premises: tuple[SDerivation, ...]) -> SDerivation:
-        bump()
-        return SDerivation(d.rule, d.conclusion, premises, d.data)
-
     def elim(d: SDerivation) -> SDerivation:
-        premises = tuple(elim(p) for p in d.premises)
-        if d.rule != SRule.CUT:
-            return rebuild(d, premises)
-        return combine(premises[0], premises[1])
+        """d without cuts; d itself when it has none."""
+        premises = [elim(p) for p in d.premises]
+        if d.rule == SRule.CUT:
+            return combine(premises[0], premises[1])
+        bump()
+        if all(map(operator.is_, premises, d.premises)):
+            return d
+        return SDerivation(d.rule, d.conclusion, tuple(premises), d.data)
 
     def combine(p1: SDerivation, p2: SDerivation) -> SDerivation:
         """Cut-free equivalent of cut(p1, p2); both inputs are cut-free."""

@@ -20,6 +20,7 @@ its print_type text, so the type printer is the only code that spells types.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from collections import namedtuple
@@ -569,17 +570,19 @@ def _subst(t, sub: dict, fn: FreeNames):
 def _freshen(names: tuple[str, ...], avoid: set[str]):
     """The one binder-renaming policy: one node's binder names, each one in
     avoid renamed to its first primed variant not in avoid, not among names
-    and not given to an earlier one; and the renaming that applies it."""
-    taken = set(avoid)
+    and not given to an earlier one; and the renaming that applies it.
+
+    One node's binders are distinct, so a kept name is never taken by an
+    earlier binder, and names itself comes back when none is in avoid."""
+    if avoid.isdisjoint(names):
+        return names, {}
+    taken = {*avoid, *names}
     ren: dict[str, str] = {}
-    out = []
     for n in names:
-        if n in taken:
-            ren[n] = fresh_name(n, taken | set(names))
-            n = ren[n]
-        out.append(n)
-        taken.add(n)
-    return tuple(out), ren
+        if n in avoid:
+            ren[n] = fresh = fresh_name(n, taken)
+            taken.add(fresh)
+    return tuple(ren.get(n, n) for n in names), ren
 
 
 def avoid_capture(t, moving: frozenset[str], names: FreeNames | None = None):
@@ -715,6 +718,31 @@ def distinct_reducts(t, redexes, contract) -> list:
     return list(seen.values())
 
 
+def _remember_last(fn):
+    """fn, which answers a call whose first argument is the very object (`is`)
+    of the last call that returned with that call's result.
+
+    Only for a function of immutable objects (terms, derivations, interned
+    types) that reads no other state.  The memo is one (argument, result)
+    tuple, read once and replaced whole, so a thread never sees one call's
+    argument with another's result; it holds the argument, so that id is not
+    reused.  A call that raises stores nothing and raises again next time.
+    """
+    last = (object(), None)
+
+    @functools.wraps(fn)
+    def remembered(x, *rest):
+        nonlocal last
+        arg, result = last
+        if arg is x:
+            return result
+        result = fn(x, *rest)
+        last = x, result
+        return result
+
+    return remembered
+
+
 def canonicalize(t):
     """Rename binders so all are distinct from each other and from free names.
 
@@ -724,13 +752,17 @@ def canonicalize(t):
     return _canonical_names(t)[0]
 
 
+@_remember_last
 def _canonical_names(t):
     """canonicalize(t), and its variables' names, or None when a name occurs
     twice, which is when the canonical term contracts: two occurrences of a
     name lie in two children of their lowest common ancestor, and are free
     there, since that node binds in one child only and a binder below it
     would leave the other occurrence outside its scope, which canonicity
-    forbids.  Conversely, contraction is a name free in two children."""
+    forbids.  Conversely, contraction is a name free in two children.
+
+    A repeated call on the same t returns the same result, names set
+    included, so callers only read that set."""
     canonical, names = _scan(t)
     if canonical:
         return t, names

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 from .syntax import (
     App, Arrow, Atom, Break, DistinctBinders, IllFormedTermError, Lam, Let,
-    Node, Pair, Tensor, Term, TypeExpr, Var, _canonical_names, constructor,
-    canonical_contraction, first_contraction, ks_types, print_type,
+    Node, Pair, Tensor, Term, TypeExpr, Var, _canonical_names, _remember_last,
+    constructor, canonical_contraction, first_contraction, ks_types, print_type,
 )
 
 
@@ -71,13 +71,16 @@ def check(t: Term) -> TypeExpr:
 
     Rejects contraction (a name used in both premises of a two-premise rule)
     before anything else, then validates annotations against binders and
-    rejects a free name occurring at two types.
+    rejects a free name occurring at two types.  A repeated call on the same
+    object (`is`) reuses the last result; a failing one raises again.
     """
     return _check_canonical(*_canonical_names(t))
 
 
+@_remember_last
 def _check_canonical(t: Term, names: set[str] | None) -> TypeExpr:
-    """check of a canonical t with the names of syntax._canonical_names."""
+    """check of a canonical t with the names of syntax._canonical_names,
+    which are a function of t."""
     if names is None:
         raise AffinityViolation(canonical_contraction(t))
     return _check(t, {}, (), {})

@@ -2,10 +2,12 @@
 break-from-cut constructions, bounded search, and serialization."""
 
 import itertools
+import json
 import random
 import re
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +19,8 @@ from breakcalc.parser import (
 from breakcalc.printer import print_term
 from breakcalc.reduction import RuleName, find_redexes, normalize
 from breakcalc.sequent import (
-    InvalidRule, PreconditionViolation, SDerivation, Sequent, SRule, arr_l,
-    arr_r, asm, brk, brk_via_cut_empty, brk_via_cut_superfluous,
+    BudgetExceeded, InvalidRule, PreconditionViolation, SDerivation, Sequent,
+    SRule, arr_l, arr_r, asm, brk, brk_via_cut_empty, brk_via_cut_superfluous,
     check_derivation, cut, eliminate_cuts, nd_to_sequent, parse_derivation,
     print_derivation, prove_bounded, sequent, sequent_to_term, tens_l, tens_r,
     weaken,
@@ -38,6 +40,7 @@ from test_parse_errors import (
 )
 
 A, B, C, P = Atom("A"), Atom("B"), Atom("C"), Atom("P")
+BUDGETS = Path(__file__).resolve().parent / "cut_budgets.json"
 
 
 def translated_population(seed: int, count: int, max_size: int = 22):
@@ -156,6 +159,65 @@ class TestCheckDerivation:
                             check_derivation(at(root, path, bad))
                         assert err.value.path == path, (n.rule, concl)
         assert seen == set(SRule) - {SRule.ASM}
+
+
+class TestRepeatedCheck:
+    """check_derivation answers a repeated call on the same object from its
+    last result, and sequent_to_term validates through it; a failing call
+    stores nothing."""
+
+    def pair(self):
+        """A valid derivation, and one whose end sequent its root does not
+        conclude."""
+        good = nd_to_sequent(parse_term(r"\x:A. \y:B. <y, x>"))
+        bad = good._replace(
+            conclusion=sequent([C], good.conclusion.succedent))
+        return good, bad
+
+    def test_an_invalid_derivation_after_a_valid_one_still_raises(self):
+        good, bad = self.pair()
+        for f in (check_derivation, sequent_to_term):
+            check_derivation(good)
+            with pytest.raises(InvalidRule) as err:
+                f(bad)
+            assert err.value.path == ()
+
+    def test_a_failing_check_raises_again(self):
+        _, bad = self.pair()
+        for f in (check_derivation, check_derivation, sequent_to_term,
+                  check_derivation):
+            with pytest.raises(InvalidRule) as err:
+                f(bad)
+            assert err.value.path == ()
+
+    def test_an_equal_distinct_object_gets_the_same_answer(self):
+        good, bad = self.pair()
+        copy = SDerivation(*good)
+        assert copy == good and copy is not good
+        assert check_derivation(good) == check_derivation(copy) \
+            == good.conclusion
+        for d in (bad, SDerivation(*bad)):
+            with pytest.raises(InvalidRule):
+                check_derivation(d)
+
+    def test_sequent_to_term_after_check_derivation_runs_no_check_node(
+            self, monkeypatch):
+        visits = []
+        real = sequent_module._check_node
+
+        def counted(d, path):
+            visits.append(path)
+            real(d, path)
+
+        monkeypatch.setattr(sequent_module, "_check_node", counted)
+        d, _ = self.pair()
+        n = d.node_count()
+        check_derivation(d)
+        assert len(visits) == n
+        t = sequent_to_term(d)
+        assert len(visits) == n
+        assert sequent_to_term(SDerivation(*d)) == t
+        assert len(visits) == 2 * n
 
 
 def _nodes(d, path=()):
@@ -559,6 +621,25 @@ class TestEliminateCuts:
     def test_cut_free_input_unchanged(self):
         d = nd_to_sequent(Var("x", A))
         assert eliminate_cuts(d) == d
+
+    def test_cut_free_derivations_come_back_themselves(self):
+        for _, d in translated_population(74, 100):
+            out = eliminate_cuts(d)
+            assert eliminate_cuts(out) is out
+
+    def test_smallest_budgets_are_the_recorded_counts(self):
+        """cut_budgets.json holds, per golden item, the smallest node_budget
+        that eliminate_cuts accepts on its nd_to_sequent derivation.  Each
+        visited node counts once, whether it is rebuilt or comes back as
+        itself."""
+        budgets = json.loads(BUDGETS.read_text(encoding="utf-8"))
+        items = dict(golden_items())
+        assert list(budgets) == list(items)
+        for name, t in items.items():
+            d = nd_to_sequent(t)
+            eliminate_cuts(d, node_budget=budgets[name])
+            with pytest.raises(BudgetExceeded):
+                eliminate_cuts(d, node_budget=budgets[name] - 1)
 
     def test_divisibility_wrapper_goes_cut_free(self):
         _, u = divisibility_terms(A, B)

@@ -1,6 +1,9 @@
 """Type checking, erasure, and principal type inference."""
 
 import random
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -85,6 +88,84 @@ class TestCheck:
         }
         for axiom, ty in expected.items():
             assert check(axiom_term(axiom, A, B, C)) == ty
+
+
+def copied(t):
+    """An object equal to t but not t itself."""
+    u = type(t)(*t)
+    assert u == t and u is not t
+    return u
+
+
+class TestRepeatedCheck:
+    """check answers a repeated call on the same object from its last
+    result, which nd_to_sequent shares; a failing call stores nothing."""
+
+    good = Lam("f", Arrow(A, B), Lam("x", A, App(Var("f", Arrow(A, B)),
+                                                  Var("x", A))))
+    mismatch = App(Var("g", Arrow(A, B)), Var("y", B))
+    contraction = Pair(Var("a", A), Var("a", A))
+
+    def test_a_failing_check_raises_again(self):
+        for bad in (self.mismatch, self.contraction):
+            expected = outcome(check, bad)
+            assert expected[0] in (TypeMismatch, AffinityViolation)
+            for f in (check, check, nd_to_sequent, check):
+                assert outcome(f, bad) == expected
+
+    def test_an_ill_typed_term_after_a_typable_one_still_raises(self):
+        for bad in (self.mismatch, self.contraction):
+            expected = outcome(check, bad)
+            for f in (check, nd_to_sequent):
+                check(self.good)
+                assert outcome(f, bad) == expected
+
+    def test_an_equal_distinct_object_gets_the_same_answer(self):
+        for t in (self.good, self.mismatch, self.contraction):
+            assert outcome(check, copied(t)) == outcome(check, t)
+            assert outcome(check, t) == outcome(check, copied(t))
+
+    def test_nd_to_sequent_after_check_runs_no_scan_and_no_check(
+            self, monkeypatch):
+        counts = Counter()
+        for module, name in ((syntax_module, "_scan"),
+                             (typecheck_module, "_check")):
+            def counted(*args, real=getattr(module, name), name=name):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+        t = copied(self.good)
+        ty = check(t)
+        assert counts["_scan"] == 1 and counts["_check"] > 0
+        counts.clear()
+        assert nd_to_sequent(t).conclusion.succedent is ty
+        assert not counts
+
+    def test_two_threads_alternating_two_terms_get_their_own_types(self):
+        terms = [self.good, Pair(Var("p", A), Var("q", B))]
+        types = [check(t) for t in terms]
+        assert types[0] != types[1]
+        wrong = []
+
+        def run(offset: int) -> None:
+            for i in range(offset, offset + 4000):
+                t, ty = terms[i % 2], types[i % 2]
+                if check(t) is not ty:
+                    wrong.append((t, ty))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,))
+                       for k in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not wrong
 
 
 class TestErase:
