@@ -144,11 +144,13 @@ def l_contract_at(e: LTerm, path: tuple[int, ...]) -> LTerm:
 
 
 def l_step(e: LTerm) -> list[LTerm]:
-    """All one-step reducts, deduplicated up to alpha equivalence, with keys
-    spliced as in reducts_one_step."""
+    """All one-step reducts, deduplicated up to alpha equivalence, found,
+    keyed and placed in one walk as in reducts_one_step; each redex has the
+    one rule None, as a redex is contracted the same way whatever its
+    rule."""
     names = FreeNames()
-    return distinct_reducts(e, [(path, None) for path in l_find_redexes(e)],
-                            lambda node, _: _l_contract(node, names))
+    return distinct_reducts(e, lambda node: (None,) if _l_is_redex(node)
+                            else (), lambda node, _: _l_contract(node, names))
 
 
 def l_normalize(e: LTerm, max_steps: int = 100_000) -> LTerm:

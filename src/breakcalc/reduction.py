@@ -34,7 +34,6 @@ class RuleName(str, enum.Enum):
         return self.value
 
 
-STANDARD_RULES = frozenset({RuleName.BETA, RuleName.L_CONV, RuleName.B_CONV})
 #: The permuting conversions by (outer class, inner class); b-l-conv, off
 #: unless experimental, is (Break, Let).  All five are two schemata: an
 #: argument (outer App) or an outer body (outer Let or Break) moves under
@@ -201,22 +200,24 @@ def normalize(t: Term, max_steps: int = 100_000, strategy: str = "first",
 
     Neither strategy lists the redexes.  Whether a node is a redex depends
     on its subtree alone, and a step at position p rebuilds only p and its
-    ancestors.  So of the nodes before p in preorder, only the ancestors of
-    p can have become redexes: the others are the objects they were before
-    the step, when none of them was a redex.  The first strategy's next
-    search therefore checks the ancestors root first, then goes on in
-    preorder from p (its subtree, then the right siblings along the path)
-    and stops at the first redex.
+    ancestors; every other node is the object it was before the step.  The
+    first strategy had no redex before p in preorder, so its next search
+    checks the ancestors of p root first, then goes on in preorder from p
+    (its subtree, then the right siblings along the path) and stops at the
+    first redex.  The last strategy had none after p, so its next search
+    (see LastRedex) looks in the contractum, then climbs from p, looking at
+    each ancestor's children left of the path, right to left, and then at
+    the ancestor itself.
 
     The last redex in a subtree depends on the subtree alone too, so the
     last strategy memoises it by node identity, beside the free names.  An
-    entry holds its node, so it stays right for as long as it exists.  The
-    first search makes an entry for every node.  After a step only the
-    nodes it builds (the new spine and the contractum's new nodes) and the
-    redex's children lack one, so the next search makes entries for those
-    and reads the rest from the memo.  Both memos forget the nodes a step
-    replaces, the spine and the redex's children, which only bounds their
-    size.
+    entry holds its node, so it stays right for as long as it exists.  Both
+    memos forget the nodes a step replaces, the spine and the redex's
+    children, which only bounds their size.
+
+    Each search returns the spine down to the redex it finds, so a step
+    costs its search, its contraction and the rebuilt spine, which gives
+    the root that TraceStep.after holds.
     """
     if strategy not in ("first", "last"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -244,34 +245,38 @@ def reduce_steps(t, max_steps: int, search, contract, memos):
     """Contract the redexes that search picks until none is left, yielding
     (redex, before, after) per step.
 
-    search(spine, path) gives the next redex of spine[0], where spine holds
-    the nodes from the root to the last contracted position path, or None;
-    contract(node, rule) gives the contractum of a redex; every memo in
-    memos forgets the nodes a step replaces.  StepBudgetExceeded if a redex
-    is left after max_steps steps; ValueError if max_steps is negative.
+    search(spine, path) gives the next redex of spine[0] with the nodes
+    from spine[0] down to it, or None, where spine holds the nodes from the
+    root to path, the position the last step contracted ([t] and () before
+    the first step).  contract(node, rule) gives the contractum of a redex;
+    every memo in memos forgets the nodes a step replaces.  Of the term, a
+    step rebuilds only the found spine, over the contractum.
+    StepBudgetExceeded if a redex is left after max_steps steps; ValueError
+    if max_steps is negative.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, not {max_steps}")
-    r = search([t], ())
+    found = search([t], ())
     for _ in range(max_steps):
-        if r is None:
+        if found is None:
             return
-        old = spine_at(t, r.position)
+        r, old = found
         spine = rebuild_spine(old, r.position, contract(old[-1], r.rule))
         for memo in memos:
             memo.forget(old)
             memo.forget(children(old[-1]))
         yield r, t, spine[0]
         t = spine[0]
-        r = search(spine, r.position)
-    if r is not None:
+        found = search(spine, r.position)
+    if found is not None:
         raise StepBudgetExceeded(max_steps)
 
 
-def first_redex(spine: list, path: tuple[int, ...], rule_at) -> Redex | None:
-    """The first redex in preorder of spine[0], where spine holds the nodes
-    from the root to path and no node before path in preorder, other than
-    its ancestors, is a redex.
+def first_redex(spine: list, path: tuple[int, ...],
+                rule_at) -> tuple[Redex, list] | None:
+    """The first redex in preorder of spine[0], with the nodes from spine[0]
+    down to it, or None; spine holds the nodes from the root to path and no
+    node before path in preorder, other than its ancestors, is a redex.
 
     rule_at(node) is the rule to contract at node, or None if it is no
     redex.
@@ -279,7 +284,7 @@ def first_redex(spine: list, path: tuple[int, ...], rule_at) -> Redex | None:
     for d in range(len(path)):
         rule = rule_at(spine[d])
         if rule:
-            return Redex(path[:d], rule)
+            return Redex(path[:d], rule), spine[:d + 1]
     # path's subtree, then the right siblings of path and of each ancestor
     roots = [(path, spine[-1])]
     for d in range(len(path) - 1, -1, -1):
@@ -290,12 +295,15 @@ def first_redex(spine: list, path: tuple[int, ...], rule_at) -> Redex | None:
         for rel, sub in subterms(root):
             rule = rule_at(sub)
             if rule:
-                return Redex(prefix + rel, rule)
+                return (Redex(prefix + rel, rule),
+                        spine[:len(prefix)] + spine_at(root, rel))
     return None
 
 
 class LastRedex:
-    """The last redex in preorder of a term, memoised by node identity.
+    """The last redex in preorder of a term, found from where the last step
+    contracted, with the last redex of each subtree memoised by node
+    identity.
 
     rule_at(node) is the rule to contract at node, or None if it is no
     redex.  A node's entry is None when its subtree has no redex, else the
@@ -310,17 +318,46 @@ class LastRedex:
         self.memo: dict[int, tuple] = {}
         self.rule_at = rule_at
 
-    def __call__(self, spine: list, path: tuple[int, ...]) -> Redex | None:
-        t = spine[0]
-        found = self._last(t)
+    def __call__(self, spine: list,
+                 path: tuple[int, ...]) -> tuple[Redex, list] | None:
+        """The last redex of spine[0], with the nodes from spine[0] down to
+        it, or None; spine holds the nodes from the root to path, and no
+        node after path in preorder is a redex unless it is in path's
+        subtree.
+
+        After a step at path that holds: the step built only the spine and
+        the contractum, and before it nothing after path was a redex.  So
+        the answer is the last redex of the contractum, or else the search
+        climbs, and at each ancestor looks at the children left of the path,
+        right to left, then at the ancestor itself.  An ancestor it climbs
+        past holds no redex and gets the entry None.  The first call passes
+        [t] and (), so it looks at all of t.
+        """
+        memo, last = self.memo, self._last
+        d = len(path)
+        found = last(spine[d])
+        while found is None and d:
+            d -= 1
+            u = spine[d]
+            kids = children(u)
+            for i in range(path[d] - 1, -1, -1):
+                if last(kids[i]) is not None:
+                    found = (i, None)
+                    break
+            else:
+                rule = self.rule_at(u)
+                if rule:
+                    found = (-1, rule)
+                else:
+                    memo[id(u)] = (u, None)
         if found is None:
             return None
-        position = []
+        position, spine = list(path[:d]), spine[:d + 1]
         while found[0] >= 0:
             position.append(found[0])
-            t = children(t)[found[0]]
-            found = self._last(t)
-        return Redex(tuple(position), found[1])
+            spine.append(children(spine[-1])[found[0]])
+            found = last(spine[-1])
+        return Redex(tuple(position), found[1]), spine
 
     def forget(self, nodes) -> None:
         pop = self.memo.pop
@@ -366,14 +403,15 @@ def reducts_one_step(t: Term, experimental: bool = False) -> list[Term]:
     """All one-step reducts, deduplicated up to alpha equivalence, in the
     order of their first redex in preorder.
 
-    Each reduct's key is t's key with the contracted node's key spliced in
-    at its position (see syntax.distinct_reducts).  That equals alpha_key
+    One walk over t writes its key and lists its redexes (see
+    syntax.distinct_reducts).  Each reduct's key is t's key with the
+    contracted node's key spliced in at its position.  That equals alpha_key
     of the reduct byte for byte, because a key is written node by node and
     each node's part depends only on the node and the levels of the names
     bound above it, which the step leaves unchanged.
     """
     fn = FreeNames()
-    return distinct_reducts(t, find_redexes(t, experimental),
+    return distinct_reducts(t, lambda node: _node_rules(node, experimental, fn),
                             lambda node, rule: _contract(node, rule, fn))
 
 

@@ -636,12 +636,16 @@ def alpha_key(t) -> str:
 
 
 def _key_parts(t, env: dict[str, int], depth: int, parts: list[str],
-               spans: list | None) -> None:
+               walk: tuple | None) -> None:
     """Append t's key to parts, where env gives the levels of the names
     bound around t and depth is the next level.
 
-    When spans is a list, each node appends [start, end, env, depth] to it,
-    in preorder: its key is parts[start:end], written in that context.
+    When walk is (rules_at, spine, path, found), the walk also lists t's
+    redexes: spine and path hold the nodes and child indices from the root
+    down to t's parent, and a node for which rules_at gives rules appends
+    (path, spine, rules, span) to found, in preorder, where spine ends at
+    the node and its key is parts[span[0]:span[1]], written in the context
+    span[2:] (env, depth).
     """
     # module level, not a closure: a self-referencing closure is a cycle that
     # keeps every key fragment alive until the cycle collector runs.
@@ -655,89 +659,104 @@ def _key_parts(t, env: dict[str, int], depth: int, parts: list[str],
     # an identifier or a ")".
     sp = SPECS[type(t)]
     append = parts.append
-    if spans is not None:
-        span = [len(parts), 0, env, depth]
-        spans.append(span)
     if sp.var is not None:
         n = sp.var(t)
         append(f"{sp.tag}#{env[n]}" if n in env else sp.tag + n)
         for a in sp.annots(t):
             append(":" + _PRINTED[a])
-    else:
-        append(sp.tag)
-        for a in sp.annots(t):
-            append(":" + _PRINTED[a])
-        append("(")
-        scope = sp.scope
-        for i, c in enumerate(sp.kids(t)):
-            if i:
-                append(",")
-            if i == scope:  # binders get the next levels, in order
-                inner, d = env.copy(), depth
-                for b in sp.binders(t):
-                    inner[b] = d
-                    d += 1
-                _key_parts(c, inner, d, parts, spans)
-            else:
-                _key_parts(c, env, depth, parts, spans)
-        append(")")
-    if spans is not None:
-        span[1] = len(parts)
+        return
+    if walk is not None:
+        rules_at, spine, path, found = walk
+        spine.append(t)
+        rules = rules_at(t)
+        if rules:
+            span = [len(parts), 0, env, depth]
+            found.append((tuple(path), spine.copy(), rules, span))
+        path.append(0)
+    append(sp.tag)
+    for a in sp.annots(t):
+        append(":" + _PRINTED[a])
+    append("(")
+    scope = sp.scope
+    for i, c in enumerate(sp.kids(t)):
+        if i:
+            append(",")
+            if walk is not None:
+                path[-1] = i
+        if i == scope:  # binders get the next levels, in order
+            inner, d = env.copy(), depth
+            for b in sp.binders(t):
+                inner[b] = d
+                d += 1
+            _key_parts(c, inner, d, parts, walk)
+        else:
+            _key_parts(c, env, depth, parts, walk)
+    append(")")
+    if walk is not None:
+        spine.pop()
+        path.pop()
+        if rules:
+            span[1] = len(parts)
 
 
-def distinct_reducts(t, redexes, contract) -> list:
-    """t with the node at each redex position replaced, deduplicated up to
-    alpha equivalence; the first of each class is kept, in redex order.
+def distinct_reducts(t, rules_at, contract) -> list:
+    """The one-step reducts of t, deduplicated up to alpha equivalence; the
+    first of each class is kept, in the order of the redexes in preorder.
 
-    `redexes` are (position, rule) pairs and contract(node, rule) is the
-    node's replacement.  t's key is written once, with each node's span and
-    binding context.  A reduct keeps every node off the path to its
-    position, and the ancestors on it keep their binders, so alpha_key of
-    the reduct is t's key with that position's span replaced by the new
-    node's key written in the same context.  Only a reduct whose key is new
-    is built.
+    rules_at(node) gives the rules that match at node, in order, and
+    contract(node, rule) the node's replacement.  One walk writes t's key,
+    with each redex's span and binding context, and keeps the spine down to
+    each redex.  A reduct keeps every node off the path to its position, and
+    the ancestors on it keep their binders, so alpha_key of the reduct is
+    t's key with that position's span replaced by the new node's key written
+    in the same context.  Only a reduct whose key is new is built, from the
+    kept spine.  A variable is never a redex, so rules_at is not asked
+    about one.
     """
-    if not redexes:
-        return []
     parts: list[str] = []
-    spans: list = []
-    _key_parts(t, {}, 0, parts, spans)
+    found: list = []
+    _key_parts(t, {}, 0, parts, (rules_at, [], [], found))
+    if not found:
+        return []
     offsets = list(accumulate(map(len, parts), initial=0))
     key = "".join(parts)
-    span_at = {path: span for (path, _), span in zip(subterms(t), spans)}
     seen: dict[str, object] = {}
-    for path, rule in redexes:
-        spine = spine_at(t, path)
-        new = contract(spine[-1], rule)
-        start, end, env, depth = span_at[path]
-        mid: list[str] = []
-        _key_parts(new, env, depth, mid, None)
-        k = key[:offsets[start]] + "".join(mid) + key[offsets[end]:]
-        if k not in seen:
-            seen[k] = rebuild_spine(spine, path, new)[0]
+    for path, spine, rules, (start, end, env, depth) in found:
+        for rule in rules:
+            new = contract(spine[-1], rule)
+            mid: list[str] = []
+            _key_parts(new, env, depth, mid, None)
+            k = key[:offsets[start]] + "".join(mid) + key[offsets[end]:]
+            if k not in seen:
+                seen[k] = rebuild_spine(spine, path, new)[0]
     return list(seen.values())
 
 
 def _remember_last(fn):
     """fn, which answers a call whose first argument is the very object (`is`)
-    of the last call that returned with that call's result.
+    of one of the last two calls that returned with that call's result.
 
-    Only for a function of immutable objects (terms, derivations, interned
-    types) that reads no other state.  The memo is one (argument, result)
-    tuple, read once and replaced whole, so a thread never sees one call's
-    argument with another's result; it holds the argument, so that id is not
+    Two, so that one call on another object in between does not evict the
+    first: star_translate(t) after check(t) and infer_principal(erase(t))
+    finds t's canonical names still there.  Only for a function of immutable
+    objects (terms, derivations, interned types) that reads no other state.
+    The memo is one tuple of two (argument, result) pairs, newest first,
+    read once and replaced whole, so a thread never sees one call's argument
+    with another's result; it holds the arguments, so their ids are not
     reused.  A call that raises stores nothing and raises again next time.
     """
-    last = (object(), None)
+    last = (object(), None, object(), None)
 
     @functools.wraps(fn)
     def remembered(x, *rest):
         nonlocal last
-        arg, result = last
-        if arg is x:
-            return result
+        memo = last
+        if memo[0] is x:
+            return memo[1]
+        if memo[2] is x:
+            return memo[3]
         result = fn(x, *rest)
-        last = x, result
+        last = (x, result) + memo[:2]
         return result
 
     return remembered

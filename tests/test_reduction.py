@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import breakcalc.reduction as reduction_module
 from breakcalc import catalog
 from breakcalc.catalog import divisibility_terms, identity_break
 from breakcalc.lambda_pair import (
@@ -521,6 +522,31 @@ def identity_chain(n: int):
     for i in reversed(range(n)):
         t = App(Lam(f"x{i}", A, Var(f"x{i}", A)), t)
     return t
+
+
+def test_last_search_work_is_linear_in_the_depth(monkeypatch):
+    """The last strategy on the identity chain: each step's search starts
+    where the step contracted, so the nodes the searches visit (counted as
+    calls to children and to the rule matcher, not timed) grow linearly
+    with the depth; a search from the root would grow quadratically."""
+    visits = [0]
+
+    def counted(real):
+        def wrapper(*args):
+            visits[0] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("children", "_node_rules"):
+        monkeypatch.setattr(reduction_module, name,
+                            counted(getattr(reduction_module, name)))
+    counts = []
+    for n in (200, 400):
+        visits[0] = 0
+        nf, steps = normalize(identity_chain(n), strategy="last")
+        assert nf == Var("w", A) and len(steps) == n
+        counts.append(visits[0])
+    assert counts[1] <= 2.5 * counts[0]
 
 
 def break_chain(n: int):

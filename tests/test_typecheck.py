@@ -13,7 +13,10 @@ from breakcalc.catalog import AxiomId, axiom_term
 from breakcalc.lambda_pair import star_translate
 from breakcalc.parser import parse_term
 from breakcalc.printer import print_type
-from breakcalc.sequent import nd_to_sequent
+from breakcalc.sequent import (
+    check_derivation, eliminate_cuts, nd_to_sequent, parse_derivation,
+    print_derivation, sequent_to_term,
+)
 from breakcalc.syntax import (
     App, Arrow, Atom, Lam, Pair, Tensor, Var, affine_check, alpha_eq,
     canonical_contraction, canonicalize, first_contraction, free_names,
@@ -141,31 +144,63 @@ class TestRepeatedCheck:
         assert nd_to_sequent(t).conclusion.succedent is ty
         assert not counts
 
+    def test_check_infer_translate_extract_scan_each_term_once(
+            self, monkeypatch):
+        # t, its erasure and the extracted term, as the sequence of calls
+        # in the proofs benchmark makes them; the erasure's scan between
+        # check(t) and star_translate(t) must not evict t
+        scanned = []
+        real = syntax_module._scan
+        monkeypatch.setattr(syntax_module, "_scan",
+                            lambda t: scanned.append(t) or real(t))
+        t = copied(self.good)
+        ty = check(t)
+        u = erase(t)
+        infer_principal(u)
+        star_translate(t)
+        text = print_derivation(eliminate_cuts(nd_to_sequent(t)))
+        parsed = parse_derivation(text)
+        check_derivation(parsed)
+        extracted = sequent_to_term(parsed)
+        assert check(extracted) == ty
+        assert [id(x) for x in scanned] == [id(t), id(u), id(extracted)]
+
     def test_two_threads_alternating_two_terms_get_their_own_types(self):
-        terms = [self.good, Pair(Var("p", A), Var("q", B))]
-        types = [check(t) for t in terms]
-        assert types[0] != types[1]
-        wrong = []
+        assert_threads_get_their_own_types(
+            [self.good, Pair(Var("p", A), Var("q", B))])
 
-        def run(offset: int) -> None:
-            for i in range(offset, offset + 4000):
-                t, ty = terms[i % 2], types[i % 2]
-                if check(t) is not ty:
-                    wrong.append((t, ty))
+    def test_two_threads_cycling_three_terms_get_their_own_types(self):
+        # three terms, so that the memo of the last two calls keeps storing
+        assert_threads_get_their_own_types(
+            [self.good, Pair(Var("p", A), Var("q", B)), Var("r", C)])
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=run, args=(k,))
-                       for k in range(2)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert not wrong
+
+def assert_threads_get_their_own_types(terms):
+    """Two threads check the terms in turn, with a 1 us switch interval;
+    every check returns the term's own type."""
+    types = [check(t) for t in terms]
+    assert len(set(types)) == len(terms)
+    wrong = []
+
+    def run(offset: int) -> None:
+        for i in range(offset, offset + 4000):
+            t, ty = terms[i % len(terms)], types[i % len(terms)]
+            if check(t) is not ty:
+                wrong.append((t, ty))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not wrong
 
 
 class TestErase:
