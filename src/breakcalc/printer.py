@@ -7,8 +7,8 @@ so the output is self-contained; bound occurrences are bare.
 from __future__ import annotations
 
 from .syntax import (  # print_type is re-exported
-    _ARG_L, _ARG_R, _TOP, App, Break, FreeNames, Lam, Let, Pair, Term, Var,
-    print_type,
+    _ARG_L, _ARG_R, _PRINTED, _TOP, App, Break, FreeNames, Lam, Let, Pair,
+    Term, Var, print_type,
 )
 from .lambda_pair import LApp, LLam, LPair, LProj0, LProj1, LTerm, LVar
 
@@ -31,12 +31,17 @@ class TermPrinter:
     names; the user of a text adds the parentheses its position needs.  Call
     `forget` with the nodes that have left the terms still to be printed (a
     step's replaced spine), so that the memo holds about one term's text.
+
+    `text` is the one builder, memo or none: it tests the node's class,
+    reads its fields by index and calls itself on the children, so a
+    nesting level costs one Python frame, and about 900 levels print under
+    the default recursion limit.
     """
 
     __slots__ = ("memo", "names")
 
     def __init__(self) -> None:
-        self.memo: dict[int, tuple[Term, frozenset[str], str]] = {}
+        self.memo: dict[int, tuple[Term, frozenset[str], str]] | None = {}
         self.names = FreeNames()
 
     def __call__(self, t: Term) -> str:
@@ -50,42 +55,49 @@ class TermPrinter:
 
     def text(self, t: Term, bound: frozenset[str]) -> str:
         """t's text, without outer parentheses, when bound is bound around it."""
-        if bound:
-            bound = bound.intersection(self.names(t))
-        hit = self.memo.get(id(t))
-        if hit is not None and hit[1] == bound:
-            return hit[2]
-        s = self._build(t, bound)
-        self.memo[id(t)] = (t, bound, s)
+        cls = type(t)
+        if cls is Var:  # cheaper to build than to memoise
+            name = t[0]
+            return name if name in bound else f"({name} : {_PRINTED[t[1]]})"
+        memo = self.memo
+        if memo is not None:
+            if bound:
+                bound = bound.intersection(self.names(t))
+            hit = memo.get(id(t))
+            if hit is not None and hit[1] == bound:
+                return hit[2]
+        if cls is App:
+            fun, arg = t[0], t[1]
+            f, a = self.text(fun, bound), self.text(arg, bound)
+            if isinstance(fun, _OPEN):
+                f = f"({f})"
+            s = f"{f} ({a})" if isinstance(arg, _OPEN_OR_APP) else f"{f} {a}"
+        elif cls is Lam:
+            b = t[0]
+            s = f"\\{b}:{_PRINTED[t[1]]}. {self.text(t[2], bound | {b})}"
+        elif cls is Pair:
+            s = f"<{self.text(t[0], bound)}, {self.text(t[1], bound)}>"
+        elif cls is Let:
+            # scrutinees would reparse unparenthesized, but parens keep the
+            # binding structure readable
+            x, y, scrut = t[0], t[2], t[4]
+            sc = self.text(scrut, bound)
+            if isinstance(scrut, _OPEN):
+                sc = f"({sc})"
+            s = (f"let <{x}:{_PRINTED[t[1]]}, {y}:{_PRINTED[t[3]]}> = {sc} "
+                 f"in {self.text(t[5], bound | {x, y})}")
+        elif cls is Break:
+            scrut, phi, f = t[0], t[1], t[2]
+            sc = self.text(scrut, bound)
+            if isinstance(scrut, _OPEN):
+                sc = f"({sc})"
+            s = (f"break {sc} as <{phi}, {f}> @ {_PRINTED[t[3]]} in "
+                 f"{self.text(t[4], bound | {phi, f})}")
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        if memo is not None:
+            memo[id(t)] = (t, bound, s)
         return s
-
-    def _part(self, t: Term, bound: frozenset[str], parens: tuple) -> str:
-        s = self.text(t, bound)
-        return f"({s})" if isinstance(t, parens) else s
-
-    def _build(self, t: Term, bound: frozenset[str]) -> str:
-        match t:
-            case Var(name, ty):
-                return name if name in bound else f"({name} : {print_type(ty)})"
-            case Lam(b, bt, body):
-                return f"\\{b}:{print_type(bt)}. {self.text(body, bound | {b})}"
-            case App(fun, arg):
-                return (f"{self._part(fun, bound, _OPEN)} "
-                        f"{self._part(arg, bound, _OPEN_OR_APP)}")
-            case Pair(first, second):
-                return (f"<{self.text(first, bound)}, "
-                        f"{self.text(second, bound)}>")
-            case Let(x, xt, y, yt, scrut, body):
-                # scrutinees would reparse unparenthesized, but parens keep
-                # the binding structure readable
-                return (f"let <{x}:{print_type(xt)}, {y}:{print_type(yt)}> = "
-                        f"{self._part(scrut, bound, _OPEN)} in "
-                        f"{self.text(body, bound | {x, y})}")
-            case Break(scrut, phi, f, residue, body):
-                return (f"break {self._part(scrut, bound, _OPEN)} as "
-                        f"<{phi}, {f}> @ {print_type(residue)} in "
-                        f"{self.text(body, bound | {phi, f})}")
-        raise TypeError(f"not a term: {t!r}")
 
 
 class _PlainPrinter(TermPrinter):
@@ -94,9 +106,7 @@ class _PlainPrinter(TermPrinter):
     __slots__ = ()
 
     def __init__(self) -> None:
-        pass
-
-    text = TermPrinter._build
+        self.memo = self.names = None
 
 
 def print_lterm(e: LTerm) -> str:

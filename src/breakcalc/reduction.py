@@ -83,26 +83,36 @@ class TraceStep(NamedTuple):
 # Redex discovery
 # ---------------------------------------------------------------------------
 
-def _node_rules(t: Term, experimental: bool, fn) -> list[RuleName]:
-    """The rules matching at the root of t; fn gives free names of subterms."""
-    rules: list[RuleName] = []
-    match t:
-        case App(fun=Lam()):
-            rules.append(RuleName.BETA)
-        case App(fun=Let() | Break() as inner):
-            rules.append(_PERMUTING[App, type(inner)])
-        case Let(scrutinee=Pair()):
-            rules.append(RuleName.L_CONV)
-        case Let(scrutinee=Let() | Break() as inner, body=body):
-            if fn(body).isdisjoint(binders(inner)):
-                rules.append(_PERMUTING[Let, type(inner)])
-        case Break(scrutinee=scrut, phi=phi, f=f, body=body):
-            fns = fn(body)
-            if phi not in fns or f not in fns or not fn(scrut):
-                rules.append(RuleName.B_CONV)
-            if experimental and isinstance(scrut, Let):
-                rules.append(RuleName.B_L_CONV)
-    return rules
+def _node_rules(t: Term, experimental: bool, fn) -> tuple[RuleName, ...]:
+    """The rules matching at the root of t; fn gives free names of subterms.
+
+    One test of t's class picks the case and its fields are read by index:
+    an App is a beta or permuting redex by its function's class, a Let an
+    l-conv or (under the free-name side condition) permuting redex by its
+    scrutinee's, and a Break a b-conv redex, then a b-l-conv one.
+    """
+    cls = type(t)
+    if cls is App:
+        inner = type(t[0])
+        if inner is Lam:
+            return (RuleName.BETA,)
+        rule = _PERMUTING.get((App, inner))
+        return (rule,) if rule else ()
+    if cls is Let:
+        scrut = t[4]
+        inner = type(scrut)
+        if inner is Pair:
+            return (RuleName.L_CONV,)
+        rule = _PERMUTING.get((Let, inner))
+        return (rule,) if rule and fn(t[5]).isdisjoint(binders(scrut)) else ()
+    if cls is Break:
+        scrut, fns = t[0], fn(t[4])
+        rules = ((RuleName.B_CONV,) if t[1] not in fns or t[2] not in fns
+                 or not fn(scrut) else ())
+        if experimental and type(scrut) is Let:
+            rules += (RuleName.B_L_CONV,)
+        return rules
+    return ()
 
 
 def find_redexes(t: Term, experimental: bool = False) -> list[Redex]:
@@ -202,12 +212,13 @@ def normalize(t: Term, max_steps: int = 100_000, strategy: str = "first",
     on its subtree alone, and a step at position p rebuilds only p and its
     ancestors; every other node is the object it was before the step.  The
     first strategy had no redex before p in preorder, so its next search
-    checks the ancestors of p root first, then goes on in preorder from p
-    (its subtree, then the right siblings along the path) and stops at the
-    first redex.  The last strategy had none after p, so its next search
-    (see LastRedex) looks in the contractum, then climbs from p, looking at
-    each ancestor's children left of the path, right to left, and then at
-    the ancestor itself.
+    checks the ancestors of p root first, then walks on in preorder from p
+    with the spine it holds (down to a first child, else up to the next
+    right sibling) and stops at the first redex (see first_redex).  The
+    last strategy had none after p, so its next search (see LastRedex)
+    looks in the contractum, then climbs from p, looking at each
+    ancestor's children left of the path, right to left, and then at the
+    ancestor itself.
 
     The last redex in a subtree depends on the subtree alone too, so the
     last strategy memoises it by node identity, beside the free names.  An
@@ -279,25 +290,31 @@ def first_redex(spine: list, path: tuple[int, ...],
     node before path in preorder, other than its ancestors, is a redex.
 
     rule_at(node) is the rule to contract at node, or None if it is no
-    redex.
+    redex.  After the ancestors, root first, the search walks on in
+    preorder from path, carrying the spine: down to a node's first child,
+    else up to the next right sibling of the node or of its nearest
+    ancestor that has one.  So it touches only the nodes it looks at.
     """
     for d in range(len(path)):
         rule = rule_at(spine[d])
         if rule:
             return Redex(path[:d], rule), spine[:d + 1]
-    # path's subtree, then the right siblings of path and of each ancestor
-    roots = [(path, spine[-1])]
-    for d in range(len(path) - 1, -1, -1):
-        kids = children(spine[d])
-        roots.extend((path[:d] + (j,), kids[j])
-                     for j in range(path[d] + 1, len(kids)))
-    for prefix, root in roots:
-        for rel, sub in subterms(root):
-            rule = rule_at(sub)
-            if rule:
-                return (Redex(prefix + rel, rule),
-                        spine[:len(prefix)] + spine_at(root, rel))
-    return None
+    spine, path = spine[:], list(path)
+    u = spine[-1]
+    while True:
+        rule = rule_at(u)
+        if rule:
+            return Redex(tuple(path), rule), spine
+        kids, i = children(u), 0
+        while i == len(kids):
+            if not path:
+                return None
+            spine.pop()
+            i = path.pop() + 1
+            kids = children(spine[-1])
+        u = kids[i]
+        path.append(i)
+        spine.append(u)
 
 
 class LastRedex:

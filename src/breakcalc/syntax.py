@@ -732,9 +732,12 @@ def distinct_reducts(t, rules_at, contract) -> list:
     return list(seen.values())
 
 
-def _remember_last(fn):
+def _remember_last(fn, also=None):
     """fn, which answers a call whose first argument is the very object (`is`)
     of one of the last two calls that returned with that call's result.
+    also(result), when given, is an argument on which fn returns result
+    too; when that is another object, the memo holds it, then the call's
+    argument, in place of the last two calls.
 
     Two, so that one call on another object in between does not evict the
     first: star_translate(t) after check(t) and infer_principal(erase(t))
@@ -756,7 +759,8 @@ def _remember_last(fn):
         if memo[2] is x:
             return memo[3]
         result = fn(x, *rest)
-        last = (x, result) + memo[:2]
+        y = also(result) if also else x
+        last = (x, result) + memo[:2] if y is x else (y, result, x, result)
         return result
 
     return remembered
@@ -771,7 +775,7 @@ def canonicalize(t):
     return _canonical_names(t)[0]
 
 
-@_remember_last
+@functools.partial(_remember_last, also=itemgetter(0))
 def _canonical_names(t):
     """canonicalize(t), and its variables' names, or None when a name occurs
     twice, which is when the canonical term contracts: two occurrences of a
@@ -781,7 +785,9 @@ def _canonical_names(t):
     forbids.  Conversely, contraction is a name free in two children.
 
     A repeated call on the same t returns the same result, names set
-    included, so callers only read that set."""
+    included, so callers only read that set.  The canonical term is its
+    own canonical form with the same names, so a call on it, such as
+    check(parse_term(text)) when the parser renamed, is answered too."""
     canonical, names = _scan(t)
     if canonical:
         return t, names

@@ -22,8 +22,8 @@ from breakcalc.reduction import (
 )
 from breakcalc.syntax import (
     App, Arrow, Atom, Break, FreeNames, Lam, Let, Pair, Tensor, Var, alpha_eq,
-    alpha_key, avoid_capture, binders, free_vars, replace_at, substitute,
-    subterm_at,
+    alpha_key, avoid_capture, binders, free_vars, print_type, replace_at,
+    substitute, subterm_at, subterms,
 )
 from breakcalc.typecheck import check
 from schemas import critical_pair_instances, join_within, nonconfluence_witness
@@ -603,3 +603,160 @@ class TestTraceText:
         assert printer(Lam("x", A, x)) == "\\x:A. x"
         assert printer(Pair(x, Lam("x", A, x))) == "<(x : A), \\x:A. x>"
         assert printer(App(Lam("y", A, x), x)) == "(\\y:A. (x : A)) (x : A)"
+
+
+def identity_chain_text(n: int) -> str:
+    """print_term(identity_chain(n)), written out."""
+    text = "(w : A)"
+    for i in reversed(range(n)):
+        text = f"(\\x{i}:A. x{i}) {text if i == n - 1 else f'({text})'}"
+    return text
+
+
+class TestDeepPrinting:
+    """The printer spends one Python frame per nesting level, so the
+    500-deep identity chain prints under the default recursion limit."""
+
+    def test_print_term(self):
+        assert print_term(identity_chain(500)) == identity_chain_text(500)
+
+    def test_format_trace_of_the_last_strategy(self):
+        n = 500
+        _, steps = normalize(identity_chain(n), strategy="last")
+        # step k contracts the innermost redex, at depth n - 1 - k
+        assert format_trace(steps) == "\n".join(
+            f"{k} beta {'.'.join('1' * (n - 1 - k)) or 'root'} "
+            f"{identity_chain_text(n - 1 - k)}" for k in range(n))
+
+
+# ---------------------------------------------------------------------------
+# The class-dispatch printer and rule matcher against the match-based ones
+# ---------------------------------------------------------------------------
+
+_OPEN = (Lam, Let, Break)
+
+
+def reference_print_term(t, bound: frozenset = frozenset()) -> str:
+    """print_term with one match per node and no memo."""
+    def part(u, parens) -> str:
+        text = reference_print_term(u, bound)
+        return f"({text})" if isinstance(u, parens) else text
+
+    match t:
+        case Var(name, ty):
+            return name if name in bound else f"({name} : {print_type(ty)})"
+        case Lam(b, bt, body):
+            return (f"\\{b}:{print_type(bt)}. "
+                    f"{reference_print_term(body, bound | {b})}")
+        case App(fun, arg):
+            return f"{part(fun, _OPEN)} {part(arg, _OPEN + (App,))}"
+        case Pair(first, second):
+            return (f"<{reference_print_term(first, bound)}, "
+                    f"{reference_print_term(second, bound)}>")
+        case Let(x, xt, y, yt, scrut, body):
+            return (f"let <{x}:{print_type(xt)}, {y}:{print_type(yt)}> = "
+                    f"{part(scrut, _OPEN)} in "
+                    f"{reference_print_term(body, bound | {x, y})}")
+        case Break(scrut, phi, f, residue, body):
+            return (f"break {part(scrut, _OPEN)} as <{phi}, {f}> @ "
+                    f"{print_type(residue)} in "
+                    f"{reference_print_term(body, bound | {phi, f})}")
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_trace(steps) -> str:
+    return "\n".join(
+        f"{s.index} {s.rule} "
+        f"{'.'.join(map(str, s.position)) if s.position else 'root'} "
+        f"{reference_print_term(s.after)}" for s in steps)
+
+
+def reference_node_rules(t, experimental: bool, fn) -> list:
+    """The rules matching at the root of t, one match case per rule."""
+    rules = []
+    match t:
+        case App(fun=Lam()):
+            rules.append(RuleName.BETA)
+        case App(fun=Let()):
+            rules.append(RuleName.AP_L_CONV)
+        case App(fun=Break()):
+            rules.append(RuleName.AP_B_CONV)
+        case Let(scrutinee=Pair()):
+            rules.append(RuleName.L_CONV)
+        case Let(scrutinee=Let() as inner, body=body):
+            if fn(body).isdisjoint(binders(inner)):
+                rules.append(RuleName.L_L_CONV)
+        case Let(scrutinee=Break() as inner, body=body):
+            if fn(body).isdisjoint(binders(inner)):
+                rules.append(RuleName.L_B_CONV)
+        case Break(scrutinee=scrut, phi=phi, f=f, body=body):
+            fns = fn(body)
+            if phi not in fns or f not in fns or not fn(scrut):
+                rules.append(RuleName.B_CONV)
+            if experimental and isinstance(scrut, Let):
+                rules.append(RuleName.B_L_CONV)
+    return rules
+
+
+def assert_prints_match_reference(terms, strategies=("first", "last")):
+    """print_term, one TermPrinter shared by all the terms and their
+    normal forms, and format_trace against the reference printer."""
+    shared = TermPrinter()
+    for t in terms:
+        text = reference_print_term(t)
+        assert print_term(t) == text
+        assert shared(t) == text
+        for strategy in strategies:
+            nf, steps = normalize(t, strategy=strategy)
+            assert format_trace(steps) == reference_trace(steps)
+            assert shared(nf) == reference_print_term(nf)
+
+
+class TestPrinterAgainstReference:
+    def test_differential_terms(self):
+        assert_prints_match_reference(differential_terms())
+
+    @pytest.mark.parametrize("chain", [identity_chain, break_chain,
+                                       permuting_chain])
+    def test_chains(self, chain):
+        assert_prints_match_reference([chain(n) for n in range(1, 21)])
+
+    def test_one_node_in_two_binding_contexts(self):
+        x = Var("x", A)
+        assert_prints_match_reference(
+            [x, Lam("x", A, x), Pair(x, Lam("x", A, x)),
+             App(Lam("y", A, x), x)], strategies=())
+
+
+def side_condition_terms():
+    """Redex shapes whose side condition fails, each beside one where it
+    holds."""
+    pq, ab = Tensor(P, Q), Arrow(A, B)
+    inner_let = Let("x", P, "y", Q, Var("t", pq), Var("s", pq))
+    open_break = Break(Var("t", A), "phi", "f", B,
+                       App(Var("phi", Arrow(ab, B)), Var("f", ab)))
+    return {
+        # a let whose scrutinee is a let: the body uses a scrutinee binder
+        Let("v", P, "w", Q, inner_let, Var("y", Q)): [],
+        Let("v", P, "w", Q, inner_let, Var("w", Q)): [RuleName.L_L_CONV],
+        # a break with an open scrutinee whose body uses both binders
+        open_break: [],
+        open_break._replace(body=Var("f", ab)): [RuleName.B_CONV],
+        open_break._replace(scrutinee=Let("x", P, "y", Q, Var("t", pq),
+                                          Var("y", A))): [RuleName.B_L_CONV],
+    }
+
+
+@pytest.mark.parametrize("experimental", [False, True],
+                         ids=["standard", "experimental"])
+def test_node_rules_match_reference(experimental):
+    fn = FreeNames()
+    shapes = side_condition_terms()
+    for t, rules in shapes.items():
+        expected = [r for r in rules
+                    if experimental or r is not RuleName.B_L_CONV]
+        assert reference_node_rules(t, experimental, fn) == expected
+    for t in differential_terms() + list(shapes):
+        for _, sub in subterms(t):
+            assert (list(reduction_module._node_rules(sub, experimental, fn))
+                    == reference_node_rules(sub, experimental, fn))

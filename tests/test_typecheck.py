@@ -165,6 +165,22 @@ class TestRepeatedCheck:
         assert check(extracted) == ty
         assert [id(x) for x in scanned] == [id(t), id(u), id(extracted)]
 
+    def test_check_after_a_renaming_parse_runs_no_scan(self, monkeypatch):
+        # each layer of the text binds x, phi and f again, so parse_term
+        # renames; the renamed term is its own canonical form
+        layer = r"(\x:A -> A. break x as <phi, f> @ A -> A in phi f)"
+        text = f"{layer} ({layer} (\\w:A. w))"
+        scanned = []
+        real = syntax_module._scan
+        monkeypatch.setattr(syntax_module, "_scan",
+                            lambda t: scanned.append(t) or real(t))
+        t = parse_term(text)
+        assert len(scanned) == 2 and scanned[1] is t
+        assert t.arg.fun.binder != "x"
+        scanned.clear()
+        assert check(t) == Arrow(A, A)
+        assert scanned == []
+
     def test_two_threads_alternating_two_terms_get_their_own_types(self):
         assert_threads_get_their_own_types(
             [self.good, Pair(Var("p", A), Var("q", B))])
