@@ -210,21 +210,23 @@ def normalize(t: Term, max_steps: int = 100_000, strategy: str = "first",
 
     Neither strategy lists the redexes.  Whether a node is a redex depends
     on its subtree alone, and a step at position p rebuilds only p and its
-    ancestors; every other node is the object it was before the step.  The
-    first strategy had no redex before p in preorder, so its next search
-    checks the ancestors of p root first, then walks on in preorder from p
-    with the spine it holds (down to a first child, else up to the next
-    right sibling) and stops at the first redex (see first_redex).  The
-    last strategy had none after p, so its next search (see LastRedex)
-    looks in the contractum, then climbs from p, looking at each
-    ancestor's children left of the path, right to left, and then at the
-    ancestor itself.
+    ancestors; every other node is the object it was before the step.  So
+    the two searches are mirror-image walks from p with the spine they
+    hold.  The first strategy had no redex before p in preorder, so its
+    next search checks the ancestors of p root first, then walks on in
+    preorder from p (down to a first child, else up to the next right
+    sibling) and stops at the first redex (see first_redex).  The last
+    strategy had none after p, so its next search walks p's subtree in
+    reverse preorder (children right to left, then the node), then on from
+    p: at each ancestor the children left of the path, right to left, then
+    the ancestor itself; it stops at the last redex (see LastRedex).
 
-    The last redex in a subtree depends on the subtree alone too, so the
-    last strategy memoises it by node identity, beside the free names.  An
-    entry holds its node, so it stays right for as long as it exists.  Both
-    memos forget the nodes a step replaces, the spine and the redex's
-    children, which only bounds their size.
+    Whether a subtree holds a redex depends on the subtree alone too, so
+    the last strategy keeps the subtrees it found normal by node identity,
+    beside the free names, and its walk skips them.  An entry holds its
+    node, so it stays right for as long as it exists.  Both memos forget
+    the nodes a step replaces, the spine and the redex's children, which
+    only bounds their size.
 
     Each search returns the spine down to the redex it finds, so a step
     costs its search, its contraction and the rebuilt spine, which gives
@@ -319,20 +321,19 @@ def first_redex(spine: list, path: tuple[int, ...],
 
 class LastRedex:
     """The last redex in preorder of a term, found from where the last step
-    contracted, with the last redex of each subtree memoised by node
+    contracted, with the subtrees known to hold no redex kept by node
     identity.
 
     rule_at(node) is the rule to contract at node, or None if it is no
-    redex.  A node's entry is None when its subtree has no redex, else the
-    index of the child holding the last redex, or -1 for the node itself,
-    with the rule.  An entry holds its node, so an id is not reused while it
-    is cached; `forget` drops entries of nodes that have left the term.
+    redex.  `normal` maps id(node) to the node for each such subtree; it
+    holds its node, so an id is not reused while it is kept, and `forget`
+    drops nodes that have left the term.
     """
 
-    __slots__ = ("memo", "rule_at")
+    __slots__ = ("normal", "rule_at")
 
     def __init__(self, rule_at) -> None:
-        self.memo: dict[int, tuple] = {}
+        self.normal: dict[int, Term] = {}
         self.rule_at = rule_at
 
     def __call__(self, spine: list,
@@ -344,76 +345,43 @@ class LastRedex:
 
         After a step at path that holds: the step built only the spine and
         the contractum, and before it nothing after path was a redex.  So
-        the answer is the last redex of the contractum, or else the search
-        climbs, and at each ancestor looks at the children left of the path,
-        right to left, then at the ancestor itself.  An ancestor it climbs
-        past holds no redex and gets the entry None.  The first call passes
-        [t] and (), so it looks at all of t.
+        the search walks path's subtree in reverse preorder (children right
+        to left, then the node) and then climbs, at each ancestor looking at
+        the children left of the path, right to left, then at the ancestor
+        itself.  Both are one walk, whose stack is the spine and path it
+        returns.  It skips a child known to be normal and records a node as
+        normal when it leaves the node without a redex.  The first call
+        passes [t] and (), so it looks at all of t.
         """
-        memo, last = self.memo, self._last
-        d = len(path)
-        found = last(spine[d])
-        while found is None and d:
-            d -= 1
-            u = spine[d]
-            kids = children(u)
-            for i in range(path[d] - 1, -1, -1):
-                if last(kids[i]) is not None:
-                    found = (i, None)
-                    break
-            else:
-                rule = self.rule_at(u)
-                if rule:
-                    found = (-1, rule)
-                else:
-                    memo[id(u)] = (u, None)
-        if found is None:
-            return None
-        position, spine = list(path[:d]), spine[:d + 1]
-        while found[0] >= 0:
-            position.append(found[0])
-            spine.append(children(spine[-1])[found[0]])
-            found = last(spine[-1])
-        return Redex(tuple(position), found[1]), spine
+        normal, rule_at = self.normal, self.rule_at
+        spine, path = spine[:], list(path)
+        kids = children(spine[-1])
+        i = len(kids)  # the children of spine[-1] left to look at
+        while True:
+            if i:
+                i -= 1
+                u = kids[i]
+                if id(u) not in normal:
+                    path.append(i)
+                    spine.append(u)
+                    kids = children(u)
+                    i = len(kids)
+                continue
+            u = spine[-1]
+            rule = rule_at(u)
+            if rule:
+                return Redex(tuple(path), rule), spine
+            normal[id(u)] = u
+            if not path:
+                return None
+            spine.pop()
+            i = path.pop()
+            kids = children(spine[-1])
 
     def forget(self, nodes) -> None:
-        pop = self.memo.pop
+        pop = self.normal.pop
         for t in nodes:
             pop(id(t), None)
-
-    def _last(self, t) -> tuple[int, RuleName] | None:
-        """t's entry, made if missing.  A node's children are looked at
-        from the right and a child without an entry gets one first; the
-        first child holding a redex ends the look.  A loop, not recursion,
-        so that any depth works."""
-        memo = self.memo
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        kids = children(t)
-        stack = [[t, kids, len(kids)]]  # node, children, children left
-        while stack:
-            frame = stack[-1]
-            u, kids, i = frame
-            while i:
-                hit = memo.get(id(kids[i - 1]))
-                if hit is None or hit[1] is not None:
-                    break
-                i -= 1
-            frame[2] = i
-            if i and hit is None:
-                k = kids[i - 1]
-                grandkids = children(k)
-                stack.append([k, grandkids, len(grandkids)])
-                continue
-            if i:
-                found = (i - 1, None)
-            else:
-                rule = self.rule_at(u)
-                found = (-1, rule) if rule else None
-            memo[id(u)] = (u, found)
-            stack.pop()
-        return memo[id(t)][1]
 
 
 def reducts_one_step(t: Term, experimental: bool = False) -> list[Term]:

@@ -557,7 +557,8 @@ def _subst(t, sub: dict, fn: FreeNames):
                     {v} if isinstance(v, str) else fn(v)
                     for v in inner.values()))
                 if not value_fns.isdisjoint(bound):
-                    names, ren = _freshen(bound, value_fns | fns | set(inner))
+                    names, ren = _freshen(
+                        bound, value_fns | fns.difference(bound) | set(inner))
                     c = _subst(c, ren, fn)
                 c = _subst(c, inner, fn)
             new.append(c)
@@ -590,8 +591,9 @@ def avoid_capture(t, moving: frozenset[str], names: FreeNames | None = None):
     none of them is in moving.
 
     Used before a term whose free names are `moving` enters the binders'
-    scope.  _freshen renames each binder that is in moving or free in the
-    scope, away from both.  `names` is as for substitute.
+    scope.  _freshen renames each binder that is in moving, away from moving
+    and from the names the scope has free besides the binders.  `names` is
+    as for substitute.
     """
     sp = SPECS[type(t)]
     old = sp.binders(t)
@@ -599,7 +601,7 @@ def avoid_capture(t, moving: frozenset[str], names: FreeNames | None = None):
         return t
     fn = FreeNames() if names is None else names
     kids = list(sp.kids(t))
-    new, ren = _freshen(old, moving | fn(kids[sp.scope]))
+    new, ren = _freshen(old, moving | fn(kids[sp.scope]).difference(old))
     kids[sp.scope] = _subst(kids[sp.scope], ren, fn)
     return _rebuild(t, kids, new)
 

@@ -524,11 +524,36 @@ def identity_chain(n: int):
     return t
 
 
-def test_last_search_work_is_linear_in_the_depth(monkeypatch):
+def pair_chain(n: int):
+    r"""(\x0. <\u0:A. u0, x0>) ((\x1. <\u1:A. u1, x1>) (... (w : A))):
+    every contractum holds the normal pair the step before built."""
+    t, ty = Var("w", A), A
+    for i in reversed(range(n)):
+        ident = Lam(f"u{i}", A, Var(f"u{i}", A))
+        t = App(Lam(f"x{i}", ty, Pair(ident, Var(f"x{i}", ty))), t)
+        ty = Tensor(Arrow(A, A), ty)
+    return t
+
+
+def nested_pairs(n: int):
+    """pair_chain(n)'s normal form."""
+    t = Var("w", A)
+    for i in reversed(range(n)):
+        t = Pair(Lam(f"u{i}", A, Var(f"u{i}", A)), t)
+    return t
+
+
+@pytest.mark.parametrize("chain, normal_form", [
+    (identity_chain, lambda n: Var("w", A)), (pair_chain, nested_pairs)],
+    ids=["identity_chain", "pair_chain"])
+def test_last_search_work_is_linear_in_the_depth(monkeypatch, chain,
+                                                 normal_form):
     """The last strategy on the identity chain: each step's search starts
     where the step contracted, so the nodes the searches visit (counted as
     calls to children and to the rule matcher, not timed) grow linearly
-    with the depth; a search from the root would grow quadratically."""
+    with the depth; a search from the root would grow quadratically.  On
+    the pair chain a search that walked every subtree it meets, not
+    skipping those known to be normal, would grow quadratically too."""
     visits = [0]
 
     def counted(real):
@@ -543,8 +568,10 @@ def test_last_search_work_is_linear_in_the_depth(monkeypatch):
     counts = []
     for n in (200, 400):
         visits[0] = 0
-        nf, steps = normalize(identity_chain(n), strategy="last")
-        assert nf == Var("w", A) and len(steps) == n
+        nf, steps = normalize(chain(n), strategy="last")
+        # == on nested pairs recurses past the limit at these depths
+        assert print_term(nf) == print_term(normal_form(n))
+        assert len(steps) == n
         counts.append(visits[0])
     assert counts[1] <= 2.5 * counts[0]
 

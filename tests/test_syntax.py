@@ -364,6 +364,35 @@ class TestOneRenamingPolicy:
                 renames += len(changed)
         assert calls > 10000 and renames > 10000
 
+    def test_avoid_capture_renames_exactly_the_moving_binders(self):
+        rng = random.Random(20261024)
+        calls = 0
+        for t in renaming_population():
+            names = sorted(all_names(t))
+            nodes = [s for _, s in subterms(t) if binders(s)]
+            for s in rng.sample(nodes, min(2, len(nodes))):
+                bound = binders(s)
+                moving = frozenset(rng.sample(names, min(3, len(names))))
+                moving |= {rng.choice(bound)}
+                new = avoid_capture(s, moving)
+                root = {i for path, i in renamed_binders(s, new) if not path}
+                assert root == {i for i, b in enumerate(bound)
+                                if b in moving}, (s, moving)
+                calls += 1
+        assert calls > 10000
+
+    def test_a_binder_that_clashes_with_nothing_keeps_its_name(self):
+        # x := (a : A -> B -> C) into let <a:A, b:B> = s in x a b, and the
+        # let with a moving into its scope: only a clashes, so only a moves
+        abc, s = Arrow(A, Arrow(B, C)), Var("s", Tensor(A, B))
+
+        def let(x, a):
+            return Let(a, A, "b", B, s, App(App(Var(x, abc), Var(a, A)),
+                                            Var("b", B)))
+
+        assert substitute(let("x", "a"), {"x": Var("a", abc)}) == let("a", "a'")
+        assert avoid_capture(let("x", "a"), frozenset({"a"})) == let("x", "a'")
+
     def test_avoid_capture_keeps_a_term_that_captures_nothing(self):
         t = Let("x", A, "y", B, Var("p", Tensor(A, B)), Var("x", A))
         assert avoid_capture(t, frozenset({"p", "z"})) is t
