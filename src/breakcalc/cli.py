@@ -188,7 +188,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:
-        # every walk over terms and types recurses; the limit is left as is
+        # parsing and typing, inference, free names, substitution, alpha keys,
+        # term printing, the translations, check_derivation and
+        # eliminate_cuts recurse per level; the limit is left as is
         print("budget exceeded: input nested too deeply", file=sys.stderr)
         return EXIT_BUDGET
     except OSError as exc:

@@ -270,7 +270,7 @@ class _TermParser:
                 ts.next()  # colon
                 ty = parse_type_stream(ts)
                 ts.expect("RPAREN", "')'")
-                return self._ascribed_var(name_tok, ty, bound)
+                return self._var(name_tok, bound, ty)
             t = self.term(bound)
             ts.expect("RPAREN", "')'")
             return t
@@ -283,31 +283,26 @@ class _TermParser:
         raise ts.error(tok, f"unexpected {tok[1]!r}",
                        ["identifier", "'('", "'<'"])
 
-    def _var(self, tok: tuple[str, str, int],
-             bound: dict[str, TypeExpr]) -> Var:
+    def _var(self, tok: tuple[str, str, int], bound: dict[str, TypeExpr],
+             ty: TypeExpr | None = None) -> Var:
+        """The variable tok names, ascribed ty unless ty is None: a bound
+        one at its binder's type, a free one at its first ascription's."""
         name = tok[1]
-        if name in bound:
-            return Var(name, bound[name])
-        if name in self.free_types:
-            return Var(name, self.free_types[name])
-        raise self.ts.error(
-            tok, f"free variable {name!r} needs a type ascription at first"
-            f" use, e.g. ({name} : A)")
-
-    def _ascribed_var(self, tok: tuple[str, str, int], ty: TypeExpr,
-                      bound: dict[str, TypeExpr]) -> Var:
-        name = tok[1]
-        if name in bound:
-            if bound[name] != ty:
+        free = name not in bound
+        known = self.free_types.get(name) if free else bound[name]
+        if ty is None:
+            if known is None:
                 raise self.ts.error(
-                    tok, f"variable {name!r} ascribed a type differing from"
-                    " its binder")
-            return Var(name, ty)
-        known = self.free_types.get(name)
-        if known is not None and known != ty:
-            raise self.ts.error(
-                tok, f"free variable {name!r} ascribed two different types")
-        self.free_types[name] = ty
+                    tok, f"free variable {name!r} needs a type ascription at"
+                    f" first use, e.g. ({name} : A)")
+            ty = known
+        elif known is not None and known != ty:
+            raise self.ts.error(tok, (
+                f"free variable {name!r} ascribed two different types" if free
+                else f"variable {name!r} ascribed a type differing from its"
+                " binder"))
+        elif free:
+            self.free_types[name] = ty
         return Var(name, ty)
 
 

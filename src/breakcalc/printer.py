@@ -7,8 +7,8 @@ so the output is self-contained; bound occurrences are bare.
 from __future__ import annotations
 
 from .syntax import (  # print_type is re-exported
-    _ARG_L, _ARG_R, _PRINTED, _TOP, App, Break, FreeNames, Lam, Let, Pair,
-    Term, Var, print_type,
+    _ARG_L, _ARG_R, _PRINTED, _TOP, App, Break, FreeNames, Lam, Let,
+    NodeMemo, Pair, Term, Var, print_type,
 )
 from .lambda_pair import LApp, LLam, LPair, LProj0, LProj1, LTerm, LVar
 
@@ -27,10 +27,11 @@ class TermPrinter:
     """print_term for a run of terms that share subterms, as a trace does.
 
     A subterm's text depends only on which of its free names are bound
-    around it, so the text is memoised by the node's identity and those
-    names; the user of a text adds the parentheses its position needs.  Call
-    `forget` with the nodes that have left the terms still to be printed (a
-    step's replaced spine), so that the memo holds about one term's text.
+    around it, so `memo`, a NodeMemo, maps the node's identity to the node,
+    those names and the text; the user of a text adds the parentheses its
+    position needs.  Call `forget` with the nodes that have left the terms
+    still to be printed (a step's replaced spine), so that the memo and the
+    free names memo hold about one term's entries.
 
     `text` is the one builder, memo or none: it tests the node's class,
     reads its fields by index and calls itself on the children, so a
@@ -41,16 +42,14 @@ class TermPrinter:
     __slots__ = ("memo", "names")
 
     def __init__(self) -> None:
-        self.memo: dict[int, tuple[Term, frozenset[str], str]] | None = {}
+        self.memo: NodeMemo | None = NodeMemo()
         self.names = FreeNames()
 
     def __call__(self, t: Term) -> str:
         return self.text(t, frozenset())
 
     def forget(self, nodes) -> None:
-        pop = self.memo.pop
-        for t in nodes:
-            pop(id(t), None)
+        self.memo.forget(nodes)
         self.names.forget(nodes)
 
     def text(self, t: Term, bound: frozenset[str]) -> str:

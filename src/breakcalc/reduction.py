@@ -13,8 +13,8 @@ import functools
 from typing import NamedTuple
 
 from .syntax import (
-    App, Arrow, Break, FreeNames, Lam, Let, Pair, Term, Var, _freshen,
-    _rebuild, annotated_type, avoid_capture, binders, children,
+    App, Arrow, Break, FreeNames, Lam, Let, NodeMemo, Pair, Term, Var,
+    _freshen, _rebuild, annotated_type, avoid_capture, binders, children,
     distinct_reducts, free_names, rebuild_spine, spine_at, subterm_at,
     substitute, subterms, term_size, type_size,
 )
@@ -319,21 +319,19 @@ def first_redex(spine: list, path: tuple[int, ...],
         spine.append(u)
 
 
-class LastRedex:
+class LastRedex(NodeMemo):
     """The last redex in preorder of a term, found from where the last step
     contracted, with the subtrees known to hold no redex kept by node
     identity.
 
     rule_at(node) is the rule to contract at node, or None if it is no
-    redex.  `normal` maps id(node) to the node for each such subtree; it
-    holds its node, so an id is not reused while it is kept, and `forget`
-    drops nodes that have left the term.
+    redex.  The memo's entries are the subtrees found normal, each mapped
+    from its id to itself.
     """
 
-    __slots__ = ("normal", "rule_at")
+    __slots__ = ("rule_at",)
 
-    def __init__(self, rule_at) -> None:
-        self.normal: dict[int, Term] = {}
+    def __init__(self, rule_at) -> None:  # the memo starts empty
         self.rule_at = rule_at
 
     def __call__(self, spine: list,
@@ -353,7 +351,7 @@ class LastRedex:
         normal when it leaves the node without a redex.  The first call
         passes [t] and (), so it looks at all of t.
         """
-        normal, rule_at = self.normal, self.rule_at
+        normal, rule_at = self, self.rule_at
         spine, path = spine[:], list(path)
         kids = children(spine[-1])
         i = len(kids)  # the children of spine[-1] left to look at
@@ -377,11 +375,6 @@ class LastRedex:
             spine.pop()
             i = path.pop()
             kids = children(spine[-1])
-
-    def forget(self, nodes) -> None:
-        pop = self.normal.pop
-        for t in nodes:
-            pop(id(t), None)
 
 
 def reducts_one_step(t: Term, experimental: bool = False) -> list[Term]:

@@ -26,7 +26,7 @@ from .syntax import (
     App, Arrow, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var, _PARSED,
     _PRINTED, _canonical_names, _remember_last, ks_types, print_type,
 )
-from .typecheck import _check_canonical
+from .typecheck import check
 
 
 class InvalidRule(Exception):
@@ -258,8 +258,8 @@ def nd_to_sequent(t: Term) -> SDerivation:
 
     Right after check(t) on the same object, the canonical renaming and the
     typing are not redone (see typecheck.check)."""
+    check(t)
     t, names = _canonical_names(t)
-    _check_canonical(t, names)
     return _translate(t, (), names)
 
 

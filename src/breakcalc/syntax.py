@@ -43,16 +43,29 @@ class Node(tuple):
     constructor with equal fields, so ``Arrow(A, B) != Tensor(A, B)`` and no
     node equals a plain tuple.  Types compare and hash by identity (see
     TypeExpr); every other node compares and hashes as the tuple of its
-    fields.  Nodes are not ordered.
+    fields.  Nodes are not ordered.  Equality walks an explicit stack, so
+    terms of any depth compare.
     """
 
     __slots__ = ()
 
     def __eq__(self, other):
-        return type(self) is type(other) and tuple.__eq__(self, other)
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if type(a) is not type(b):
+                return False
+            for x, y in zip(a, b):
+                if x is y:
+                    continue
+                if isinstance(x, Node) and not isinstance(x, TypeExpr):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __ne__(self, other):
-        return type(self) is not type(other) or tuple.__ne__(self, other)
+        return not self == other
 
     __hash__ = tuple.__hash__
 
@@ -197,13 +210,10 @@ def _ptype(ty: TypeExpr, ctx: int) -> str:
 
 def type_size(ty: TypeExpr) -> int:
     """Number of nodes in a type tree."""
-    match ty:
-        case Atom():
-            return 1
-        case Arrow(dom, cod):
-            return 1 + type_size(dom) + type_size(cod)
-        case Tensor(left, right):
-            return 1 + type_size(left) + type_size(right)
+    if type(ty) is Atom:
+        return 1
+    if isinstance(ty, TypeExpr):  # a compound type's parts are its fields
+        return 1 + sum(map(type_size, ty))
     raise TypeError(f"not a type: {ty!r}")
 
 
@@ -422,27 +432,28 @@ def free_names(t) -> frozenset[str]:
     return _free(t, None)
 
 
-class FreeNames:
-    """free_names memoised by node identity, for many queries on shared terms.
+class NodeMemo(dict):
+    """A memo keyed by id(node) whose entries hold their node, so an id is
+    not reused while it is kept.  `forget` drops the entries of nodes that
+    have left the term being worked on."""
 
-    An entry holds its node, so an id is not reused while it is cached.
-    `forget` drops entries of nodes that have left the term being worked
-    on; a forgotten node that is still in use is recomputed from its
-    children's entries.
-    """
-
-    __slots__ = ("memo",)
-
-    def __init__(self) -> None:
-        self.memo: dict[int, tuple[object, frozenset[str]]] = {}
-
-    def __call__(self, t) -> frozenset[str]:
-        return _free(t, self.memo)
+    __slots__ = ()
 
     def forget(self, nodes) -> None:
-        pop = self.memo.pop
+        pop = self.pop
         for t in nodes:
             pop(id(t), None)
+
+
+class FreeNames(NodeMemo):
+    """free_names memoised by node identity, for many queries on shared
+    terms; a forgotten node still in use is recomputed from its children's
+    entries, which are (node, free names)."""
+
+    __slots__ = ()
+
+    def __call__(self, t) -> frozenset[str]:
+        return _free(t, self)
 
 
 def _free(t, memo: dict | None) -> frozenset[str]:

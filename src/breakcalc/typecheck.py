@@ -66,21 +66,17 @@ class OccursCheck(TypeCheckError):
 # Checking
 # ---------------------------------------------------------------------------
 
+@_remember_last
 def check(t: Term) -> TypeExpr:
     """Unique type of t, or raise.
 
     Rejects contraction (a name used in both premises of a two-premise rule)
     before anything else, then validates annotations against binders and
-    rejects a free name occurring at two types.  A repeated call on the same
-    object (`is`) reuses the last result; a failing one raises again.
+    rejects a free name occurring at two types.  A repeated call on the
+    same object (`is`) as one of the last two reuses its result, as
+    nd_to_sequent does; a failing one raises again.
     """
-    return _check_canonical(*_canonical_names(t))
-
-
-@_remember_last
-def _check_canonical(t: Term, names: set[str] | None) -> TypeExpr:
-    """check of a canonical t with the names of syntax._canonical_names,
-    which are a function of t."""
+    t, names = _canonical_names(t)
     if names is None:
         raise AffinityViolation(canonical_contraction(t))
     return _check(t, {}, (), {})
@@ -219,38 +215,24 @@ class _Inferencer:
 
     def occurs(self, name: str, ty: TypeExpr) -> bool:
         ty = self.resolve(ty)
-        match ty:
-            case Atom(n):
-                return n == name
-            case Arrow(d, c):
-                return self.occurs(name, d) or self.occurs(name, c)
-            case Tensor(l, r):
-                return self.occurs(name, l) or self.occurs(name, r)
-        return False
+        if type(ty) is Atom:
+            return ty.name == name
+        return any(self.occurs(name, part) for part in ty)
 
     def unify(self, a: TypeExpr, b: TypeExpr, path: tuple[int, ...]) -> None:
         a, b = self.resolve(a), self.resolve(b)
-        if a == b:
+        if a is b:
             return
-        if isinstance(a, Atom) and a.name.startswith("?"):
-            if self.occurs(a.name, b):
-                raise OccursCheck(a.name, b, path)
-            self.sub[a.name] = b
-            return
-        if isinstance(b, Atom) and b.name.startswith("?"):
-            if self.occurs(b.name, a):
-                raise OccursCheck(b.name, a, path)
-            self.sub[b.name] = a
-            return
-        if isinstance(a, Arrow) and isinstance(b, Arrow):
-            self.unify(a.dom, b.dom, path)
-            self.unify(a.cod, b.cod, path)
-            return
-        if isinstance(a, Tensor) and isinstance(b, Tensor):
-            self.unify(a.left, b.left, path)
-            self.unify(a.right, b.right, path)
-            return
-        raise UnificationFailure(a, b, path)
+        for var, ty in ((a, b), (b, a)):
+            if type(var) is Atom and var.name.startswith("?"):
+                if self.occurs(var.name, ty):
+                    raise OccursCheck(var.name, ty, path)
+                self.sub[var.name] = ty
+                return
+        if type(a) is not type(b) or type(a) is Atom:
+            raise UnificationFailure(a, b, path)
+        for x, y in zip(a, b):
+            self.unify(x, y, path)
 
     def walk(self, u: UntypedTerm, env: dict[str, TypeExpr],
              free: dict[str, TypeExpr], path: tuple[int, ...]) -> TypeExpr:
@@ -309,17 +291,15 @@ def _canonical_scheme(ty: TypeExpr, resolve) -> TypeScheme:
         return f"{_SCHEME_LETTERS[i % 26]}{i // 26}"
 
     def go(ty: TypeExpr) -> TypeExpr:
-        match resolve(ty):
-            case Atom(n) if n.startswith("?"):
-                if n not in mapping:
-                    mapping[n] = Atom(name_for(len(mapping)))
-                return mapping[n]
-            case Arrow(d, c):
-                return Arrow(go(d), go(c))
-            case Tensor(l, r):
-                return Tensor(go(l), go(r))
-            case resolved:
-                return resolved
+        ty = resolve(ty)
+        if type(ty) is not Atom:
+            return type(ty)(*map(go, ty))
+        n = ty.name
+        if n.startswith("?"):
+            if n not in mapping:
+                mapping[n] = Atom(name_for(len(mapping)))
+            return mapping[n]
+        return ty
 
     body = go(ty)
     return TypeScheme(body, frozenset(a.name for a in mapping.values()))
@@ -330,20 +310,11 @@ def scheme_admits(scheme: TypeScheme, ty: TypeExpr) -> bool:
     binding: dict[str, TypeExpr] = {}
 
     def match(pat: TypeExpr, ty: TypeExpr) -> bool:
-        match pat:
-            case Atom(n) if n in scheme.variables:
-                if n in binding:
-                    return binding[n] == ty
-                binding[n] = ty
-                return True
-            case Atom(n):
-                return pat == ty
-            case Arrow(d, c):
-                return (isinstance(ty, Arrow) and match(d, ty.dom)
-                        and match(c, ty.cod))
-            case Tensor(l, r):
-                return (isinstance(ty, Tensor) and match(l, ty.left)
-                        and match(r, ty.right))
-        return False
+        if type(pat) is not Atom:
+            return type(pat) is type(ty) and all(map(match, pat, ty))
+        n = pat.name
+        if n not in scheme.variables:
+            return pat is ty
+        return binding.setdefault(n, ty) is ty
 
     return match(scheme.body, ty)

@@ -635,6 +635,61 @@ class TestValueContract:
         assert proc.stdout == "False\n"
 
 
+IDENTITIES = {Pair: lambda x: Lam(x, A, Var(x, A)),
+              UPair: lambda x: ULam(x, UVar(x)),
+              LPair: lambda x: LLam(x, A, LVar(x))}
+
+
+def nested(n: int, leaf, pair=Pair):
+    """n pairs nested to the right over leaf, each holding an identity,
+    built afresh, so that two calls share no node but the leaf."""
+    t = leaf
+    for i in range(n):
+        t = pair(IDENTITIES[pair](f"u{i}"), t)
+    return t
+
+
+class TestDeepEquality:
+    """== and != walk an explicit stack, so terms far deeper than the
+    recursion limit compare; types in fields compare by identity."""
+
+    depth = 3000
+
+    @pytest.mark.parametrize("pair, leaf, other_leaves", [
+        (Pair, Var("w", A), (Var("v", A), Var("w", B), Lam("w", A,
+                                                              Var("w", A)))),
+        (UPair, UVar("w"), (UVar("v"), ULam("w", UVar("w")))),
+        (LPair, LVar("w"), (LVar("v"), LProj0(LVar("w")))),
+    ], ids=["terms", "untyped", "lambda-pair"])
+    def test_equal_and_differing_at_the_innermost_leaf(self, pair, leaf,
+                                                       other_leaves):
+        a, b = nested(self.depth, leaf, pair), nested(self.depth, leaf, pair)
+        assert a is not b and a[0] is not b[0]
+        assert a == b and b == a and not a != b
+        for other in other_leaves:
+            c = nested(self.depth, other, pair)
+            assert a != c and c != a and not a == c
+
+    def test_sibling_constructors_at_depth(self):
+        f, x = Var("f", Arrow(A, B)), Var("x", A)
+        assert nested(self.depth, App(f, x)) != nested(self.depth, Pair(f, x))
+        assert nested(self.depth, App(f, x)) == nested(self.depth, App(f, x))
+        assert nested(self.depth, f) != nested(self.depth, f, UPair)
+
+    def test_a_deep_type_in_a_field(self):
+        deep = A
+        for _ in range(self.depth):
+            deep = Arrow(deep, B)
+        assert Var("w", deep) == Var("w", deep)
+        assert nested(self.depth, Var("w", deep)) != nested(
+            self.depth, Var("w", Arrow(A, deep)))
+
+    def test_no_node_equals_a_plain_tuple(self):
+        t = nested(self.depth, Var("w", A))
+        assert t != tuple(t) and tuple(t) != t and not t == tuple(t)
+        assert t.second != tuple(t.second)
+
+
 class TestInterning:
     """Equal types are one object, however they are built."""
 

@@ -1,5 +1,6 @@
 """Type checking, erasure, and principal type inference."""
 
+import itertools
 import random
 import sys
 import threading
@@ -20,13 +21,17 @@ from breakcalc.sequent import (
 from breakcalc.syntax import (
     App, Arrow, Atom, Lam, Pair, Tensor, Var, affine_check, alpha_eq,
     canonical_contraction, canonicalize, first_contraction, free_names,
-    free_vars, is_canonical, replace_at, subterms,
+    free_vars, is_canonical, ks_types, replace_at, subterms, type_size,
 )
 from breakcalc.typecheck import (
-    AffinityViolation, TypeCheckError, TypeMismatch, UBreak, ULam, ULet,
-    UPair, UVar, UApp, check, erase, infer_principal, scheme_admits,
+    AffinityViolation, OccursCheck, TypeCheckError, TypeMismatch,
+    TypeScheme, UBreak, ULam, ULet, UPair, UVar, UApp, UnificationFailure,
+    check, erase, infer_principal, scheme_admits,
 )
-from termgen import clashing_copy, random_typable_term
+from termgen import (
+    clashing_copy, random_type, random_typable_term,
+)
+from test_golden_outputs import golden_items
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -439,3 +444,278 @@ class TestAffinityByOccurrence:
                 assert first_contraction(u) is None
         with pytest.raises(AssertionError):
             check(Pair(Var("a", A), Var("a", A)))
+
+
+class TestSchemeAdmits:
+    """scheme_admits rejects what is no substitution instance."""
+
+    a, b = Atom("a"), Atom("b")
+
+    def test_a_variable_keeps_its_first_binding(self):
+        scheme = TypeScheme(Arrow(self.a, self.a), frozenset("a"))
+        assert scheme_admits(scheme, Arrow(A, A))
+        assert scheme_admits(scheme, Arrow(Tensor(A, B), Tensor(A, B)))
+        assert not scheme_admits(scheme, Arrow(A, B))
+        assert not scheme_admits(scheme, Arrow(Arrow(A, B), Arrow(B, A)))
+
+    def test_a_tensor_does_not_admit_an_arrow(self):
+        scheme = TypeScheme(Tensor(self.a, self.b), frozenset("ab"))
+        assert scheme_admits(scheme, Tensor(A, Arrow(A, B)))
+        assert not scheme_admits(scheme, Arrow(A, B))
+        assert not scheme_admits(TypeScheme(Arrow(self.a, self.b),
+                                            frozenset("ab")), Tensor(A, B))
+
+    def test_an_atom_that_is_no_scheme_variable_matches_only_itself(self):
+        scheme = TypeScheme(Arrow(A, self.a), frozenset("a"))
+        assert scheme_admits(scheme, Arrow(A, B))
+        assert not scheme_admits(scheme, Arrow(B, B))
+        assert not scheme_admits(scheme, Arrow(Arrow(A, A), B))
+        closed = TypeScheme(Arrow(self.a, self.a))
+        assert scheme_admits(closed, Arrow(self.a, self.a))
+        assert not scheme_admits(closed, Arrow(A, A))
+        assert not scheme_admits(TypeScheme(A), B)
+
+
+# The type layer as it was, with a case per compound type in each walk and
+# a branch per side of unification: the oracle of TestTypeLayerAgainstReference.
+
+class ReferenceInferencer:
+    def __init__(self) -> None:
+        self.counter = 0
+        self.sub = {}
+
+    def fresh(self):
+        self.counter += 1
+        return Atom(f"?{self.counter}")
+
+    def resolve(self, ty):
+        while isinstance(ty, Atom) and ty.name in self.sub:
+            ty = self.sub[ty.name]
+        return ty
+
+    def occurs(self, name, ty):
+        ty = self.resolve(ty)
+        match ty:
+            case Atom(n):
+                return n == name
+            case Arrow(d, c):
+                return self.occurs(name, d) or self.occurs(name, c)
+            case Tensor(l, r):
+                return self.occurs(name, l) or self.occurs(name, r)
+        return False
+
+    def unify(self, a, b, path):
+        a, b = self.resolve(a), self.resolve(b)
+        if a == b:
+            return
+        if isinstance(a, Atom) and a.name.startswith("?"):
+            if self.occurs(a.name, b):
+                raise OccursCheck(a.name, b, path)
+            self.sub[a.name] = b
+            return
+        if isinstance(b, Atom) and b.name.startswith("?"):
+            if self.occurs(b.name, a):
+                raise OccursCheck(b.name, a, path)
+            self.sub[b.name] = a
+            return
+        if isinstance(a, Arrow) and isinstance(b, Arrow):
+            self.unify(a.dom, b.dom, path)
+            self.unify(a.cod, b.cod, path)
+            return
+        if isinstance(a, Tensor) and isinstance(b, Tensor):
+            self.unify(a.left, b.left, path)
+            self.unify(a.right, b.right, path)
+            return
+        raise UnificationFailure(a, b, path)
+
+    def walk(self, u, env, free, path):
+        match u:
+            case UVar(name):
+                if name in env:
+                    return env[name]
+                return free.setdefault(name, self.fresh())
+            case ULam(b, body):
+                a = self.fresh()
+                r = self.walk(body, env | {b: a}, free, path + (0,))
+                return Arrow(a, r)
+            case UApp(fun, arg):
+                ft = self.walk(fun, env, free, path + (0,))
+                at = self.walk(arg, env, free, path + (1,))
+                res = self.fresh()
+                self.unify(ft, Arrow(at, res), path)
+                return res
+            case UPair(a, b):
+                return Tensor(self.walk(a, env, free, path + (0,)),
+                              self.walk(b, env, free, path + (1,)))
+            case ULet(x, y, scrut, body):
+                st = self.walk(scrut, env, free, path + (0,))
+                xa, yb = self.fresh(), self.fresh()
+                self.unify(st, Tensor(xa, yb), path + (0,))
+                return self.walk(body, env | {x: xa, y: yb}, free, path + (1,))
+            case UBreak(scrut, phi, f, body):
+                alpha = self.walk(scrut, env, free, path + (0,))
+                kty, sty = ks_types(alpha, self.fresh())
+                return self.walk(body, env | {phi: kty, f: sty}, free,
+                                 path + (1,))
+        raise TypeError(f"not an untyped term: {u!r}")
+
+
+def reference_infer_principal(u):
+    name = first_contraction(u)
+    if name is not None:
+        raise AffinityViolation(name)
+    inf = ReferenceInferencer()
+    return reference_canonical_scheme(inf.walk(u, {}, {}, ()), inf.resolve)
+
+
+def reference_canonical_scheme(ty, resolve):
+    mapping = {}
+
+    def name_for(i):
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        return letters[i] if i < 26 else f"{letters[i % 26]}{i // 26}"
+
+    def go(ty):
+        match resolve(ty):
+            case Atom(n) if n.startswith("?"):
+                if n not in mapping:
+                    mapping[n] = Atom(name_for(len(mapping)))
+                return mapping[n]
+            case Arrow(d, c):
+                return Arrow(go(d), go(c))
+            case Tensor(l, r):
+                return Tensor(go(l), go(r))
+            case resolved:
+                return resolved
+
+    body = go(ty)
+    return TypeScheme(body, frozenset(a.name for a in mapping.values()))
+
+
+def reference_scheme_admits(scheme, ty):
+    binding = {}
+
+    def match(pat, ty):
+        match pat:
+            case Atom(n) if n in scheme.variables:
+                if n in binding:
+                    return binding[n] == ty
+                binding[n] = ty
+                return True
+            case Atom(n):
+                return pat == ty
+            case Arrow(d, c):
+                return (isinstance(ty, Arrow) and match(d, ty.dom)
+                        and match(c, ty.cod))
+            case Tensor(l, r):
+                return (isinstance(ty, Tensor) and match(l, ty.left)
+                        and match(r, ty.right))
+        return False
+
+    return match(scheme.body, ty)
+
+
+def reference_type_size(ty):
+    match ty:
+        case Atom():
+            return 1
+        case Arrow(dom, cod):
+            return 1 + reference_type_size(dom) + reference_type_size(cod)
+        case Tensor(left, right):
+            return 1 + reference_type_size(left) + reference_type_size(right)
+    raise TypeError(f"not a type: {ty!r}")
+
+
+def random_affine_untyped(rng, size, scope, fresh):
+    """A random untyped term of about size nodes, affine by construction:
+    each variable is a binder of scope, which it leaves, or a new free
+    name.  Most are untypable, which unification finds."""
+    if size <= 1:
+        if scope and rng.random() < 0.7:
+            return UVar(scope.pop(rng.randrange(len(scope))))
+        return UVar(f"z{next(fresh)}")
+    kind = rng.randrange(5)
+    if kind == 0:
+        b = f"x{next(fresh)}"
+        scope.append(b)
+        body = random_affine_untyped(rng, size - 1, scope, fresh)
+        if b in scope:
+            scope.remove(b)
+        return ULam(b, body)
+    left = rng.randrange(1, size)
+    first = random_affine_untyped(rng, left, scope, fresh)
+    if kind < 3:
+        second = random_affine_untyped(rng, size - left, scope, fresh)
+        return (UApp if kind == 1 else UPair)(first, second)
+    x, y = f"x{next(fresh)}", f"x{next(fresh)}"
+    scope += (x, y)
+    body = random_affine_untyped(rng, size - left, scope, fresh)
+    scope[:] = [n for n in scope if n not in (x, y)]
+    return (ULet(x, y, first, body) if kind == 3
+            else UBreak(first, x, y, body))
+
+
+def outcome_kind(got):
+    """The class of the error in an outcome, or TypeScheme."""
+    return got[0] if type(got) is tuple else TypeScheme
+
+
+class TestTypeLayerAgainstReference:
+    """Inference, scheme matching and type sizes, with one structural case
+    per walk and one binding case in unification, agree with the type layer
+    as it was."""
+
+    def test_inference_on_erasures_variants_and_copies(self):
+        rng = random.Random(20261019)
+        kinds = Counter()
+        terms = [t for _, t in golden_items()]
+        for _ in range(2000):
+            t = random_typable_term(rng, max_size=30)
+            terms.append(t)
+            terms.append(clashing_copy(t, rng))
+            terms.extend(bad for bad, _ in ill_typed_variants(t))
+        for t in terms:
+            u = erase(t)
+            got = outcome(infer_principal, u)
+            assert got == outcome(reference_infer_principal, u), t
+            kinds[outcome_kind(got)] += 1
+        assert kinds[TypeScheme] > 4000 and kinds[AffinityViolation] > 1000
+
+    def test_inference_on_random_affine_untyped_terms(self):
+        rng = random.Random(20261020)
+        fresh = itertools.count()
+        kinds = Counter()
+        for _ in range(3000):
+            u = random_affine_untyped(rng, rng.randrange(2, 25), [], fresh)
+            got = outcome(infer_principal, u)
+            assert got == outcome(reference_infer_principal, u), u
+            kinds[outcome_kind(got)] += 1
+        assert min(kinds[k] for k in (TypeScheme, UnificationFailure,
+                                      OccursCheck)) > 50, kinds
+
+    def test_scheme_admits_on_checked_and_mismatched_types(self):
+        rng = random.Random(20261021)
+        pairs = []
+        for _ in range(1000):
+            t = random_typable_term(rng, max_size=30)
+            pairs.append((infer_principal(erase(t)), check(t)))
+        schemes, types = zip(*pairs)
+        mismatched = list(zip(schemes, types[1:] + types[:1]))
+        verdicts = Counter()
+        for scheme, ty in pairs + mismatched:
+            got = scheme_admits(scheme, ty)
+            assert got == reference_scheme_admits(scheme, ty), (scheme, ty)
+            verdicts[got] += 1
+        assert verdicts[True] >= 1000 and verdicts[False] > 200
+
+    def test_type_size_on_random_types(self):
+        rng = random.Random(20261022)
+        for _ in range(2000):
+            ty = random_type(rng, depth=rng.randrange(8))
+            assert type_size(ty) == reference_type_size(ty)
+        for bad in ("A", Var("x", A), UVar("x")):
+            with pytest.raises(TypeError) as got:
+                type_size(bad)
+            with pytest.raises(TypeError) as expected:
+                reference_type_size(bad)
+            assert str(got.value) == str(expected.value)
