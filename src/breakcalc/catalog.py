@@ -3,16 +3,17 @@
 Each constructor returns a closed, affine, well-typed term: the six axiom
 inhabitants of minimal Lukasiewicz logic, the break-based identity, the
 divisibility pair, axiom L of the hoop literature, the idempotent-element
-homomorphism witness, and the break-free splitting term.
+homomorphism witness, and the break-free splitting term.  Each term is
+written once, as a template in concrete syntax over the atoms A, B and C,
+and instantiated at the caller's types.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .syntax import (
-    App, Arrow, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var, ks_types,
-)
+from .parser import parse_term
+from .syntax import App, Atom, Break, Lam, Let, Pair, Term, TypeExpr, Var
 
 
 class AxiomId(str, enum.Enum):
@@ -24,82 +25,85 @@ class AxiomId(str, enum.Enum):
     B5b = "B5b"
 
 
+def _instance(text: str, *types: TypeExpr) -> Term:
+    """The template text, parsed, with types in place of the atoms A, B, C,
+    in that order, all at once and in every annotation."""
+    sub = dict(zip("ABC", types))
+
+    def ty(t: TypeExpr) -> TypeExpr:
+        if isinstance(t, Atom):
+            return sub.get(t.name, t)
+        return type(t)(*map(ty, t))
+
+    def term(t: Term) -> Term:
+        match t:
+            case Var(name, a):
+                return Var(name, ty(a))
+            case Lam(x, a, body):
+                return Lam(x, ty(a), term(body))
+            case App(fun, arg):
+                return App(term(fun), term(arg))
+            case Pair(first, second):
+                return Pair(term(first), term(second))
+            case Let(x, a, y, b, scrut, body):
+                return Let(x, ty(a), y, ty(b), term(scrut), term(body))
+            case Break(scrut, phi, f, residue, body):
+                return Break(term(scrut), phi, f, ty(residue), term(body))
+        raise TypeError(f"not a term: {t!r}")
+
+    return term(parse_term(text))
+
+
+_AXIOMS = {
+    # (A -> B) -> (B -> C) -> A -> C
+    AxiomId.B1: r"\f:A -> B. \g:B -> C. \x:A. g (f x)",
+    # A * B -> A
+    AxiomId.B2: r"\v:A * B. let <x:A, y:B> = v in x",
+    # A * B -> B * A
+    AxiomId.B3: r"\v:A * B. let <x:A, y:B> = v in <y, x>",
+    # A * (A -> B) -> B * (B -> A)
+    AxiomId.B4: r"""\v:A * (A -> B). let <x:A, f:A -> B> = v in
+                    break x as <phi, g> @ B in <phi f, g>""",
+    # (A * B -> C) -> A -> B -> C
+    AxiomId.B5a: r"\f:A * B -> C. \x:A. \y:B. f <x, y>",
+    # (A -> B -> C) -> A * B -> C
+    AxiomId.B5b: r"\g:A -> B -> C. \a:A * B. let <x:A, y:B> = a in g x y",
+}
+
+
 def axiom_term(axiom: AxiomId, a: TypeExpr, b: TypeExpr,
                c: TypeExpr | None = None) -> Term:
     """Closed inhabitant of the given axiom; B1, B5a and B5b require c."""
     axiom = AxiomId(axiom)
     if axiom in (AxiomId.B1, AxiomId.B5a, AxiomId.B5b) and c is None:
         raise ValueError(f"{axiom.value} needs a third type argument")
-    match axiom:
-        case AxiomId.B1:
-            # \f.\g.\x. g (f x) : (a -> b) -> (b -> c) -> a -> c
-            ab, bc = Arrow(a, b), Arrow(b, c)
-            return Lam("f", ab, Lam("g", bc, Lam("x", a,
-                       App(Var("g", bc), App(Var("f", ab), Var("x", a))))))
-        case AxiomId.B2:
-            # \v. let <x, y> = v in x : a * b -> a
-            return Lam("v", Tensor(a, b),
-                       Let("x", a, "y", b, Var("v", Tensor(a, b)), Var("x", a)))
-        case AxiomId.B3:
-            # \v. let <x, y> = v in <y, x> : a * b -> b * a
-            return Lam("v", Tensor(a, b),
-                       Let("x", a, "y", b, Var("v", Tensor(a, b)),
-                           Pair(Var("y", b), Var("x", a))))
-        case AxiomId.B4:
-            # \v. let <x, f> = v in break x as <phi, g> @ b in <phi f, g>
-            #   : a * (a -> b) -> b * (b -> a)
-            ab = Arrow(a, b)
-            k, s = ks_types(a, b)
-            return Lam("v", Tensor(a, ab),
-                       Let("x", a, "f", ab, Var("v", Tensor(a, ab)),
-                           Break(Var("x", a), "phi", "g", b,
-                                 Pair(App(Var("phi", k), Var("f", ab)),
-                                      Var("g", s)))))
-        case AxiomId.B5a:
-            # \f.\x.\y. f <x, y> : (a * b -> c) -> a -> b -> c
-            fro = Arrow(Tensor(a, b), c)
-            return Lam("f", fro, Lam("x", a, Lam("y", b,
-                       App(Var("f", fro), Pair(Var("x", a), Var("y", b))))))
-        case AxiomId.B5b:
-            # \g.\a. let <x, y> = a in g x y : (a -> b -> c) -> a * b -> c
-            gty = Arrow(a, Arrow(b, c))
-            return Lam("g", gty, Lam("a", Tensor(a, b),
-                       Let("x", a, "y", b, Var("a", Tensor(a, b)),
-                           App(App(Var("g", gty), Var("x", a)), Var("y", b)))))
-    raise ValueError(f"unknown axiom {axiom!r}")
+    return _instance(_AXIOMS[axiom], a, b, c)
 
 
 def identity_break(a: TypeExpr) -> Term:
-    """Normal-form identity that routes through a break: \\x. break x as <phi, f> @ a in phi f."""
-    k, s = ks_types(a, a)
-    return Lam("x", a, Break(Var("x", a), "phi", "f", a,
-                             App(Var("phi", k), Var("f", s))))
+    """Normal-form identity that routes through a break: a -> a."""
+    return _instance(r"\x:A. break x as <phi, f> @ A in phi f", a)
+
+
+_DIVISIBILITY_T = r"\x:A. break x as <phi, f> @ B in \g:A -> B. <phi g, f>"
 
 
 def divisibility_terms(a: TypeExpr, b: TypeExpr) -> tuple[Term, Term]:
     """The divisibility inhabitant t and the first-projection wrapper u.
 
     t : a -> (a -> b) -> b * (b -> a) is normal; u : a -> (a -> b) -> b
-    normalizes to \\x'. \\g'. g' x'.
+    applies t and normalizes to \\x'. \\g'. g' x'.
     """
-    ab = Arrow(a, b)
-    k, s = ks_types(a, b)
-    t = Lam("x", a, Break(Var("x", a), "phi", "f", b,
-                          Lam("g", ab, Pair(App(Var("phi", k), Var("g", ab)),
-                                            Var("f", s)))))
-    u = Lam("x'", a, Lam("g'", ab,
-            Let("m", b, "n", s, App(App(t, Var("x'", a)), Var("g'", ab)),
-                Var("m", b))))
-    return t, u
+    u = rf"""\x':A. \g':A -> B.
+             let <m:B, n:B -> A> = ({_DIVISIBILITY_T}) x' g' in m"""
+    return _instance(_DIVISIBILITY_T, a, b), _instance(u, a, b)
 
 
 def axiom_L_term(a: TypeExpr, b: TypeExpr) -> Term:
-    """\\D.\\x. break x as <phi, f> @ b in phi (D f) : ((b->a)->(a->b)) -> a -> b."""
-    k, s = ks_types(a, b)
-    dty = Arrow(s, Arrow(a, b))
-    return Lam("D", dty, Lam("x", a,
-               Break(Var("x", a), "phi", "f", b,
-                     App(Var("phi", k), App(Var("D", dty), Var("f", s))))))
+    """Axiom L: ((b -> a) -> a -> b) -> a -> b."""
+    return _instance(
+        r"\D:(B -> A) -> A -> B. \x:A. break x as <phi, f> @ B in phi (D f)",
+        a, b)
 
 
 def homomorphism_term(a: TypeExpr, b: TypeExpr, c: TypeExpr) -> Term:
@@ -110,66 +114,24 @@ def homomorphism_term(a: TypeExpr, b: TypeExpr, c: TypeExpr) -> Term:
     Assembled from two nested breaks and a third break inside the repackaging
     function, with pair projections spelled out as lets.
     """
-    ab, ac = Arrow(a, b), Arrow(a, c)
-    abc = Arrow(a, Tensor(b, c))
-    goal = Tensor(ab, ac)
-    y_ty = Arrow(ab, goal)           # (a->b) -> (a->b) * (a->c)
-    z_ty = Arrow(y_ty, goal)         # y -> (a->b) * (a->c)
-    yac = Arrow(y_ty, ac)            # y -> (a->c)
-    k_phi, s_f = ks_types(abc, ab)   # breaking h at residue a->b
-    k_psi, s_g = ks_types(z_ty, yac)  # breaking t5 at residue y -> (a->c)
-
-    # pi0 : b * c -> b, inlined where needed
-    pi0 = Lam("v0", Tensor(b, c),
-              Let("b0", b, "c0", c, Var("v0", Tensor(b, c)), Var("b0", b)))
-    # pi1 : (a->b) * (a->c) -> a -> c
-    pi1 = Lam("v1", goal,
-              Let("i0", ab, "j0", ac, Var("v1", goal), Var("j0", ac)))
-
-    # t1 = phi (\m. \x0. pi0 (m x0)) : a -> b
-    t1 = App(Var("phi", k_phi),
-             Lam("m", abc, Lam("x0", a,
-                               App(pi0, App(Var("m", abc), Var("x0", a))))))
-
-    # t2(x) = \j. let <x1, y1> = f j x in <\zb. x1, \zc. y1> : y
-    def t2(xname: str) -> Term:
-        return Lam("j", ab,
-                   Let("x1", b, "y1", c,
-                       App(App(Var("f", s_f), Var("j", ab)), Var(xname, a)),
-                       Pair(Lam("zb", a, Var("x1", b)),
-                            Lam("zc", a, Var("y1", c)))))
-
-    # t4 = \p. \y0. let <y2, y3> = alpha y0 in p (t2[y2]) y3 : (y -> (a->c)) -> a -> c
-    aa = Tensor(a, a)
-    t4 = Lam("p", yac, Lam("y0", a,
-             Let("y2", a, "y3", a,
-                 App(Var("alpha", Arrow(a, aa)), Var("y0", a)),
-                 App(App(Var("p", yac), t2("y2")), Var("y3", a)))))
-
-    # t5 = \q. q t1 : z
-    t5 = Lam("q", y_ty, App(Var("q", y_ty), t1))
-
-    # t6 = \u0. \v2. pi1 (u0 v2) : z -> y -> (a->c)
-    t6 = Lam("u0", z_ty, Lam("v2", y_ty,
-             App(pi1, App(Var("u0", z_ty), Var("v2", y_ty)))))
-
-    # t7 = \vc. \ub. <ub, vc> : (a->c) -> y
-    t7 = Lam("vc", ac, Lam("ub", ab, Pair(Var("ub", ab), Var("vc", ac))))
-
-    # t8 = \i. break i as <eta, k> @ y in (g k) (eta t7) : (a->c) -> goal
-    k_eta, s_k = ks_types(ac, y_ty)
-    t8 = Lam("i", ac,
-             Break(Var("i", ac), "eta", "k", y_ty,
-                   App(App(Var("g", s_g), Var("k", s_k)),
-                       App(Var("eta", k_eta), t7))))
-
-    # t9 = break h as <phi, f> @ (a->b) in
-    #        break t5 as <psi, g> @ (y -> (a->c)) in t8 (t4 (psi t6))
-    t9 = Break(Var("h", abc), "phi", "f", ab,
-               Break(t5, "psi", "g", yac,
-                     App(t8, App(t4, App(Var("psi", k_psi), t6)))))
-
-    return Lam("alpha", Arrow(a, aa), Lam("h", abc, t9))
+    return _instance(r"""
+        \alpha:A -> A * A. \h:A -> B * C.
+        break h as <phi, f> @ A -> B in
+        break (\q:(A -> B) -> (A -> B) * (A -> C).
+                 q (phi (\m:A -> B * C. \x0:A.
+                           (\v0:B * C. let <b0:B, c0:C> = v0 in b0) (m x0))))
+          as <psi, g> @ ((A -> B) -> (A -> B) * (A -> C)) -> A -> C in
+        (\i:A -> C. break i as <eta, k> @ (A -> B) -> (A -> B) * (A -> C) in
+           g k (eta (\vc:A -> C. \ub:A -> B. <ub, vc>)))
+        ((\p:((A -> B) -> (A -> B) * (A -> C)) -> A -> C. \y0:A.
+            let <y2:A, y3:A> = alpha y0 in
+            p (\j:A -> B. let <x1:B, y1:C> = f j y2 in
+                 <\zb:A. x1, \zc:A. y1>) y3)
+         (psi (\u0:((A -> B) -> (A -> B) * (A -> C)) -> (A -> B) * (A -> C).
+               \v2:(A -> B) -> (A -> B) * (A -> C).
+               (\v1:(A -> B) * (A -> C).
+                  let <i0:A -> B, j0:A -> C> = v1 in j0) (u0 v2))))""",
+        a, b, c)
 
 
 def break_free_split(a: TypeExpr, b: TypeExpr) -> Term:
@@ -178,18 +140,9 @@ def break_free_split(a: TypeExpr, b: TypeExpr) -> Term:
 
     Type: (a * (a -> K) -> K * (K -> a)) -> a -> K * (b -> a), K = (a -> b) -> b.
     """
-    k, _ = ks_types(a, b)
-    ab = Arrow(a, b)
-    hyp = Arrow(Tensor(a, Arrow(a, k)), Tensor(k, Arrow(k, a)))
-    ka = Arrow(k, a)
-    # \b4. \x. let <phi, h> = b4 <x, \a0. \p. p a0> in <phi, \b0. h (\g0. b0)>
-    return Lam("b4", hyp, Lam("x", a,
-               Let("phi", k, "h", ka,
-                   App(Var("b4", hyp),
-                       Pair(Var("x", a),
-                            Lam("a0", a, Lam("p", ab,
-                                App(Var("p", ab), Var("a0", a)))))),
-                   Pair(Var("phi", k),
-                        Lam("b0", b,
-                            App(Var("h", ka),
-                                Lam("g0", ab, Var("b0", b))))))))
+    return _instance(r"""
+        \b4:A * (A -> (A -> B) -> B)
+              -> ((A -> B) -> B) * (((A -> B) -> B) -> A).
+        \x:A. let <phi:(A -> B) -> B, h:((A -> B) -> B) -> A> =
+                     b4 <x, \a0:A. \p:A -> B. p a0>
+              in <phi, \b0:B. h (\g0:A -> B. b0)>""", a, b)

@@ -22,7 +22,7 @@ from .sequent import (
     eliminate_cuts, nd_to_sequent, parse_derivation, print_derivation,
 )
 from .syntax import IllFormedTermError, free_vars
-from .typecheck import TypeCheckError, TypeScheme, check, erase, infer_principal
+from .typecheck import TypeCheckError, check, erase, infer_principal
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -122,59 +122,54 @@ def _require_types(args, *names: str) -> list:
     return out
 
 
-def _run(args) -> int:
-    out = sys.stdout
-    if args.command == "check":
-        term = parse_term(_read(args.file))
-        print(print_type(check(term)), file=out)
-    elif args.command == "infer":
-        term = parse_term(_read(args.file))
-        scheme: TypeScheme = infer_principal(erase(term))
-        print(print_type(scheme.body), file=out)
-    elif args.command == "normalize":
-        term = parse_term(_read(args.file))
-        check(term)
-        nf, steps = normalize(term, max_steps=args.max_steps,
-                              strategy=args.strategy,
-                              experimental=args.experimental_blconv)
-        if args.trace and steps:
-            print(format_trace(steps), file=out)
-        print(print_term(nf), file=out)
-    elif args.command == "translate":
-        term = parse_term(_read(args.file))
-        check(term)
-        image = star_translate(term)
-        l_check(image, free_vars(term))
-        print(print_lterm(image), file=out)
-    elif args.command == "axioms":
-        types = _require_types(args, "A", "B")
-        c = parse_type(args.C) if args.C is not None else None
-        term = catalog.axiom_term(catalog.AxiomId(args.id), *types, c)
-        print(print_term(term), file=out)
-    elif args.command == "catalog":
-        build, names = _CATALOG[args.name]
-        print(print_term(build(*_require_types(args, *names))), file=out)
-    elif args.command == "sequent-check":
-        d = parse_derivation(_read(args.file))
-        print(str(check_derivation(d)), file=out)
-    elif args.command == "sequent-cutelim":
-        d = parse_derivation(_read(args.file))
-        check_derivation(d)
-        print(print_derivation(eliminate_cuts(d, args.node_budget)), file=out)
-    elif args.command == "sequent-fromterm":
-        term = parse_term(_read(args.file))
-        print(print_derivation(nd_to_sequent(term)), file=out)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise UsageError(f"unknown command {args.command!r}")
-    return EXIT_OK
+def _run(args) -> str:
+    """The subcommand's standard output, without its final newline."""
+    match args.command:
+        case "check":
+            return print_type(check(parse_term(_read(args.file))))
+        case "infer":
+            term = parse_term(_read(args.file))
+            return print_type(infer_principal(erase(term)).body)
+        case "normalize":
+            term = parse_term(_read(args.file))
+            check(term)
+            nf, steps = normalize(term, max_steps=args.max_steps,
+                                  strategy=args.strategy,
+                                  experimental=args.experimental_blconv)
+            if args.trace and steps:
+                return format_trace(steps) + "\n" + print_term(nf)
+            return print_term(nf)
+        case "translate":
+            term = parse_term(_read(args.file))
+            check(term)
+            image = star_translate(term)
+            l_check(image, free_vars(term))
+            return print_lterm(image)
+        case "axioms":
+            types = _require_types(args, "A", "B")
+            c = parse_type(args.C) if args.C is not None else None
+            return print_term(
+                catalog.axiom_term(catalog.AxiomId(args.id), *types, c))
+        case "catalog":
+            build, names = _CATALOG[args.name]
+            return print_term(build(*_require_types(args, *names)))
+        case "sequent-check":
+            return str(check_derivation(parse_derivation(_read(args.file))))
+        case "sequent-cutelim":
+            d = parse_derivation(_read(args.file))
+            check_derivation(d)
+            return print_derivation(eliminate_cuts(d, args.node_budget))
+        case "sequent-fromterm":
+            term = parse_term(_read(args.file))
+            return print_derivation(nd_to_sequent(term))
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
-        return _run(args)
-    except (UsageError, ValueError) as exc:
+        print(_run(ap.parse_args(argv)))
+        return EXIT_OK
+    except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:
@@ -193,9 +188,6 @@ def main(argv: list[str] | None = None) -> int:
         # eliminate_cuts recurse per level; the limit is left as is
         print("budget exceeded: input nested too deeply", file=sys.stderr)
         return EXIT_BUDGET
-    except OSError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

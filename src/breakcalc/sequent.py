@@ -409,8 +409,8 @@ def eliminate_cuts(d: SDerivation, node_budget: int = 1_000_000) -> SDerivation:
             f"node_budget must be non-negative, not {node_budget}")
     built = [0]
 
-    def bump(n: int = 1) -> None:
-        built[0] += n
+    def bump() -> None:
+        built[0] += 1
         if built[0] > node_budget:
             raise BudgetExceeded(f"more than {node_budget} nodes built")
 
@@ -452,25 +452,20 @@ def eliminate_cuts(d: SDerivation, node_budget: int = 1_000_000) -> SDerivation:
                 (q,) = p2.premises
                 return combine(r1, combine(r2, q))
             case (SRule.ArrR | SRule.TensR), _:
-                return push_right(p1, p2)
+                # into the premise of p2 that holds the cut formula: the
+                # first if it does, else the last
+                i = 0 if a in p2.premises[0].conclusion.antecedent else -1
+                return push(p2, i, combine(p1, p2.premises[i]))
         # p1 ends in a left rule or break: push the cut into the branch
         # providing the succedent
-        return push_left(p1, p2)
+        return push(p1, -1, combine(p1.premises[-1], p2))
 
-    def push_left(p1: SDerivation, p2: SDerivation) -> SDerivation:
-        *side, last = p1.premises
-        inner = combine(last, p2)
+    def push(d: SDerivation, i: int, inner: SDerivation) -> SDerivation:
+        """d's rule over its premises, premise i replaced by inner."""
         bump()
-        return _node(p1.rule, (*side, inner), p1.data)
-
-    def push_right(p1: SDerivation, p2: SDerivation) -> SDerivation:
-        # into the premise that holds the cut formula: the first if it does
-        qs = p2.premises
-        i = 0 if p1.conclusion.succedent in qs[0].conclusion.antecedent \
-            else len(qs) - 1
-        inner = combine(p1, qs[i])
-        bump()
-        return _node(p2.rule, (*qs[:i], inner, *qs[i + 1:]), _formula(p2))
+        premises = list(d.premises)
+        premises[i] = inner
+        return _node(d.rule, tuple(premises), _formula(d))
 
     return elim(d)
 

@@ -10,8 +10,8 @@ from breakcalc.catalog import (
 )
 from breakcalc.reduction import find_redexes, normalize
 from breakcalc.syntax import (
-    App, Arrow, Atom, Break, Lam, Tensor, Term, Var, alpha_eq, affine_check,
-    children, free_vars, ks_types, subterm_at,
+    App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var,
+    alpha_eq, affine_check, children, free_vars, ks_types, subterm_at,
 )
 from breakcalc.typecheck import check
 from termgen import random_type
@@ -175,3 +175,227 @@ class TestBreakFreeSplit:
         nf, _ = normalize(witness)
         assert check(nf) == ty == Arrow(A, Tensor(k, Arrow(B, A)))
         assert free_vars(nf) == {}
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the templates against the builders written as
+# constructor calls, each variable and break typed by hand
+# ---------------------------------------------------------------------------
+
+def reference_axiom_term(axiom: AxiomId, a: TypeExpr, b: TypeExpr,
+                         c: TypeExpr | None = None) -> Term:
+    """Closed inhabitant of the given axiom; B1, B5a and B5b require c."""
+    axiom = AxiomId(axiom)
+    if axiom in (AxiomId.B1, AxiomId.B5a, AxiomId.B5b) and c is None:
+        raise ValueError(f"{axiom.value} needs a third type argument")
+    match axiom:
+        case AxiomId.B1:
+            # \f.\g.\x. g (f x) : (a -> b) -> (b -> c) -> a -> c
+            ab, bc = Arrow(a, b), Arrow(b, c)
+            return Lam("f", ab, Lam("g", bc, Lam("x", a,
+                       App(Var("g", bc), App(Var("f", ab), Var("x", a))))))
+        case AxiomId.B2:
+            # \v. let <x, y> = v in x : a * b -> a
+            return Lam("v", Tensor(a, b),
+                       Let("x", a, "y", b, Var("v", Tensor(a, b)), Var("x", a)))
+        case AxiomId.B3:
+            # \v. let <x, y> = v in <y, x> : a * b -> b * a
+            return Lam("v", Tensor(a, b),
+                       Let("x", a, "y", b, Var("v", Tensor(a, b)),
+                           Pair(Var("y", b), Var("x", a))))
+        case AxiomId.B4:
+            # \v. let <x, f> = v in break x as <phi, g> @ b in <phi f, g>
+            #   : a * (a -> b) -> b * (b -> a)
+            ab = Arrow(a, b)
+            k, s = ks_types(a, b)
+            return Lam("v", Tensor(a, ab),
+                       Let("x", a, "f", ab, Var("v", Tensor(a, ab)),
+                           Break(Var("x", a), "phi", "g", b,
+                                 Pair(App(Var("phi", k), Var("f", ab)),
+                                      Var("g", s)))))
+        case AxiomId.B5a:
+            # \f.\x.\y. f <x, y> : (a * b -> c) -> a -> b -> c
+            fro = Arrow(Tensor(a, b), c)
+            return Lam("f", fro, Lam("x", a, Lam("y", b,
+                       App(Var("f", fro), Pair(Var("x", a), Var("y", b))))))
+        case AxiomId.B5b:
+            # \g.\a. let <x, y> = a in g x y : (a -> b -> c) -> a * b -> c
+            gty = Arrow(a, Arrow(b, c))
+            return Lam("g", gty, Lam("a", Tensor(a, b),
+                       Let("x", a, "y", b, Var("a", Tensor(a, b)),
+                           App(App(Var("g", gty), Var("x", a)), Var("y", b)))))
+    raise ValueError(f"unknown axiom {axiom!r}")
+
+
+def reference_identity_break(a: TypeExpr) -> Term:
+    """Normal-form identity that routes through a break: \\x. break x as <phi, f> @ a in phi f."""
+    k, s = ks_types(a, a)
+    return Lam("x", a, Break(Var("x", a), "phi", "f", a,
+                             App(Var("phi", k), Var("f", s))))
+
+
+def reference_divisibility_terms(a: TypeExpr, b: TypeExpr) -> tuple[Term, Term]:
+    """The divisibility inhabitant t and the first-projection wrapper u.
+
+    t : a -> (a -> b) -> b * (b -> a) is normal; u : a -> (a -> b) -> b
+    normalizes to \\x'. \\g'. g' x'.
+    """
+    ab = Arrow(a, b)
+    k, s = ks_types(a, b)
+    t = Lam("x", a, Break(Var("x", a), "phi", "f", b,
+                          Lam("g", ab, Pair(App(Var("phi", k), Var("g", ab)),
+                                            Var("f", s)))))
+    u = Lam("x'", a, Lam("g'", ab,
+            Let("m", b, "n", s, App(App(t, Var("x'", a)), Var("g'", ab)),
+                Var("m", b))))
+    return t, u
+
+
+def reference_axiom_L_term(a: TypeExpr, b: TypeExpr) -> Term:
+    """\\D.\\x. break x as <phi, f> @ b in phi (D f) : ((b->a)->(a->b)) -> a -> b."""
+    k, s = ks_types(a, b)
+    dty = Arrow(s, Arrow(a, b))
+    return Lam("D", dty, Lam("x", a,
+               Break(Var("x", a), "phi", "f", b,
+                     App(Var("phi", k), App(Var("D", dty), Var("f", s))))))
+
+
+def reference_homomorphism_term(a: TypeExpr, b: TypeExpr, c: TypeExpr) -> Term:
+    """Witness that mapping out of an idempotent element splits pairs:
+
+    (a -> a * a) -> (a -> b * c) -> (a -> b) * (a -> c)
+
+    Assembled from two nested breaks and a third break inside the repackaging
+    function, with pair projections spelled out as lets.
+    """
+    ab, ac = Arrow(a, b), Arrow(a, c)
+    abc = Arrow(a, Tensor(b, c))
+    goal = Tensor(ab, ac)
+    y_ty = Arrow(ab, goal)           # (a->b) -> (a->b) * (a->c)
+    z_ty = Arrow(y_ty, goal)         # y -> (a->b) * (a->c)
+    yac = Arrow(y_ty, ac)            # y -> (a->c)
+    k_phi, s_f = ks_types(abc, ab)   # breaking h at residue a->b
+    k_psi, s_g = ks_types(z_ty, yac)  # breaking t5 at residue y -> (a->c)
+
+    # pi0 : b * c -> b, inlined where needed
+    pi0 = Lam("v0", Tensor(b, c),
+              Let("b0", b, "c0", c, Var("v0", Tensor(b, c)), Var("b0", b)))
+    # pi1 : (a->b) * (a->c) -> a -> c
+    pi1 = Lam("v1", goal,
+              Let("i0", ab, "j0", ac, Var("v1", goal), Var("j0", ac)))
+
+    # t1 = phi (\m. \x0. pi0 (m x0)) : a -> b
+    t1 = App(Var("phi", k_phi),
+             Lam("m", abc, Lam("x0", a,
+                               App(pi0, App(Var("m", abc), Var("x0", a))))))
+
+    # t2(x) = \j. let <x1, y1> = f j x in <\zb. x1, \zc. y1> : y
+    def t2(xname: str) -> Term:
+        return Lam("j", ab,
+                   Let("x1", b, "y1", c,
+                       App(App(Var("f", s_f), Var("j", ab)), Var(xname, a)),
+                       Pair(Lam("zb", a, Var("x1", b)),
+                            Lam("zc", a, Var("y1", c)))))
+
+    # t4 = \p. \y0. let <y2, y3> = alpha y0 in p (t2[y2]) y3 : (y -> (a->c)) -> a -> c
+    aa = Tensor(a, a)
+    t4 = Lam("p", yac, Lam("y0", a,
+             Let("y2", a, "y3", a,
+                 App(Var("alpha", Arrow(a, aa)), Var("y0", a)),
+                 App(App(Var("p", yac), t2("y2")), Var("y3", a)))))
+
+    # t5 = \q. q t1 : z
+    t5 = Lam("q", y_ty, App(Var("q", y_ty), t1))
+
+    # t6 = \u0. \v2. pi1 (u0 v2) : z -> y -> (a->c)
+    t6 = Lam("u0", z_ty, Lam("v2", y_ty,
+             App(pi1, App(Var("u0", z_ty), Var("v2", y_ty)))))
+
+    # t7 = \vc. \ub. <ub, vc> : (a->c) -> y
+    t7 = Lam("vc", ac, Lam("ub", ab, Pair(Var("ub", ab), Var("vc", ac))))
+
+    # t8 = \i. break i as <eta, k> @ y in (g k) (eta t7) : (a->c) -> goal
+    k_eta, s_k = ks_types(ac, y_ty)
+    t8 = Lam("i", ac,
+             Break(Var("i", ac), "eta", "k", y_ty,
+                   App(App(Var("g", s_g), Var("k", s_k)),
+                       App(Var("eta", k_eta), t7))))
+
+    # t9 = break h as <phi, f> @ (a->b) in
+    #        break t5 as <psi, g> @ (y -> (a->c)) in t8 (t4 (psi t6))
+    t9 = Break(Var("h", abc), "phi", "f", ab,
+               Break(t5, "psi", "g", yac,
+                     App(t8, App(t4, App(Var("psi", k_psi), t6)))))
+
+    return Lam("alpha", Arrow(a, aa), Lam("h", abc, t9))
+
+
+def reference_break_free_split(a: TypeExpr, b: TypeExpr) -> Term:
+    """Split a into its two break components without a break node, given the
+    divisibility axiom for the residue instance as a hypothesis.
+
+    Type: (a * (a -> K) -> K * (K -> a)) -> a -> K * (b -> a), K = (a -> b) -> b.
+    """
+    k, _ = ks_types(a, b)
+    ab = Arrow(a, b)
+    hyp = Arrow(Tensor(a, Arrow(a, k)), Tensor(k, Arrow(k, a)))
+    ka = Arrow(k, a)
+    # \b4. \x. let <phi, h> = b4 <x, \a0. \p. p a0> in <phi, \b0. h (\g0. b0)>
+    return Lam("b4", hyp, Lam("x", a,
+               Let("phi", k, "h", ka,
+                   App(Var("b4", hyp),
+                       Pair(Var("x", a),
+                            Lam("a0", a, Lam("p", ab,
+                                App(Var("p", ab), Var("a0", a)))))),
+                   Pair(Var("phi", k),
+                        Lam("b0", b,
+                            App(Var("h", ka),
+                                Lam("g0", ab, Var("b0", b))))))))
+
+
+def catalog_terms(a: TypeExpr, b: TypeExpr, c: TypeExpr) -> list[Term]:
+    return [axiom_term(x, a, b, c) for x in AxiomId] + [
+        identity_break(a), *divisibility_terms(a, b), axiom_L_term(a, b),
+        homomorphism_term(a, b, c), break_free_split(a, b)]
+
+
+def reference_catalog_terms(a: TypeExpr, b: TypeExpr,
+                            c: TypeExpr) -> list[Term]:
+    return [reference_axiom_term(x, a, b, c) for x in AxiomId] + [
+        reference_identity_break(a), *reference_divisibility_terms(a, b),
+        reference_axiom_L_term(a, b), reference_homomorphism_term(a, b, c),
+        reference_break_free_split(a, b)]
+
+
+# atoms that print_type cannot read back, and compound types over the
+# template's own atoms, so that substituting type text, or one atom at a
+# time, gives a different term
+SPECIAL_TYPES = (A, B, C, Atom("?1"), Atom("let"), Arrow(A, C),
+                 Tensor(C, Arrow(B, A)), Arrow(Tensor(A, A), C))
+
+
+def type_triples():
+    yield from ((A, B, C), (B, A, C), (C, A, B), (A, A, A),
+                (Atom("?1"), Atom("let"), C), (Arrow(A, C), A, Tensor(C, B)))
+    rng = random.Random(64)
+    for _ in range(320):
+        yield tuple(rng.choice(SPECIAL_TYPES) if rng.random() < 0.4
+                    else random_type(rng, 3) for _ in range(3))
+
+
+class TestAgainstReference:
+    def test_equal_to_the_reference_builders(self):
+        n = 0
+        for a, b, c in type_triples():
+            assert catalog_terms(a, b, c) == reference_catalog_terms(a, b, c)
+            n += 1
+        assert n >= 300
+
+    @pytest.mark.parametrize("axiom", [AxiomId.B1, AxiomId.B5a, AxiomId.B5b])
+    def test_missing_third_type_message(self, axiom):
+        with pytest.raises(ValueError) as new:
+            axiom_term(axiom, A, B)
+        with pytest.raises(ValueError) as ref:
+            reference_axiom_term(axiom, A, B)
+        assert str(new.value) == str(ref.value) == \
+            f"{axiom.value} needs a third type argument"

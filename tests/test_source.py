@@ -1,0 +1,84 @@
+"""Source hygiene of src/breakcalc, read with ast: no unused import, no
+unreferenced private top-level name, no nested function that the function
+enclosing it never refers to."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "breakcalc"
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(PACKAGE.glob("*.py"))}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def loaded_names(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read in node, outside the subtree skip; an attribute counts as
+    a read of its name too, so that `module._name` refers to _name."""
+    out, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def nested_functions(fn: ast.AST):
+    """The functions defined in fn's body, not inside a further function."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        n = stack.pop()
+        if isinstance(n, FUNCTIONS):
+            yield n
+        else:
+            stack.extend(ast.iter_child_nodes(n))
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__.py"])
+def test_every_imported_name_is_used(name):
+    tree = MODULES[name]
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    assert sorted(imported - loaded_names(tree)) == []
+
+
+def test_every_private_top_level_name_is_referenced():
+    referenced = set().union(*map(loaded_names, MODULES.values()))
+    referenced |= {alias.name for tree in MODULES.values()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for alias in node.names}
+    unreferenced = []
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            unreferenced += [(module, n) for n in names
+                             if n.startswith("_") and not n.startswith("__")
+                             and n not in referenced]
+    assert unreferenced == []
+
+
+def test_every_nested_function_is_referenced_by_its_encloser():
+    unreferenced = [(module, fn.name, inner.name)
+                    for module, tree in MODULES.items()
+                    for fn in ast.walk(tree) if isinstance(fn, FUNCTIONS)
+                    for inner in nested_functions(fn)
+                    if inner.name not in loaded_names(fn, skip=inner)]
+    assert unreferenced == []
