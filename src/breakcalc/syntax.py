@@ -164,16 +164,44 @@ class _Printed(dict):
 
     ``_PRINTED.__getitem__`` is print_type as a C-level function, so a sort
     keyed by it calls no Python code for a type already printed.  The memo
-    keeps alive no type that _TYPES does not.
+    keeps alive no type that _TYPES does not.  A miss prints bottom up, on
+    an explicit stack of the parts that have no entry yet, so a type of any
+    depth prints: a compound's text joins its parts' texts, with an Arrow
+    part on the left in parentheses, and a compound right part of a Tensor
+    too.
     """
 
     __slots__ = ()
 
     def __missing__(self, ty: TypeExpr) -> str:
-        text = self[ty] = _ptype(ty, _TOP)
-        if _reads_back(ty):
-            _PARSED[text] = ty
-        return text
+        stack = [ty]
+        while stack:
+            top = stack.pop()
+            if top in self:  # a part that two compounds pushed
+                continue
+            if not isinstance(top, TypeExpr):
+                raise TypeError(f"not a type: {top!r}")
+            if type(top) is Atom:
+                text = top.name
+            else:
+                todo = [part for part in top if part not in self]
+                if todo:
+                    stack += [top, *todo]
+                    continue
+                left, right = top
+                text = self[left]
+                if type(left) is Arrow:
+                    text = f"({text})"
+                if type(top) is Arrow:
+                    text = f"{text} -> {self[right]}"
+                elif type(right) is Atom:
+                    text = f"{text} * {self[right]}"
+                else:
+                    text = f"{text} * ({self[right]})"
+            self[top] = text
+            if _reads_back(top):
+                _PARSED[text] = top
+        return self[ty]
 
 
 _PRINTED = _Printed()
@@ -183,29 +211,17 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 
 
 def _reads_back(ty: TypeExpr) -> bool:
-    """True if parse_type reads print_type(ty) back as ty: each atom is
-    named by an identifier."""
+    """True if parse_type reads print_type(ty) back as ty: an atom when
+    its name is an identifier, a compound when each of its parts, printed
+    already, does."""
     if type(ty) is Atom:
         return ty.name not in KEYWORDS and _IDENT.fullmatch(ty.name) is not None
-    return all(map(_reads_back, ty))
+    return all(_PARSED.get(_PRINTED[part]) is part for part in ty)
 
 
 def print_type(ty: TypeExpr) -> str:
     """A type in the surface syntax, with minimal parentheses."""
     return _PRINTED[ty]
-
-
-def _ptype(ty: TypeExpr, ctx: int) -> str:
-    match ty:
-        case Atom(name):
-            return name
-        case Arrow(dom, cod):
-            s = f"{_ptype(dom, _ARG_L)} -> {_ptype(cod, _TOP)}"
-            return f"({s})" if ctx >= _ARG_L else s
-        case Tensor(left, right):
-            s = f"{_ptype(left, _ARG_L)} * {_ptype(right, _ARG_R)}"
-            return f"({s})" if ctx >= _ARG_R else s
-    raise TypeError(f"not a type: {ty!r}")
 
 
 def type_size(ty: TypeExpr) -> int:

@@ -1,10 +1,13 @@
 """Church-style type checking, type erasure, and principal type inference.
 
-The checking context is implicit: the free variables of a term, with their
-annotations, form its context.  Two-premise rules demand disjoint used-variable
-sets, which is what makes every typable term affine.  check and
-infer_principal test this first: the canonicity walk in syntax finds
-contraction, and only a term that contracts is walked again to name it.
+Checking and inference are one walk, _Checker.type_of, with one case per
+constructor tag that Term and UntypedTerm share.  Inference is checking in
+which each annotation is a fresh unification variable and types that meet
+are unified.  The free variables of a term, with their annotations, form its
+context.  Two-premise rules demand disjoint used-variable sets, so every
+typable term is affine; both modes test this first, on the canonical names
+(see syntax._canonical_names), and then type the canonical term, in which no
+binder shadows another or a free name, so one environment only grows.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .syntax import (
-    App, Arrow, Atom, Break, DistinctBinders, IllFormedTermError, Lam, Let,
-    Node, Pair, Tensor, Term, TypeExpr, Var, _canonical_names, _remember_last,
-    constructor, canonical_contraction, first_contraction, ks_types, print_type,
+    SPECS, Arrow, Atom, DistinctBinders, Node, Tensor, Term, TypeExpr,
+    _canonical_names, _remember_last, constructor, canonical_contraction,
+    ks_types, print_type,
 )
 
 
@@ -63,69 +66,6 @@ class OccursCheck(TypeCheckError):
 
 
 # ---------------------------------------------------------------------------
-# Checking
-# ---------------------------------------------------------------------------
-
-@_remember_last
-def check(t: Term) -> TypeExpr:
-    """Unique type of t, or raise.
-
-    Rejects contraction (a name used in both premises of a two-premise rule)
-    before anything else, then validates annotations against binders and
-    rejects a free name occurring at two types.  A repeated call on the
-    same object (`is`) as one of the last two reuses its result, as
-    nd_to_sequent does; a failing one raises again.
-    """
-    t, names = _canonical_names(t)
-    if names is None:
-        raise AffinityViolation(canonical_contraction(t))
-    return _check(t, {}, (), {})
-
-
-def _check(t: Term, env: dict[str, TypeExpr], path: tuple[int, ...],
-           free_seen: dict[str, TypeExpr]) -> TypeExpr:
-    """The type of a canonical t, where env types each binder met so far:
-    none shadows another, so env only grows."""
-    match t:
-        case Var(name, ty):
-            if name in env:
-                if env[name] != ty:
-                    raise TypeMismatch(env[name], ty, path)
-            else:
-                seen = free_seen.get(name)
-                if seen is not None and seen != ty:
-                    raise IllFormedTermError(
-                        f"variable {name!r} used at two types")
-                free_seen[name] = ty
-            return ty
-        case Lam(b, bt, body):
-            env[b] = bt
-            return Arrow(bt, _check(body, env, path + (0,), free_seen))
-        case App(fun, arg):
-            fty = _check(fun, env, path + (0,), free_seen)
-            aty = _check(arg, env, path + (1,), free_seen)
-            if not isinstance(fty, Arrow):
-                raise TypeMismatch("a function type", fty, path + (0,))
-            if fty.dom != aty:
-                raise TypeMismatch(fty.dom, aty, path + (1,))
-            return fty.cod
-        case Pair(a, b):
-            return Tensor(_check(a, env, path + (0,), free_seen),
-                          _check(b, env, path + (1,), free_seen))
-        case Let(x, xt, y, yt, scrut, body):
-            sty = _check(scrut, env, path + (0,), free_seen)
-            if sty != Tensor(xt, yt):
-                raise TypeMismatch(Tensor(xt, yt), sty, path + (0,))
-            env[x], env[y] = xt, yt
-            return _check(body, env, path + (1,), free_seen)
-        case Break(scrut, phi, f, residue, body):
-            sty = _check(scrut, env, path + (0,), free_seen)
-            env[phi], env[f] = ks_types(sty, residue)
-            return _check(body, env, path + (1,), free_seen)
-    raise TypeError(f"not a term: {t!r}")
-
-
-# ---------------------------------------------------------------------------
 # Untyped terms and erasure
 # ---------------------------------------------------------------------------
 
@@ -167,27 +107,102 @@ class UBreak(UntypedTerm, DistinctBinders,
     __slots__ = ()
 
 
+#: For each Term class, the UntypedTerm class with its tag, and for each field
+#: of that class, the slot of the Term field of that name and if it is a child.
+_ERASURES = {
+    t: (u, tuple((i, i in st.kid_slots)
+                 for i in map(t._fields.index, u._fields)))
+    for t, st in SPECS.items() if issubclass(t, Term)
+    for u, su in SPECS.items()
+    if issubclass(u, UntypedTerm) and su.tag == st.tag}
+
+
 def erase(t: Term) -> UntypedTerm:
     """Drop every annotation, keeping the term shape."""
-    match t:
-        case Var(name, _):
-            return UVar(name)
-        case Lam(b, _, body):
-            return ULam(b, erase(body))
-        case App(fun, arg):
-            return UApp(erase(fun), erase(arg))
-        case Pair(a, b):
-            return UPair(erase(a), erase(b))
-        case Let(x, _, y, _, scrut, body):
-            return ULet(x, y, erase(scrut), erase(body))
-        case Break(scrut, phi, f, _, body):
-            return UBreak(erase(scrut), phi, f, erase(body))
-    raise TypeError(f"not a term: {t!r}")
+    if type(t) not in _ERASURES:
+        raise TypeError(f"not a term: {t!r}")
+    cls, fields = _ERASURES[type(t)]
+    return cls(*[erase(t[i]) if kid else t[i] for i, kid in fields])
 
 
 # ---------------------------------------------------------------------------
-# Principal type inference
+# Checking and inference
 # ---------------------------------------------------------------------------
+
+class _Checker:
+    """The typing rules, one case per constructor tag (type_of), with
+    checking's answers where inference differs: annots(t, n), the types of
+    t's n annotations; apply(fun_type, arg_type, path), an application's
+    type; and meet(found, expected, path), where two types must be one.
+    env types each bound variable met so far."""
+
+    family, noun = Term, "a term"
+
+    def __init__(self) -> None:
+        self.env: dict[str, TypeExpr] = {}
+
+    def typed(self, t) -> TypeExpr:
+        """The type of t, after rejecting contraction."""
+        if not isinstance(t, self.family):
+            raise TypeError(f"not {self.noun}: {t!r}")
+        t, names = _canonical_names(t)
+        if names is None:
+            raise AffinityViolation(canonical_contraction(t))
+        return self.type_of(t, ())
+
+    def type_of(self, t, path: tuple[int, ...]) -> TypeExpr:
+        sp = SPECS[type(t)]
+        tag = sp.tag
+        if tag == "v":  # a free variable is met once: the term is affine
+            ty = self.env.get(t.name)
+            if ty is None:
+                (ty,) = self.annots(t, 1)
+            for own in sp.annots(t):  # a Term's variable is annotated
+                self.meet(own, ty, path)
+            return ty
+        if tag == "l":
+            (a,) = self.annots(t, 1)
+            self.env[t.binder] = a
+            return Arrow(a, self.type_of(t.body, path + (0,)))
+        first, second = sp.kids(t)
+        ty = self.type_of(first, path + (0,))
+        if tag == "a":
+            return self.apply(ty, self.type_of(second, path + (1,)), path)
+        if tag == "p":
+            return Tensor(ty, self.type_of(second, path + (1,)))
+        if tag == "L":
+            xt, yt = self.annots(t, 2)
+            self.meet(ty, Tensor(xt, yt), path + (0,))
+            self.env[t.x], self.env[t.y] = xt, yt
+        else:  # a break: the residue is its one annotation
+            self.env[t.phi], self.env[t.f] = ks_types(ty, *self.annots(t, 1))
+        return self.type_of(second, path + (1,))
+
+    def annots(self, t, n: int) -> tuple[TypeExpr, ...]:
+        return SPECS[type(t)].annots(t)
+
+    def apply(self, fty: TypeExpr, aty: TypeExpr, path) -> TypeExpr:
+        if type(fty) is not Arrow:
+            raise TypeMismatch("a function type", fty, path + (0,))
+        self.meet(aty, fty.dom, path + (1,))
+        return fty.cod
+
+    def meet(self, found: TypeExpr, expected: TypeExpr, path) -> None:
+        if found is not expected:
+            raise TypeMismatch(expected, found, path)
+
+
+@_remember_last
+def check(t: Term) -> TypeExpr:
+    """Unique type of t, or raise.
+
+    Rejects contraction (a name used in both premises of a two-premise rule)
+    before anything else, then validates annotations against binders.  A
+    repeated call on the same object (`is`) as one of the last two reuses
+    its result, as nd_to_sequent does; a failing one raises again.
+    """
+    return _Checker().typed(t)
+
 
 class TypeScheme(NamedTuple):
     """A most general type: body plus the atoms standing for unification variables."""
@@ -199,8 +214,15 @@ class TypeScheme(NamedTuple):
 _SCHEME_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-class _Inferencer:
+class _Inferencer(_Checker):
+    """Checking in which every annotation and free variable is a fresh
+    unification variable ?1, ?2, ..., drawn in the order the walk meets
+    them, and two types that meet are unified (meet is unify)."""
+
+    family, noun = UntypedTerm, "an untyped term"
+
     def __init__(self) -> None:
+        super().__init__()
         self.counter = 0
         self.sub: dict[str, TypeExpr] = {}
 
@@ -234,37 +256,15 @@ class _Inferencer:
         for x, y in zip(a, b):
             self.unify(x, y, path)
 
-    def walk(self, u: UntypedTerm, env: dict[str, TypeExpr],
-             free: dict[str, TypeExpr], path: tuple[int, ...]) -> TypeExpr:
-        match u:
-            case UVar(name):
-                if name in env:
-                    return env[name]
-                return free.setdefault(name, self.fresh())
-            case ULam(b, body):
-                a = self.fresh()
-                r = self.walk(body, env | {b: a}, free, path + (0,))
-                return Arrow(a, r)
-            case UApp(fun, arg):
-                ft = self.walk(fun, env, free, path + (0,))
-                at = self.walk(arg, env, free, path + (1,))
-                res = self.fresh()
-                self.unify(ft, Arrow(at, res), path)
-                return res
-            case UPair(a, b):
-                return Tensor(self.walk(a, env, free, path + (0,)),
-                              self.walk(b, env, free, path + (1,)))
-            case ULet(x, y, scrut, body):
-                st = self.walk(scrut, env, free, path + (0,))
-                xa, yb = self.fresh(), self.fresh()
-                self.unify(st, Tensor(xa, yb), path + (0,))
-                return self.walk(body, env | {x: xa, y: yb}, free, path + (1,))
-            case UBreak(scrut, phi, f, body):
-                alpha = self.walk(scrut, env, free, path + (0,))
-                kty, sty = ks_types(alpha, self.fresh())
-                return self.walk(body, env | {phi: kty, f: sty}, free,
-                                 path + (1,))
-        raise TypeError(f"not an untyped term: {u!r}")
+    meet = unify
+
+    def annots(self, t, n: int) -> tuple[TypeExpr, ...]:
+        return tuple([self.fresh() for _ in range(n)])
+
+    def apply(self, fty: TypeExpr, aty: TypeExpr, path) -> TypeExpr:
+        res = self.fresh()
+        self.unify(fty, Arrow(aty, res), path)
+        return res
 
 
 def infer_principal(u: UntypedTerm) -> TypeScheme:
@@ -273,11 +273,8 @@ def infer_principal(u: UntypedTerm) -> TypeScheme:
     A break introduces fresh scrutinee and residue variables a, b with
     phi : (a -> b) -> b and f : b -> a.
     """
-    name = first_contraction(u)
-    if name is not None:
-        raise AffinityViolation(name)
     inf = _Inferencer()
-    return _canonical_scheme(inf.walk(u, {}, {}, ()), inf.resolve)
+    return _canonical_scheme(inf.typed(u), inf.resolve)
 
 
 def _canonical_scheme(ty: TypeExpr, resolve) -> TypeScheme:

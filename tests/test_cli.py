@@ -292,3 +292,20 @@ class TestDeepNesting:
         text = ("(CUT [A |- A] (ASM [A |- A]) " * depth + "(ASM [A |- A])"
                 + ")" * depth + "\n")
         self._assert_budget_exit(self._run([command, "-"], stdin=text))
+
+
+class TestDeepTypes:
+    """A type nested deeper than the recursion limit prints, because the
+    type printer keeps its own stack."""
+
+    def test_application_to_400_arguments_normalizes(self):
+        # f's 400-deep type is printed with the normal form, which is the
+        # term itself
+        n = 400
+        arrow = " -> ".join(["A"] * (n + 1))
+        source = (f"(f : {arrow}) "
+                  + " ".join(f"(a{i} : A)" for i in range(n)) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "breakcalc.cli", "normalize", "-"],
+            input=source, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, source, "")

@@ -30,7 +30,7 @@ from breakcalc.syntax import (
     canonicalize, free_names, free_vars, ks_types, print_type, substitute,
     subterm_at,
 )
-from breakcalc.syntax import _PARSED, _PRINTED, _TOP, _ptype
+from breakcalc.syntax import _PARSED, _PRINTED, _TOP
 from breakcalc.typecheck import check
 from termgen import clashing_copy, random_typable_term
 from test_golden_outputs import golden_items
@@ -38,6 +38,7 @@ from test_parse_errors import (
     SAMPLES, SEED as PARSE_ERRORS_SEED, catalog_terms,
     inputs as parse_error_inputs, mutations as parse_error_mutations,
 )
+from test_syntax import _ptype
 
 A, B, C, P = Atom("A"), Atom("B"), Atom("C"), Atom("P")
 BUDGETS = Path(__file__).resolve().parent / "cut_budgets.json"

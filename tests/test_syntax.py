@@ -23,7 +23,10 @@ from breakcalc.syntax import (
     free_vars, fresh_name, is_canonical, ks_types, print_type, replace_at,
     substitute, subterm_at, subterms, term_size, type_size,
 )
-from breakcalc.syntax import _TOP, _freshen, _ptype, _rebuild, _subst
+from breakcalc.syntax import (
+    _ARG_L, _ARG_R, _IDENT, _PARSED, _TOP, KEYWORDS, _freshen, _rebuild,
+    _subst,
+)
 from breakcalc.typecheck import UApp, UBreak, ULam, ULet, UPair, UVar, erase
 from termgen import (
     clashing_copy, random_large_term, random_type, random_typable_term,
@@ -690,6 +693,28 @@ class TestDeepEquality:
         assert t.second != tuple(t.second)
 
 
+def _ptype(ty, ctx):
+    """print_type as it was, recursive: the reference of the type printer,
+    which prints on an explicit stack."""
+    match ty:
+        case Atom(name):
+            return name
+        case Arrow(dom, cod):
+            s = f"{_ptype(dom, _ARG_L)} -> {_ptype(cod, _TOP)}"
+            return f"({s})" if ctx >= _ARG_L else s
+        case Tensor(left, right):
+            s = f"{_ptype(left, _ARG_L)} * {_ptype(right, _ARG_R)}"
+            return f"({s})" if ctx >= _ARG_R else s
+    raise TypeError(f"not a type: {ty!r}")
+
+
+def reference_reads_back(ty):
+    """_reads_back as it was, recursive."""
+    if type(ty) is Atom:
+        return ty.name not in KEYWORDS and _IDENT.fullmatch(ty.name) is not None
+    return all(map(reference_reads_back, ty))
+
+
 class TestInterning:
     """Equal types are one object, however they are built."""
 
@@ -742,3 +767,72 @@ class TestInterning:
         for _ in range(10_000):
             ty = random_type(rng, rng.randint(0, 6))
             assert print_type(ty) == _ptype(ty, _TOP)
+
+
+def unprinted_types(rng, count, prefix):
+    """count random types over atoms that no other test names, so print_type
+    has printed none of them or of their parts; some atoms do not read back
+    (a keyword, an inference variable, a space)."""
+    names = [f"{prefix}{i}" for i in range(4)] + ["let", "?1", "a b"]
+    pool = [Atom(n) for n in names]
+
+    def draw(d):
+        if d == 0 or rng.random() < 0.2:
+            return rng.choice(pool)
+        return rng.choice((Arrow, Tensor))(draw(d - 1), draw(d - 1))
+
+    return [draw(rng.randint(1, 6)) for _ in range(count)]
+
+
+class TestTypePrinter:
+    """print_type prints on an explicit stack, bottom up over the parts that
+    have no text yet, and agrees with the recursive printer."""
+
+    def test_equals_the_recursive_printer_on_unprinted_types(self):
+        types = unprinted_types(random.Random(20261019), 3000, "Pq")
+        compound = [ty for ty in dict.fromkeys(types) if type(ty) is not Atom]
+        assert len(compound) > 2000
+        for ty in types:
+            assert print_type(ty) == _ptype(ty, _TOP)
+
+    def test_reads_back_as_the_recursive_test(self):
+        types = unprinted_types(random.Random(20261020), 3000, "Rs")
+        verdicts = set()
+        for ty in types:
+            text = print_type(ty)
+            expected = reference_reads_back(ty)
+            verdicts.add(expected)
+            assert (_PARSED.get(text) is ty) == expected, text
+            if expected:
+                assert parse_type(text) is ty
+        assert verdicts == {True, False}
+
+    def test_deep_types_print_without_recursion(self):
+        # in a subprocess, so that no later test meets these types in the
+        # print memo: parse_type still recurses once per level
+        depth = 2000
+        script = (
+            "from breakcalc.syntax import Arrow, Atom, Tensor, _PARSED, "
+            "print_type\n"
+            "A = left = right = tensor = Atom('A')\n"
+            f"for _ in range({depth}):\n"
+            "    left, right = Arrow(left, A), Arrow(A, right)\n"
+            "    tensor = Tensor(A, tensor)\n"
+            "print(print_type(left))\n"
+            "print(print_type(right))\n"
+            "print(print_type(tensor))\n"
+            "print(_PARSED.get(print_type(tensor)) is tensor)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        n = depth - 1
+        assert proc.stdout.splitlines() == [
+            "(" * n + "A -> A" + ") -> A" * n,
+            " -> ".join(["A"] * (depth + 1)),
+            "A * (" * n + "A * A" + ")" * n,
+            "True"]
+        deep = A
+        for _ in range(depth):
+            deep = Arrow(deep, A)
+        with pytest.raises(RecursionError):
+            _ptype(deep, _TOP)

@@ -1,5 +1,6 @@
 """Type checking, erasure, and principal type inference."""
 
+import functools
 import itertools
 import random
 import sys
@@ -19,9 +20,10 @@ from breakcalc.sequent import (
     print_derivation, sequent_to_term,
 )
 from breakcalc.syntax import (
-    App, Arrow, Atom, Lam, Pair, Tensor, Var, affine_check, alpha_eq,
-    canonical_contraction, canonicalize, first_contraction, free_names,
-    free_vars, is_canonical, ks_types, replace_at, subterms, type_size,
+    App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair, Tensor, Var,
+    affine_check, alpha_eq, canonical_contraction, canonicalize,
+    first_contraction, free_names, free_vars, is_canonical, ks_types,
+    replace_at, subterm_at, subterms, type_size,
 )
 from breakcalc.typecheck import (
     AffinityViolation, OccursCheck, TypeCheckError, TypeMismatch,
@@ -137,14 +139,14 @@ class TestRepeatedCheck:
             self, monkeypatch):
         counts = Counter()
         for module, name in ((syntax_module, "_scan"),
-                             (typecheck_module, "_check")):
+                             (typecheck_module._Checker, "type_of")):
             def counted(*args, real=getattr(module, name), name=name):
                 counts[name] += 1
                 return real(*args)
             monkeypatch.setattr(module, name, counted)
         t = copied(self.good)
         ty = check(t)
-        assert counts["_scan"] == 1 and counts["_check"] > 0
+        assert counts["_scan"] == 1 and counts["type_of"] > 0
         counts.clear()
         assert nd_to_sequent(t).conclusion.succedent is ty
         assert not counts
@@ -224,7 +226,41 @@ def assert_threads_get_their_own_types(terms):
     assert not wrong
 
 
+def reference_erase(t):
+    """erase as it was: a case per Term constructor."""
+    match t:
+        case Var(name, _):
+            return UVar(name)
+        case Lam(b, _, body):
+            return ULam(b, reference_erase(body))
+        case App(fun, arg):
+            return UApp(reference_erase(fun), reference_erase(arg))
+        case Pair(a, b):
+            return UPair(reference_erase(a), reference_erase(b))
+        case Let(x, _, y, _, scrut, body):
+            return ULet(x, y, reference_erase(scrut), reference_erase(body))
+        case Break(scrut, phi, f, _, body):
+            return UBreak(reference_erase(scrut), phi, f,
+                          reference_erase(body))
+    raise TypeError(f"not a term: {t!r}")
+
+
 class TestErase:
+    def test_equals_the_reference(self):
+        # the golden items and 2,000 seeded terms, with their copies and
+        # mutations, from the checker's population
+        kinds = Counter()
+        for kind, t in check_population():
+            assert erase(t) == reference_erase(t), t
+            kinds[kind] += 1
+        assert kinds["golden"] > 20 and kinds["seeded"] == 2000
+        for bad in ("x", UVar("x"), A, ULam("x", UVar("x"))):
+            with pytest.raises(TypeError) as got:
+                erase(bad)
+            with pytest.raises(TypeError) as expected:
+                reference_erase(bad)
+            assert str(got.value) == str(expected.value)
+
     def test_lambda(self):
         t = parse_term(r"\x:A. x")
         assert erase(t) == ULam("x", UVar("x"))
@@ -718,4 +754,154 @@ class TestTypeLayerAgainstReference:
                 type_size(bad)
             with pytest.raises(TypeError) as expected:
                 reference_type_size(bad)
+            assert str(got.value) == str(expected.value)
+
+
+# check as it was: the contraction test first, then a case per Term
+# constructor.  Each error it raises at a typing rule carries the name of
+# that rule's site, which outcomes do not compare, so that the tests can
+# count the mutations that reach each site.
+
+def reference_check(t):
+    name = reference_first_contraction(t)
+    if name is not None:
+        raise AffinityViolation(name)
+    return _reference_check(canonicalize(t), {}, (), {})
+
+
+def at_site(site, exc):
+    exc.site = site
+    return exc
+
+
+def _reference_check(t, env, path, free_seen):
+    match t:
+        case Var(name, ty):
+            if name in env:
+                if env[name] != ty:
+                    raise at_site("bound variable",
+                                  TypeMismatch(env[name], ty, path))
+            else:
+                seen = free_seen.get(name)
+                if seen is not None and seen != ty:
+                    raise at_site("free name at two types", IllFormedTermError(
+                        f"variable {name!r} used at two types"))
+                free_seen[name] = ty
+            return ty
+        case Lam(b, bt, body):
+            env[b] = bt
+            return Arrow(bt, _reference_check(body, env, path + (0,),
+                                              free_seen))
+        case App(fun, arg):
+            fty = _reference_check(fun, env, path + (0,), free_seen)
+            aty = _reference_check(arg, env, path + (1,), free_seen)
+            if not isinstance(fty, Arrow):
+                raise at_site("not a function", TypeMismatch(
+                    "a function type", fty, path + (0,)))
+            if fty.dom != aty:
+                raise at_site("domain", TypeMismatch(fty.dom, aty,
+                                                     path + (1,)))
+            return fty.cod
+        case Pair(a, b):
+            return Tensor(_reference_check(a, env, path + (0,), free_seen),
+                          _reference_check(b, env, path + (1,), free_seen))
+        case Let(x, xt, y, yt, scrut, body):
+            sty = _reference_check(scrut, env, path + (0,), free_seen)
+            if sty != Tensor(xt, yt):
+                raise at_site("let", TypeMismatch(Tensor(xt, yt), sty,
+                                                  path + (0,)))
+            env[x], env[y] = xt, yt
+            return _reference_check(body, env, path + (1,), free_seen)
+        case Break(scrut, phi, f, residue, body):
+            sty = _reference_check(scrut, env, path + (0,), free_seen)
+            env[phi], env[f] = ks_types(sty, residue)
+            return _reference_check(body, env, path + (1,), free_seen)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def check_outcome(f, t):
+    """f(t), or the class and message of the error it raises, and the site
+    of the rule that raised it, if it names one."""
+    try:
+        return f(t), None
+    except (TypeCheckError, IllFormedTermError) as exc:
+        return (type(exc), str(exc)), getattr(exc, "site", None)
+
+
+#: the annotation fields of each Term class
+ANNOTATIONS = {Var: ("type",), Lam: ("binder_type",),
+               Let: ("x_type", "y_type"), Break: ("residue",)}
+
+
+def annotation_mutations(t, rng, count):
+    """Up to count copies of t, each with one annotation ty, drawn at
+    random, replaced by ty * ty."""
+    slots = [(path, field) for path, sub in subterms(t)
+             for field in ANNOTATIONS.get(type(sub), ())]
+    for path, field in rng.sample(slots, min(count, len(slots))):
+        sub = subterm_at(t, path)
+        ty = getattr(sub, field)
+        yield replace_at(t, path, sub._replace(**{field: Tensor(ty, ty)}))
+
+
+def free_name_at_two_types(t):
+    """t paired with one of its free variables at another type, or nothing
+    if t is closed."""
+    for name, ty in sorted(free_vars(t).items()):
+        yield Pair(t, Var(name, Tensor(ty, ty)))
+        break
+
+
+@functools.cache
+def check_population():
+    """(kind, term): the golden items, 2,000 seeded terms, their clashing
+    copies, ill_typed_variants, annotation mutations and free names at two
+    types."""
+    rng = random.Random(20261023)
+    out = [("golden", t) for _, t in golden_items()]
+    for _ in range(2000):
+        t = random_typable_term(rng, max_size=30)
+        out += [("seeded", t), ("copy", clashing_copy(t, rng))]
+        out += [("variant", bad) for bad, _ in ill_typed_variants(t)]
+        out += [("annotation", m) for m in annotation_mutations(t, rng, 3)]
+        out += [("two types", m) for m in free_name_at_two_types(t)]
+    return out
+
+
+class TestCheckAgainstReference:
+    """check, one walk with inference, agrees with check as it was, a case
+    per constructor, on typable terms and on mutations that reach each of
+    its error sites."""
+
+    def test_outcomes_equal_the_reference(self):
+        sites, kinds = Counter(), Counter()
+        for kind, t in check_population():
+            expected, site = check_outcome(reference_check, t)
+            assert check_outcome(check, t)[0] == expected, t
+            kinds[kind, type(expected) is tuple and expected[0]] += 1
+            sites[site] += 1
+        floors = {"not a function": 100, "domain": 800, "let": 1500,
+                  "bound variable": 500}
+        assert all(sites[s] > n for s, n in floors.items()), sites
+        assert kinds["seeded", False] == 2000
+        assert kinds["annotation", TypeMismatch] > 3000, kinds
+        # contraction is tested first, and two occurrences of one free name
+        # contract, so the reference's "used at two types" site is never
+        # reached, and check has none
+        assert sites["free name at two types"] == 0
+        assert kinds["two types", AffinityViolation] > 1500, kinds
+        assert not any(k == "two types" and v is not AffinityViolation
+                       for k, v in kinds), kinds
+
+    def test_a_term_of_the_other_family_is_no_term(self):
+        for f, reference, bad in (
+                (check, reference_check, ULam("x", UVar("x"))),
+                (check, reference_check, UVar("x")),
+                (infer_principal, reference_infer_principal,
+                 Lam("x", A, Var("x", A))),
+                (infer_principal, reference_infer_principal, Var("x", A))):
+            with pytest.raises(TypeError) as got:
+                f(bad)
+            with pytest.raises(TypeError) as expected:
+                reference(bad)
             assert str(got.value) == str(expected.value)
