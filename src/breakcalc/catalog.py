@@ -1,11 +1,14 @@
 """Catalog of notable proof terms, parameterized by type arguments.
 
-Each constructor returns a closed, affine, well-typed term: the six axiom
-inhabitants of minimal Lukasiewicz logic, the break-based identity, the
-divisibility pair, axiom L of the hoop literature, the idempotent-element
-homomorphism witness, and the break-free splitting term.  Each term is
-written once, as a template in concrete syntax over the atoms A, B and C,
-and instantiated at the caller's types.
+Each term is closed, affine and well typed: the six axiom inhabitants of
+minimal Lukasiewicz logic, the break-based identity, the divisibility pair,
+axiom L of the hoop literature, the idempotent-element homomorphism witness,
+and the break-free splitting term.  Each is written once, as a template in
+concrete syntax, in one of two tables: AXIOMS, by AxiomId, and NAMED, by the
+name the CLI's catalog subcommand takes.  An entry is the atoms its template
+takes, in order ("ABC" for B1, "A" for the identity), and the template;
+`instance` puts the caller's types in place of those atoms.  The builders
+and both CLI subcommands read these tables.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import enum
 
 from .parser import parse_term
-from .syntax import App, Atom, Break, Lam, Let, Pair, Term, TypeExpr, Var
+from .syntax import SPECS, Atom, Term, TypeExpr
 
 
 class AxiomId(str, enum.Enum):
@@ -25,96 +28,64 @@ class AxiomId(str, enum.Enum):
     B5b = "B5b"
 
 
-def _instance(text: str, *types: TypeExpr) -> Term:
-    """The template text, parsed, with types in place of the atoms A, B, C,
-    in that order, all at once and in every annotation."""
-    sub = dict(zip("ABC", types))
+def instance(entry: tuple[str, str], *types: TypeExpr) -> Term:
+    """The entry's template, parsed, with types in place of its atoms, in
+    order, all at once and in every annotation; extra types are ignored."""
+    atoms, text = entry
+    sub = dict(zip(atoms, types))
 
     def ty(t: TypeExpr) -> TypeExpr:
-        if isinstance(t, Atom):
+        if type(t) is Atom:
             return sub.get(t.name, t)
         return type(t)(*map(ty, t))
 
     def term(t: Term) -> Term:
-        match t:
-            case Var(name, a):
-                return Var(name, ty(a))
-            case Lam(x, a, body):
-                return Lam(x, ty(a), term(body))
-            case App(fun, arg):
-                return App(term(fun), term(arg))
-            case Pair(first, second):
-                return Pair(term(first), term(second))
-            case Let(x, a, y, b, scrut, body):
-                return Let(x, ty(a), y, ty(b), term(scrut), term(body))
-            case Break(scrut, phi, f, residue, body):
-                return Break(term(scrut), phi, f, ty(residue), term(body))
-        raise TypeError(f"not a term: {t!r}")
+        sp = SPECS[type(t)]
+        fields = list(t)
+        for i in sp.kid_slots:
+            fields[i] = term(fields[i])
+        for i in sp.annot_slots:
+            fields[i] = ty(fields[i])
+        return sp.cls(*fields)
 
     return term(parse_term(text))
 
 
-_AXIOMS = {
+AXIOMS: dict[AxiomId, tuple[str, str]] = {
     # (A -> B) -> (B -> C) -> A -> C
-    AxiomId.B1: r"\f:A -> B. \g:B -> C. \x:A. g (f x)",
+    AxiomId.B1: ("ABC", r"\f:A -> B. \g:B -> C. \x:A. g (f x)"),
     # A * B -> A
-    AxiomId.B2: r"\v:A * B. let <x:A, y:B> = v in x",
+    AxiomId.B2: ("AB", r"\v:A * B. let <x:A, y:B> = v in x"),
     # A * B -> B * A
-    AxiomId.B3: r"\v:A * B. let <x:A, y:B> = v in <y, x>",
+    AxiomId.B3: ("AB", r"\v:A * B. let <x:A, y:B> = v in <y, x>"),
     # A * (A -> B) -> B * (B -> A)
-    AxiomId.B4: r"""\v:A * (A -> B). let <x:A, f:A -> B> = v in
-                    break x as <phi, g> @ B in <phi f, g>""",
+    AxiomId.B4: ("AB", r"""\v:A * (A -> B). let <x:A, f:A -> B> = v in
+                           break x as <phi, g> @ B in <phi f, g>"""),
     # (A * B -> C) -> A -> B -> C
-    AxiomId.B5a: r"\f:A * B -> C. \x:A. \y:B. f <x, y>",
+    AxiomId.B5a: ("ABC", r"\f:A * B -> C. \x:A. \y:B. f <x, y>"),
     # (A -> B -> C) -> A * B -> C
-    AxiomId.B5b: r"\g:A -> B -> C. \a:A * B. let <x:A, y:B> = a in g x y",
+    AxiomId.B5b: ("ABC",
+                  r"\g:A -> B -> C. \a:A * B. let <x:A, y:B> = a in g x y"),
 }
-
-
-def axiom_term(axiom: AxiomId, a: TypeExpr, b: TypeExpr,
-               c: TypeExpr | None = None) -> Term:
-    """Closed inhabitant of the given axiom; B1, B5a and B5b require c."""
-    axiom = AxiomId(axiom)
-    if axiom in (AxiomId.B1, AxiomId.B5a, AxiomId.B5b) and c is None:
-        raise ValueError(f"{axiom.value} needs a third type argument")
-    return _instance(_AXIOMS[axiom], a, b, c)
-
-
-def identity_break(a: TypeExpr) -> Term:
-    """Normal-form identity that routes through a break: a -> a."""
-    return _instance(r"\x:A. break x as <phi, f> @ A in phi f", a)
-
 
 _DIVISIBILITY_T = r"\x:A. break x as <phi, f> @ B in \g:A -> B. <phi g, f>"
 
-
-def divisibility_terms(a: TypeExpr, b: TypeExpr) -> tuple[Term, Term]:
-    """The divisibility inhabitant t and the first-projection wrapper u.
-
-    t : a -> (a -> b) -> b * (b -> a) is normal; u : a -> (a -> b) -> b
-    applies t and normalizes to \\x'. \\g'. g' x'.
-    """
-    u = rf"""\x':A. \g':A -> B.
-             let <m:B, n:B -> A> = ({_DIVISIBILITY_T}) x' g' in m"""
-    return _instance(_DIVISIBILITY_T, a, b), _instance(u, a, b)
-
-
-def axiom_L_term(a: TypeExpr, b: TypeExpr) -> Term:
-    """Axiom L: ((b -> a) -> a -> b) -> a -> b."""
-    return _instance(
-        r"\D:(B -> A) -> A -> B. \x:A. break x as <phi, f> @ B in phi (D f)",
-        a, b)
-
-
-def homomorphism_term(a: TypeExpr, b: TypeExpr, c: TypeExpr) -> Term:
-    """Witness that mapping out of an idempotent element splits pairs:
-
-    (a -> a * a) -> (a -> b * c) -> (a -> b) * (a -> c)
-
-    Assembled from two nested breaks and a third break inside the repackaging
-    function, with pair projections spelled out as lets.
-    """
-    return _instance(r"""
+NAMED: dict[str, tuple[str, str]] = {
+    # A -> A, normal, through a break
+    "identity": ("A", r"\x:A. break x as <phi, f> @ A in phi f"),
+    # A -> (A -> B) -> B * (B -> A), normal
+    "divisibility-t": ("AB", _DIVISIBILITY_T),
+    # A -> (A -> B) -> B: applies t and normalizes to \x'. \g'. g' x'
+    "divisibility-u": ("AB", rf"""\x':A. \g':A -> B.
+        let <m:B, n:B -> A> = ({_DIVISIBILITY_T}) x' g' in m"""),
+    # axiom L: ((B -> A) -> A -> B) -> A -> B
+    "axiom-l": ("AB", r"""\D:(B -> A) -> A -> B. \x:A.
+        break x as <phi, f> @ B in phi (D f)"""),
+    # (A -> A * A) -> (A -> B * C) -> (A -> B) * (A -> C): mapping out of
+    # an idempotent element splits pairs.  Two nested breaks and a third
+    # inside the repackaging function, with pair projections spelled out
+    # as lets
+    "homomorphism": ("ABC", r"""
         \alpha:A -> A * A. \h:A -> B * C.
         break h as <phi, f> @ A -> B in
         break (\q:(A -> B) -> (A -> B) * (A -> C).
@@ -130,19 +101,52 @@ def homomorphism_term(a: TypeExpr, b: TypeExpr, c: TypeExpr) -> Term:
          (psi (\u0:((A -> B) -> (A -> B) * (A -> C)) -> (A -> B) * (A -> C).
                \v2:(A -> B) -> (A -> B) * (A -> C).
                (\v1:(A -> B) * (A -> C).
-                  let <i0:A -> B, j0:A -> C> = v1 in j0) (u0 v2))))""",
-        a, b, c)
-
-
-def break_free_split(a: TypeExpr, b: TypeExpr) -> Term:
-    """Split a into its two break components without a break node, given the
-    divisibility axiom for the residue instance as a hypothesis.
-
-    Type: (a * (a -> K) -> K * (K -> a)) -> a -> K * (b -> a), K = (a -> b) -> b.
-    """
-    return _instance(r"""
+                  let <i0:A -> B, j0:A -> C> = v1 in j0) (u0 v2))))"""),
+    # (A * (A -> K) -> K * (K -> A)) -> A -> K * (B -> A), K = (A -> B) -> B:
+    # A split into its two break components without a break node, given
+    # the divisibility axiom for the residue instance as a hypothesis
+    "break-free-split": ("AB", r"""
         \b4:A * (A -> (A -> B) -> B)
               -> ((A -> B) -> B) * (((A -> B) -> B) -> A).
         \x:A. let <phi:(A -> B) -> B, h:((A -> B) -> B) -> A> =
                      b4 <x, \a0:A. \p:A -> B. p a0>
-              in <phi, \b0:B. h (\g0:A -> B. b0)>""", a, b)
+              in <phi, \b0:B. h (\g0:A -> B. b0)>"""),
+}
+
+
+def axiom_term(axiom: AxiomId, a: TypeExpr, b: TypeExpr,
+               c: TypeExpr | None = None) -> Term:
+    """Closed inhabitant of the given axiom; one whose template takes C
+    (B1, B5a and B5b) requires c."""
+    axiom = AxiomId(axiom)
+    entry = AXIOMS[axiom]
+    if c is None and "C" in entry[0]:
+        raise ValueError(f"{axiom.value} needs a third type argument")
+    return instance(entry, a, b, c)
+
+
+def identity_break(a: TypeExpr) -> Term:
+    """Normal-form identity that routes through a break: a -> a."""
+    return instance(NAMED["identity"], a)
+
+
+def divisibility_terms(a: TypeExpr, b: TypeExpr) -> tuple[Term, Term]:
+    """The divisibility inhabitant t and the first-projection wrapper u."""
+    return (instance(NAMED["divisibility-t"], a, b),
+            instance(NAMED["divisibility-u"], a, b))
+
+
+def axiom_L_term(a: TypeExpr, b: TypeExpr) -> Term:
+    """Axiom L: ((b -> a) -> a -> b) -> a -> b."""
+    return instance(NAMED["axiom-l"], a, b)
+
+
+def homomorphism_term(a: TypeExpr, b: TypeExpr, c: TypeExpr) -> Term:
+    """(a -> a * a) -> (a -> b * c) -> (a -> b) * (a -> c)."""
+    return instance(NAMED["homomorphism"], a, b, c)
+
+
+def break_free_split(a: TypeExpr, b: TypeExpr) -> Term:
+    """The break-free split of a, K = (a -> b) -> b:
+    (a * (a -> K) -> K * (K -> a)) -> a -> K * (b -> a)."""
+    return instance(NAMED["break-free-split"], a, b)

@@ -31,19 +31,6 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 4
 
 
-#: Each catalog name's term builder and the type options it takes, in order.
-_CATALOG = {
-    "identity": (catalog.identity_break, ("A",)),
-    "divisibility-t": (lambda a, b: catalog.divisibility_terms(a, b)[0],
-                       ("A", "B")),
-    "divisibility-u": (lambda a, b: catalog.divisibility_terms(a, b)[1],
-                       ("A", "B")),
-    "axiom-l": (catalog.axiom_L_term, ("A", "B")),
-    "homomorphism": (catalog.homomorphism_term, ("A", "B", "C")),
-    "break-free-split": (catalog.break_free_split, ("A", "B")),
-}
-
-
 class UsageError(Exception):
     pass
 
@@ -87,16 +74,12 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
 
     p = sub.add_parser("axioms", help="emit an axiom inhabitant")
-    p.add_argument("id", choices=[a.value for a in catalog.AxiomId])
-    p.add_argument("--A", required=True, metavar="TYPE")
-    p.add_argument("--B", required=True, metavar="TYPE")
-    p.add_argument("--C", metavar="TYPE")
-
-    p = sub.add_parser("catalog", help="emit a named catalog term")
-    p.add_argument("name", choices=tuple(_CATALOG))
-    p.add_argument("--A", metavar="TYPE")
-    p.add_argument("--B", metavar="TYPE")
-    p.add_argument("--C", metavar="TYPE")
+    p.add_argument("id", choices=[a.value for a in catalog.AXIOMS])
+    q = sub.add_parser("catalog", help="emit a named catalog term")
+    q.add_argument("name", choices=tuple(catalog.NAMED))
+    for p in (p, q):
+        for atom in "ABC":
+            p.add_argument("--" + atom, metavar="TYPE")
 
     p = sub.add_parser("sequent-check", help="check a derivation file")
     p.add_argument("file")
@@ -145,14 +128,11 @@ def _run(args) -> str:
             image = star_translate(term)
             l_check(image, free_vars(term))
             return print_lterm(image)
-        case "axioms":
-            types = _require_types(args, "A", "B")
-            c = parse_type(args.C) if args.C is not None else None
-            return print_term(
-                catalog.axiom_term(catalog.AxiomId(args.id), *types, c))
-        case "catalog":
-            build, names = _CATALOG[args.name]
-            return print_term(build(*_require_types(args, *names)))
+        case "axioms" | "catalog":
+            entry = (catalog.AXIOMS[args.id] if args.command == "axioms"
+                     else catalog.NAMED[args.name])
+            types = _require_types(args, *entry[0])
+            return print_term(catalog.instance(entry, *types))
         case "sequent-check":
             return str(check_derivation(parse_derivation(_read(args.file))))
         case "sequent-cutelim":

@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer and recursive-descent parsers for types and terms.
+"""Concrete syntax: tokenizer, a loop for types, recursive descent for terms.
 
 Grammar summary::
 
@@ -159,29 +159,45 @@ class TokenStream:
 # ---------------------------------------------------------------------------
 
 def parse_type_stream(ts: TokenStream) -> TypeExpr:
-    left = _parse_tensor(ts)
-    if ts.accept("ARROW"):
-        return Arrow(left, parse_type_stream(ts))
-    return left
-
-
-def _parse_tensor(ts: TokenStream) -> TypeExpr:
-    left = _parse_type_atom(ts)
-    while ts.accept("STAR"):
-        left = Tensor(left, _parse_type_atom(ts))
-    return left
-
-
-def _parse_type_atom(ts: TokenStream) -> TypeExpr:
-    tok = ts.peek()
-    if ts.accept("IDENT"):
-        return Atom(tok[1])
-    if ts.accept("LPAREN"):
-        ty = parse_type_stream(ts)
-        ts.expect("RPAREN", "')'")
-        return ty
-    raise ts.error(tok, f"unexpected {tok[1]!r} in type",
-                   ["identifier", "'('"])
+    """The type at ts, read in one loop, so a type of any depth parses:
+    `stack` keeps, per open parenthesis, the `arrows` and `left` of the level
+    around it.  The loop keeps its own index into ts.tokens, and stores it
+    back in ts.pos."""
+    tokens, pos = ts.tokens, ts.pos
+    stack: list[tuple[list[TypeExpr], TypeExpr | None]] = []
+    arrows: list[TypeExpr] = []  # this level's tensors before each '->'
+    left = None                  # this level's tensor so far
+    while True:
+        tok = tokens[pos]
+        pos += 1
+        if tok[0] == "LPAREN":
+            stack.append((arrows, left))
+            arrows, left = [], None
+            continue
+        if tok[0] != "IDENT":
+            raise ts.error(tok, f"unexpected {tok[1]!r} in type",
+                           ["identifier", "'('"])
+        ty = Atom(tok[1])
+        while True:  # ty is a factor of this level's tensor
+            left = ty if left is None else Tensor(left, ty)
+            kind = tokens[pos][0]
+            if kind == "STAR":
+                pos += 1
+                break
+            if kind == "ARROW":
+                pos += 1
+                arrows.append(left)
+                left = None
+                break
+            ty = left  # '->' is right associative
+            while arrows:
+                ty = Arrow(arrows.pop(), ty)
+            ts.pos = pos
+            if not stack:
+                return ty
+            ts.expect("RPAREN", "')'")
+            pos = ts.pos
+            arrows, left = stack.pop()
 
 
 def parse_type(text: str) -> TypeExpr:

@@ -7,8 +7,8 @@ so the output is self-contained; bound occurrences are bare.
 from __future__ import annotations
 
 from .syntax import (  # print_type is re-exported
-    _ARG_L, _ARG_R, _PRINTED, _TOP, App, Break, FreeNames, Lam, Let,
-    NodeMemo, Pair, Term, Var, print_type,
+    _PRINTED, App, Break, FreeNames, Lam, Let, NodeMemo, Pair, Term, Var,
+    print_type,
 )
 from .lambda_pair import LApp, LLam, LPair, LProj0, LProj1, LTerm, LVar
 
@@ -109,24 +109,26 @@ class _PlainPrinter(TermPrinter):
 
 
 def print_lterm(e: LTerm) -> str:
-    """Display form for lambda-with-pairing terms; projections print as p0/p1."""
-    return _plterm(e, _TOP)
+    """Display form for lambda-with-pairing terms; projections print as p0/p1.
 
-
-def _plterm(e: LTerm, ctx: int) -> str:
+    Parentheses go by node class, as in TermPrinter: a lambda takes them in
+    function and argument position, an application in argument position."""
     match e:
         case LVar(name):
             return name
         case LLam(b, bt, body):
-            s = f"\\{b}:{print_type(bt)}. {_plterm(body, _TOP)}"
-            return f"({s})" if ctx > _TOP else s
+            return f"\\{b}:{print_type(bt)}. {print_lterm(body)}"
         case LApp(fun, arg):
-            s = f"{_plterm(fun, _ARG_L)} {_plterm(arg, _ARG_R)}"
-            return f"({s})" if ctx >= _ARG_R else s
+            f, a = print_lterm(fun), print_lterm(arg)
+            if isinstance(fun, LLam):
+                f = f"({f})"
+            if isinstance(arg, (LLam, LApp)):
+                a = f"({a})"
+            return f"{f} {a}"
         case LPair(first, second):
-            return f"<{_plterm(first, _TOP)}, {_plterm(second, _TOP)}>"
+            return f"<{print_lterm(first)}, {print_lterm(second)}>"
         case LProj0(arg):
-            return f"p0({_plterm(arg, _TOP)})"
+            return f"p0({print_lterm(arg)})"
         case LProj1(arg):
-            return f"p1({_plterm(arg, _TOP)})"
+            return f"p1({print_lterm(arg)})"
     raise TypeError(f"not a lambda-pair term: {e!r}")

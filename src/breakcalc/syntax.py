@@ -153,12 +153,6 @@ def ks_types(scrutinee: TypeExpr, residue: TypeExpr) -> tuple[TypeExpr, TypeExpr
     return k, s
 
 
-# precedence contexts of the surface syntax
-_TOP = 0      # no parens needed
-_ARG_L = 1    # left of an infix / function position
-_ARG_R = 2    # argument position (tightest)
-
-
 class _Printed(dict):
     """print_type's results by type; a miss prints the type and stores it.
 
@@ -254,13 +248,14 @@ class Spec:
     `kids` are the child fields in source order.  The `binders` fields name
     the variables bound over the child field `over` (and over no other child).
     `annots` are the type annotations, which alpha_key (and so alpha_eq)
-    takes into account.  `var` is the name field of a variable.  `tag` names the
-    constructor in alpha_key.  The getters are precomputed per class because
-    free_names, alpha_key and the redex walk call them at every node.
+    takes into account, at `annot_slots`.  `var` is the name field of a
+    variable.  `tag` names the constructor in alpha_key.  The getters are
+    precomputed per class because free_names, alpha_key and the redex walk
+    call them at every node.
     """
 
     __slots__ = ("cls", "tag", "kids", "binders", "annots", "var", "scope",
-                 "kid_slots", "name_slots", "only_kids")
+                 "kid_slots", "name_slots", "annot_slots", "only_kids")
 
     def __init__(self, cls: type, tag: str, kids: tuple[str, ...] = (),
                  binders: tuple[str, ...] = (), over: str | None = None,
@@ -272,7 +267,8 @@ class Spec:
         self.name_slots = tuple(map(slots, (var,) if var else binders))
         self.kids = _tuple_getter(self.kid_slots)
         self.binders = _tuple_getter(tuple(map(slots, binders)))
-        self.annots = _tuple_getter(tuple(map(slots, annots)))
+        self.annot_slots = tuple(map(slots, annots))
+        self.annots = _tuple_getter(self.annot_slots)
         self.var = itemgetter(slots(var)) if var else None
         self.scope = kids.index(over) if binders else -1
         self.only_kids = cls._fields == kids
@@ -445,7 +441,7 @@ _NO_NAMES: frozenset[str] = frozenset()
 
 def free_names(t) -> frozenset[str]:
     """Names occurring free in t (no type information)."""
-    return _free(t, None)
+    return FreeNames()(t)
 
 
 class NodeMemo(dict):
@@ -472,22 +468,20 @@ class FreeNames(NodeMemo):
         return _free(t, self)
 
 
-def _free(t, memo: dict | None) -> frozenset[str]:
+def _free(t, memo: FreeNames) -> frozenset[str]:
     sp = SPECS[type(t)]
     if sp.var is not None:  # cheaper to build than to memoise
         return frozenset((sp.var(t),))
-    if memo is not None:
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
     out = _NO_NAMES
     for i, c in enumerate(sp.kids(t)):
         names = _free(c, memo)
         if i == sp.scope:
             names = names.difference(sp.binders(t))
         out = out | names if out else names
-    if memo is not None:
-        memo[id(t)] = (t, out)
+    memo[id(t)] = (t, out)
     return out
 
 

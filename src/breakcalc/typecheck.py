@@ -291,12 +291,9 @@ def _canonical_scheme(ty: TypeExpr, resolve) -> TypeScheme:
         ty = resolve(ty)
         if type(ty) is not Atom:
             return type(ty)(*map(go, ty))
-        n = ty.name
-        if n.startswith("?"):
-            if n not in mapping:
-                mapping[n] = Atom(name_for(len(mapping)))
-            return mapping[n]
-        return ty
+        if ty.name not in mapping:  # every atom is a fresh ?n
+            mapping[ty.name] = Atom(name_for(len(mapping)))
+        return mapping[ty.name]
 
     body = go(ty)
     return TypeScheme(body, frozenset(a.name for a in mapping.values()))

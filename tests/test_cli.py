@@ -158,6 +158,33 @@ class TestCatalogCommands:
         code, _, err = cli(["axioms", "B1", "--A", "A", "--B", "B"])
         assert code == 4
 
+    @pytest.mark.parametrize("axiom, argv, missing", [
+        ("B1", ["--B", "B", "--C", "C"], "A"),
+        ("B2", ["--A", "A"], "B"),
+        ("B5a", ["--A", "A", "--B", "B"], "C"),
+    ])
+    def test_axioms_missing_type_option(self, cli, axiom, argv, missing):
+        assert cli(["axioms", axiom, *argv]) == (
+            4, "", f"usage error: missing --{missing}\n")
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["axioms", "B2", "--A", "A", "--B", "B"], "--C"),
+        (["catalog", "identity", "--A", "A"], "--B"),
+    ])
+    def test_a_malformed_unused_type_option_is_ignored(self, cli, argv,
+                                                       unused):
+        expected = cli(argv)
+        assert expected[0] == 0
+        assert cli([*argv, unused, "A ->"]) == expected
+
+    def test_axioms_malformed_type_before_a_missing_one(self, cli):
+        # the options are read in the template's order, so --A is parsed,
+        # and fails, before --B is found missing
+        for command in (["axioms", "B2"], ["catalog", "axiom-l"]):
+            code, out, err = cli([*command, "--A", "A ->"])
+            assert (code, out) == (2, "")
+            assert err.startswith("syntax error: line 1, column 5: ")
+
     def test_catalog_identity(self, cli):
         code, out, _ = cli(["catalog", "identity", "--A", "P1"])
         assert code == 0
@@ -281,9 +308,12 @@ class TestDeepNesting:
         self._assert_budget_exit(self._run(["check", "-"], stdin=source))
 
     def test_deep_arrow_type(self):
+        # not too deep: types parse and print on explicit stacks
         deep = "A -> " * 2000 + "A"
-        self._assert_budget_exit(self._run(["axioms", "B2", "--A", deep,
-                                            "--B", "B"]))
+        proc = self._run(["axioms", "B2", "--A", deep, "--B", "B"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            f"\\v:({deep}) * B. let <x:{deep}, y:B> = v in x\n")
 
     @pytest.mark.parametrize("command", ["sequent-check", "sequent-cutelim"])
     def test_deep_cut_chain(self, command):

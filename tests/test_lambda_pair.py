@@ -7,10 +7,11 @@ import pytest
 from breakcalc.catalog import identity_break
 from breakcalc.lambda_pair import (
     LApp, LLam, LPair, LProj0, LProj1, LTypeError, LVar, MappingFailure,
-    l_alpha_eq, l_alpha_key, l_check, l_normalize, l_step, check_step_mapping,
-    check_substitution_lemma, star_translate,
+    l_alpha_eq, l_alpha_key, l_check, l_contract_at, l_normalize, l_step,
+    check_step_mapping, check_substitution_lemma, star_translate,
 )
 from breakcalc.lambda_pair import _k0, _k1
+from breakcalc.printer import print_lterm, print_type
 from breakcalc.reduction import Redex, RuleName, find_redexes, is_silent
 from breakcalc.syntax import (
     App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Var, annotated_type,
@@ -112,6 +113,11 @@ class TestLCheckErrors:
             l_check(e, {"f": A, "x": A})
         assert str(exc.value) == "bad application of A to A"
 
+    def test_free_variable_without_environment(self):
+        with pytest.raises(LTypeError) as exc:
+            l_check(LApp(LLam("x", A, LVar("x")), LVar("y")))
+        assert str(exc.value) == "no type for free variable 'y'"
+
     def test_projection_from_non_pair_prints_surface_type(self):
         e = LProj1(LVar("p"))
         with pytest.raises(LTypeError) as exc:
@@ -134,6 +140,14 @@ class TestLReduction:
         lhs = l_normalize(star_translate(applied))
         rhs = l_normalize(star_translate(s))
         assert l_alpha_eq(lhs, rhs)
+
+    def test_contracting_a_non_redex_rejected(self):
+        e = LApp(LVar("f"), LApp(LLam("x", A, LVar("x")), LVar("y")))
+        assert l_contract_at(e, (1,)) == LApp(LVar("f"), LVar("y"))
+        for path in ((), (0,), (1, 0)):
+            with pytest.raises(ValueError) as exc:
+                l_contract_at(e, path)
+            assert str(exc.value) == f"no redex at {list(path)}"
 
     def test_negative_budget_rejected(self):
         for e in (LVar("x"), LProj0(LPair(LVar("s"), LVar("t")))):
@@ -243,3 +257,55 @@ class TestStepMapping:
                   App(Var("phi", k), Var("h", Arrow(A, B))))
         with pytest.raises(MappingFailure):
             check_step_mapping(w, Redex((), RuleName.B_L_CONV))
+
+
+# ---------------------------------------------------------------------------
+# print_lterm against the printer it replaced, which passed a precedence
+# context down instead of testing the child's class
+# ---------------------------------------------------------------------------
+
+def reference_print_lterm(e) -> str:
+    """print_lterm with contexts: 0 at the top, 1 in function position and
+    2 in argument position; a lambda is parenthesized above 0, an
+    application at 2."""
+    def go(e, ctx: int) -> str:
+        match e:
+            case LVar(name):
+                return name
+            case LLam(b, bt, body):
+                s = f"\\{b}:{print_type(bt)}. {go(body, 0)}"
+                return f"({s})" if ctx > 0 else s
+            case LApp(fun, arg):
+                s = f"{go(fun, 1)} {go(arg, 2)}"
+                return f"({s})" if ctx >= 2 else s
+            case LPair(first, second):
+                return f"<{go(first, 0)}, {go(second, 0)}>"
+            case LProj0(arg):
+                return f"p0({go(arg, 0)})"
+            case LProj1(arg):
+                return f"p1({go(arg, 0)})"
+        raise TypeError(f"not a lambda-pair term: {e!r}")
+
+    return go(e, 0)
+
+
+class TestPrintLtermAgainstReference:
+    def test_every_position_of_a_lambda_and_an_application(self):
+        lam, app = LLam("x", A, LVar("x")), LApp(LVar("f"), LVar("y"))
+        for outer in (lam, app):
+            for inner in (lam, app):
+                for e in (LApp(outer, inner), LLam("z", B, LApp(inner, outer)),
+                          LPair(outer, inner), LProj0(LApp(inner, outer))):
+                    assert print_lterm(e) == reference_print_lterm(e)
+        assert print_lterm(LApp(lam, LApp(app, lam))) == \
+            "(\\x:A. x) (f y (\\x:A. x))"
+
+    def test_golden_items_and_seeded_terms(self):
+        terms = [t for _, t in golden_items()]
+        for seed in range(1, 6):
+            rng = random.Random(seed)
+            terms += [random_typable_term(rng) for _ in range(40)]
+        for t in terms:
+            image = star_translate(t)
+            for e in (image, l_normalize(image)):
+                assert print_lterm(e) == reference_print_lterm(e)

@@ -96,6 +96,11 @@ class TestApplyStep:
         with pytest.raises(InvalidRedex):
             apply_step(t, Redex((), RuleName.L_CONV))
 
+    def test_path_past_a_leaf_rejected(self):
+        t = Lam("x", A, Var("x", A))
+        with pytest.raises(InvalidRedex, match="no child 0 at Var"):
+            apply_step(t, Redex((0, 0), RuleName.BETA))
+
     def test_permuting_step_renames_to_avoid_capture(self):
         # (let <x, y> = t0 in u0) x  with x free in the argument
         w = App(Let("x", Arrow(P, Q), "y", R, Var("t0", Tensor(Arrow(P, Q), R)),
@@ -207,6 +212,10 @@ class TestNormalize:
         _, u = divisibility_terms(A, B)
         with pytest.raises(ValueError):
             normalize(u, max_steps=-1)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy 'middle'"):
+            normalize(Var("x", A), strategy="middle")
 
     def test_trace_format(self):
         t = App(Lam("x", A, Var("x", A)), Var("y", A))

@@ -30,7 +30,7 @@ from breakcalc.syntax import (
     canonicalize, free_names, free_vars, ks_types, print_type, substitute,
     subterm_at,
 )
-from breakcalc.syntax import _PARSED, _PRINTED, _TOP
+from breakcalc.syntax import _PARSED, _PRINTED
 from breakcalc.typecheck import check
 from termgen import clashing_copy, random_typable_term
 from test_golden_outputs import golden_items
@@ -38,7 +38,7 @@ from test_parse_errors import (
     SAMPLES, SEED as PARSE_ERRORS_SEED, catalog_terms,
     inputs as parse_error_inputs, mutations as parse_error_mutations,
 )
-from test_syntax import _ptype
+from test_syntax import _TOP, _ptype
 
 A, B, C, P = Atom("A"), Atom("B"), Atom("C"), Atom("P")
 BUDGETS = Path(__file__).resolve().parent / "cut_budgets.json"
@@ -90,6 +90,14 @@ class TestCheckDerivation:
         with pytest.raises(InvalidRule) as err:
             check_derivation(outer)
         assert err.value.path == (1, 0)
+
+    def test_arrow_left_premise_must_prove_the_domain(self):
+        bad = SDerivation(SRule.ArrL, sequent([B, Arrow(A, B)], C),
+                          (asm([B], B), asm([B, C], C)), Arrow(A, B))
+        with pytest.raises(InvalidRule) as err:
+            check_derivation(bad)
+        assert str(err.value) == (
+            "invalid rule at []: first premise must prove the domain")
 
     def test_brk_node(self):
         k, s = ks_types(A, B)
@@ -727,6 +735,34 @@ class TestBrkViaCut:
         with pytest.raises(PreconditionViolation):
             brk_via_cut_superfluous(self._d_a(), d_c, "S-side")
 
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError) as err:
+            brk_via_cut_superfluous(self._d_a(), asm([C], C), "X-side")
+        assert str(err.value) == (
+            "which must be 'K-side' or 'S-side', got 'X-side'")
+
+    @pytest.mark.parametrize("which, residue, message", [
+        ("K-side", B, "assumption B -> P -> P not in the second derivation"),
+        ("S-side", B,
+         "assumption ((P -> P) -> B) -> B not in the second derivation"),
+        ("K-side", None, "no section assumption found"),
+        ("S-side", None, "no higher-order assumption found"),
+    ])
+    def test_superfluous_missing_assumption(self, which, residue, message):
+        with pytest.raises(PreconditionViolation) as err:
+            brk_via_cut_superfluous(self._d_a(), asm([C], C), which, residue)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("residue, message", [
+        (None, "second derivation carries no matching assumption pair"),
+        (B, "second derivation lacks the break assumption pair"),
+    ])
+    def test_empty_context_missing_pair(self, residue, message):
+        _, s = ks_types(Arrow(P, P), B)
+        with pytest.raises(PreconditionViolation) as err:
+            brk_via_cut_empty(self._d_a(), asm([s, C], C), residue)
+        assert str(err.value) == message
+
     def test_side_conditions_match_the_constructions(self):
         # wherever the standard break contraction fires, one of the two
         # cut simulations applies to the translated premises
@@ -774,6 +810,20 @@ class TestProofSearch:
     def test_finds_pair_rearrangement(self):
         goal = sequent([], Arrow(Tensor(A, B), Tensor(B, A)))
         d = prove_bounded(goal, depth=6)
+        assert d is not None and check_derivation(d) == goal
+
+    def test_depth_zero_finds_only_axioms(self):
+        goal = sequent([], Arrow(P, P))
+        assert prove_bounded(goal, depth=0) is None
+        assert check_derivation(prove_bounded(goal, depth=1)) == goal
+        assert prove_bounded(sequent([P], P), depth=0) == asm([P], P)
+
+    def test_split_of_a_repeated_assumption(self):
+        # the split that gives the left premise the first A fails, the one
+        # that gives it the second is the same split and is skipped, and a
+        # later one succeeds
+        goal = sequent([A, A, B], Tensor(Tensor(A, B), A))
+        d = prove_bounded(goal, depth=3)
         assert d is not None and check_derivation(d) == goal
 
     def test_divisibility_needs_break(self):

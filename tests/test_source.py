@@ -82,3 +82,28 @@ def test_every_nested_function_is_referenced_by_its_encloser():
                     for inner in nested_functions(fn)
                     if inner.name not in loaded_names(fn, skip=inner)]
     assert unreferenced == []
+
+
+#: Each private name that one module of src/breakcalc imports from another,
+#: as (importer, module, name).  A new one fails the test until it is
+#: listed here, and CHANGES.md says why the two modules share it.
+PRIVATE_IMPORTS = {
+    ("printer.py", "syntax", "_PRINTED"),
+    ("reduction.py", "syntax", "_freshen"),
+    ("reduction.py", "syntax", "_rebuild"),
+    ("sequent.py", "syntax", "_PARSED"),
+    ("sequent.py", "syntax", "_PRINTED"),
+    ("sequent.py", "syntax", "_canonical_names"),
+    ("sequent.py", "syntax", "_remember_last"),
+    ("typecheck.py", "syntax", "_canonical_names"),
+    ("typecheck.py", "syntax", "_remember_last"),
+}
+
+
+def test_cross_module_private_imports_are_the_listed_ones():
+    imported = {(module, node.module, alias.name)
+                for module, tree in MODULES.items()
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+                if alias.name.startswith("_") and node.module != "__future__"}
+    assert imported == PRIVATE_IMPORTS

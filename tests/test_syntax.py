@@ -24,8 +24,7 @@ from breakcalc.syntax import (
     substitute, subterm_at, subterms, term_size, type_size,
 )
 from breakcalc.syntax import (
-    _ARG_L, _ARG_R, _IDENT, _PARSED, _TOP, KEYWORDS, _freshen, _rebuild,
-    _subst,
+    _IDENT, _PARSED, KEYWORDS, _freshen, _rebuild, _subst,
 )
 from breakcalc.typecheck import UApp, UBreak, ULam, ULet, UPair, UVar, erase
 from termgen import (
@@ -691,6 +690,11 @@ class TestDeepEquality:
         t = nested(self.depth, Var("w", A))
         assert t != tuple(t) and tuple(t) != t and not t == tuple(t)
         assert t.second != tuple(t.second)
+
+
+# precedence contexts of _ptype: no parentheses, function position (left of
+# an infix) and argument position
+_TOP, _ARG_L, _ARG_R = 0, 1, 2
 
 
 def _ptype(ty, ctx):
