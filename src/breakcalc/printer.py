@@ -1,26 +1,29 @@
 """Pretty-printers producing minimal-parenthesis text the parser accepts.
 
 Free variable occurrences are printed with their type ascription ``(x : A)``
-so the output is self-contained; bound occurrences are bare.
+so the output is self-contained; bound occurrences are bare.  A variable of
+the lambda-pair calculus carries no type and always prints bare.
 """
 
 from __future__ import annotations
 
-from .syntax import (  # print_type is re-exported
-    _PRINTED, App, Break, FreeNames, Lam, Let, NodeMemo, Pair, Term, Var,
-    print_type,
-)
-from .lambda_pair import LApp, LLam, LPair, LProj0, LProj1, LTerm, LVar
+# print_type is re-exported
+from .syntax import SPECS, FreeNames, NodeMemo, Term, print_type
 
 
 def print_term(t: Term) -> str:
     return _PlainPrinter().text(t, frozenset())
 
 
-# a term of these classes reaches as far right as it can, so it takes
+#: The lambda-pair terms print through the same printer; projections print
+#: as p0(...) and p1(...).
+print_lterm = print_term
+
+
+# a node with these tags reaches as far right as it can, so it takes
 # parentheses in function position, in argument position and as scrutinee
-_OPEN = (Lam, Let, Break)
-_OPEN_OR_APP = (Lam, Let, Break, App)
+_OPEN = frozenset({"l", "L", "B"})
+_OPEN_OR_APP = _OPEN | {"a"}
 
 
 class TermPrinter:
@@ -33,10 +36,11 @@ class TermPrinter:
     still to be printed (a step's replaced spine), so that the memo and the
     free names memo hold about one term's entries.
 
-    `text` is the one builder, memo or none: it tests the node's class,
-    reads its fields by index and calls itself on the children, so a
-    nesting level costs one Python frame, and about 900 levels print under
-    the default recursion limit.
+    `text` is the one builder, memo or none, for Term and LTerm alike: it
+    dispatches on the tag of the node's constructor spec, with a branch for
+    every tag in SPECS, reads its fields by index and calls itself on the
+    children, so a nesting level costs one Python frame, and about 900
+    levels print under the default recursion limit.
     """
 
     __slots__ = ("memo", "names")
@@ -54,10 +58,16 @@ class TermPrinter:
 
     def text(self, t: Term, bound: frozenset[str]) -> str:
         """t's text, without outer parentheses, when bound is bound around it."""
-        cls = type(t)
-        if cls is Var:  # cheaper to build than to memoise
+        try:
+            sp = SPECS[type(t)]
+        except KeyError:
+            raise TypeError(f"not a term: {t!r}") from None
+        tag = sp.tag
+        if tag == "v":  # cheaper to build than to memoise
             name = t[0]
-            return name if name in bound else f"({name} : {_PRINTED[t[1]]})"
+            if name in bound or not sp.annot_slots:
+                return name
+            return f"({name} : {print_type(t[1])})"
         memo = self.memo
         if memo is not None:
             if bound:
@@ -65,35 +75,37 @@ class TermPrinter:
             hit = memo.get(id(t))
             if hit is not None and hit[1] == bound:
                 return hit[2]
-        if cls is App:
+        if tag == "a":
             fun, arg = t[0], t[1]
             f, a = self.text(fun, bound), self.text(arg, bound)
-            if isinstance(fun, _OPEN):
+            if SPECS[type(fun)].tag in _OPEN:
                 f = f"({f})"
-            s = f"{f} ({a})" if isinstance(arg, _OPEN_OR_APP) else f"{f} {a}"
-        elif cls is Lam:
+            if SPECS[type(arg)].tag in _OPEN_OR_APP:
+                a = f"({a})"
+            s = f"{f} {a}"
+        elif tag == "l":
             b = t[0]
-            s = f"\\{b}:{_PRINTED[t[1]]}. {self.text(t[2], bound | {b})}"
-        elif cls is Pair:
+            s = f"\\{b}:{print_type(t[1])}. {self.text(t[2], bound | {b})}"
+        elif tag == "p":
             s = f"<{self.text(t[0], bound)}, {self.text(t[1], bound)}>"
-        elif cls is Let:
+        elif tag == "L":
             # scrutinees would reparse unparenthesized, but parens keep the
             # binding structure readable
             x, y, scrut = t[0], t[2], t[4]
             sc = self.text(scrut, bound)
-            if isinstance(scrut, _OPEN):
+            if SPECS[type(scrut)].tag in _OPEN:
                 sc = f"({sc})"
-            s = (f"let <{x}:{_PRINTED[t[1]]}, {y}:{_PRINTED[t[3]]}> = {sc} "
-                 f"in {self.text(t[5], bound | {x, y})}")
-        elif cls is Break:
+            s = (f"let <{x}:{print_type(t[1])}, {y}:{print_type(t[3])}> = "
+                 f"{sc} in {self.text(t[5], bound | {x, y})}")
+        elif tag == "B":
             scrut, phi, f = t[0], t[1], t[2]
             sc = self.text(scrut, bound)
-            if isinstance(scrut, _OPEN):
+            if SPECS[type(scrut)].tag in _OPEN:
                 sc = f"({sc})"
-            s = (f"break {sc} as <{phi}, {f}> @ {_PRINTED[t[3]]} in "
+            s = (f"break {sc} as <{phi}, {f}> @ {print_type(t[3])} in "
                  f"{self.text(t[4], bound | {phi, f})}")
-        else:
-            raise TypeError(f"not a term: {t!r}")
+        elif tag == "p0" or tag == "p1":
+            s = f"{tag}({self.text(t[0], bound)})"
         if memo is not None:
             memo[id(t)] = (t, bound, s)
         return s
@@ -106,29 +118,3 @@ class _PlainPrinter(TermPrinter):
 
     def __init__(self) -> None:
         self.memo = self.names = None
-
-
-def print_lterm(e: LTerm) -> str:
-    """Display form for lambda-with-pairing terms; projections print as p0/p1.
-
-    Parentheses go by node class, as in TermPrinter: a lambda takes them in
-    function and argument position, an application in argument position."""
-    match e:
-        case LVar(name):
-            return name
-        case LLam(b, bt, body):
-            return f"\\{b}:{print_type(bt)}. {print_lterm(body)}"
-        case LApp(fun, arg):
-            f, a = print_lterm(fun), print_lterm(arg)
-            if isinstance(fun, LLam):
-                f = f"({f})"
-            if isinstance(arg, (LLam, LApp)):
-                a = f"({a})"
-            return f"{f} {a}"
-        case LPair(first, second):
-            return f"<{print_lterm(first)}, {print_lterm(second)}>"
-        case LProj0(arg):
-            return f"p0({print_lterm(arg)})"
-        case LProj1(arg):
-            return f"p1({print_lterm(arg)})"
-    raise TypeError(f"not a lambda-pair term: {e!r}")

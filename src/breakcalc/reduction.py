@@ -12,6 +12,7 @@ import enum
 import functools
 from typing import NamedTuple
 
+from .printer import TermPrinter
 from .syntax import (
     App, Arrow, Break, FreeNames, Lam, Let, NodeMemo, Pair, Term, Var,
     _freshen, _rebuild, annotated_type, avoid_capture, binders, children,
@@ -399,8 +400,6 @@ def format_trace(steps: list[TraceStep]) -> str:
     Consecutive terms share every node off the contracted spine, so the
     text of the shared subterms is printed once.
     """
-    from .printer import TermPrinter
-
     printer = TermPrinter()
     lines = []
     for s in steps:

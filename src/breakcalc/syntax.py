@@ -156,7 +156,7 @@ def ks_types(scrutinee: TypeExpr, residue: TypeExpr) -> tuple[TypeExpr, TypeExpr
 class _Printed(dict):
     """print_type's results by type; a miss prints the type and stores it.
 
-    ``_PRINTED.__getitem__`` is print_type as a C-level function, so a sort
+    print_type is ``_PRINTED.__getitem__``, a C-level function, so a sort
     keyed by it calls no Python code for a type already printed.  The memo
     keeps alive no type that _TYPES does not.  A miss prints bottom up, on
     an explicit stack of the parts that have no entry yet, so a type of any
@@ -213,9 +213,8 @@ def _reads_back(ty: TypeExpr) -> bool:
     return all(_PARSED.get(_PRINTED[part]) is part for part in ty)
 
 
-def print_type(ty: TypeExpr) -> str:
-    """A type in the surface syntax, with minimal parentheses."""
-    return _PRINTED[ty]
+#: A type in the surface syntax, with minimal parentheses.
+print_type = _PRINTED.__getitem__
 
 
 def type_size(ty: TypeExpr) -> int:

@@ -14,7 +14,7 @@ from breakcalc.lambda_pair import (
     l_contract_at, l_find_redexes, l_normalize, l_step, star_translate,
 )
 from breakcalc.parser import parse_term
-from breakcalc.printer import TermPrinter, print_term
+from breakcalc.printer import TermPrinter, print_lterm, print_term
 from breakcalc.reduction import (
     PERMUTING_RULES, InvalidRedex, Measure, Redex, RuleName,
     StepBudgetExceeded, apply_step, find_redexes, format_trace, is_silent,
@@ -28,6 +28,7 @@ from breakcalc.syntax import (
 from breakcalc.typecheck import check
 from schemas import critical_pair_instances, join_within, nonconfluence_witness
 from termgen import clashing_copy, random_typable_term
+from test_lambda_pair import reference_print_lterm
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -651,10 +652,15 @@ def identity_chain_text(n: int) -> str:
 
 class TestDeepPrinting:
     """The printer spends one Python frame per nesting level, so the
-    500-deep identity chain prints under the default recursion limit."""
+    500-deep identity chain and its lambda-pair image print under the
+    default recursion limit."""
 
     def test_print_term(self):
         assert print_term(identity_chain(500)) == identity_chain_text(500)
+
+    def test_print_lterm(self):
+        image = star_translate(identity_chain(500))
+        assert print_lterm(image) == reference_print_lterm(image)
 
     def test_format_trace_of_the_last_strategy(self):
         n = 500
@@ -663,6 +669,19 @@ class TestDeepPrinting:
         assert format_trace(steps) == "\n".join(
             f"{k} beta {'.'.join('1' * (n - 1 - k)) or 'root'} "
             f"{identity_chain_text(n - 1 - k)}" for k in range(n))
+
+
+class TestPrinterContract:
+    """Every printer entry point raises TypeError for what is not a node of
+    a registered term constructor, a type included."""
+
+    @pytest.mark.parametrize("printer", [print_term, print_lterm, TermPrinter()],
+                             ids=["print_term", "print_lterm", "TermPrinter"])
+    @pytest.mark.parametrize("value", [42, (1, 2), Atom("A")],
+                             ids=["int", "tuple", "type"])
+    def test_a_non_term_raises_type_error(self, printer, value):
+        with pytest.raises(TypeError, match="not a term"):
+            printer(value)
 
 
 # ---------------------------------------------------------------------------

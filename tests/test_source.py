@@ -3,6 +3,7 @@ unreferenced private top-level name, no nested function that the function
 enclosing it never refers to."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 import pytest
@@ -88,7 +89,6 @@ def test_every_nested_function_is_referenced_by_its_encloser():
 #: as (importer, module, name).  A new one fails the test until it is
 #: listed here, and CHANGES.md says why the two modules share it.
 PRIVATE_IMPORTS = {
-    ("printer.py", "syntax", "_PRINTED"),
     ("reduction.py", "syntax", "_freshen"),
     ("reduction.py", "syntax", "_rebuild"),
     ("sequent.py", "syntax", "_PARSED"),
@@ -107,3 +107,47 @@ def test_cross_module_private_imports_are_the_listed_ones():
                 for alias in node.names
                 if alias.name.startswith("_") and node.module != "__future__"}
     assert imported == PRIVATE_IMPORTS
+
+
+#: Each module that one module of src/breakcalc imports from, at the top or
+#: inside a function, as (importer, module).  A new edge fails the test until
+#: it is listed here, and CHANGES.md says why the importer needs the module.
+IMPORT_EDGES = {
+    ("__init__.py", "catalog"), ("__init__.py", "lambda_pair"),
+    ("__init__.py", "parser"), ("__init__.py", "printer"),
+    ("__init__.py", "reduction"), ("__init__.py", "sequent"),
+    ("__init__.py", "syntax"), ("__init__.py", "typecheck"),
+    ("catalog.py", "parser"), ("catalog.py", "syntax"),
+    ("cli.py", "catalog"), ("cli.py", "lambda_pair"), ("cli.py", "parser"),
+    ("cli.py", "printer"), ("cli.py", "reduction"), ("cli.py", "sequent"),
+    ("cli.py", "syntax"), ("cli.py", "typecheck"),
+    ("lambda_pair.py", "reduction"), ("lambda_pair.py", "syntax"),
+    ("parser.py", "syntax"),
+    ("printer.py", "syntax"),
+    ("reduction.py", "printer"), ("reduction.py", "syntax"),
+    ("sequent.py", "parser"), ("sequent.py", "syntax"),
+    ("sequent.py", "typecheck"),
+    ("typecheck.py", "syntax"),
+}
+
+
+def import_edges() -> set[tuple[str, str]]:
+    """(importer, module) for each relative import in src/breakcalc; a bare
+    `from . import x` imports module x."""
+    return {(module, target)
+            for module, tree in MODULES.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for target in ([node.module] if node.module
+                           else [alias.name for alias in node.names])}
+
+
+def test_module_imports_are_the_listed_ones():
+    assert import_edges() == IMPORT_EDGES
+
+
+def test_module_import_graph_is_acyclic():
+    sorter = graphlib.TopologicalSorter()
+    for importer, target in import_edges():
+        sorter.add(importer.removesuffix(".py"), target)
+    sorter.prepare()  # raises CycleError, naming a cycle, if there is one
