@@ -163,9 +163,9 @@ def l_normalize(e: LTerm, max_steps: int = 100_000) -> LTerm:
     """
     names = FreeNames()
     search = functools.partial(first_redex, rule_at=_l_is_redex)
-    for _, _, e in reduce_steps(e, max_steps, search,
-                                lambda node, _: _l_contract(node, names),
-                                (names,)):
+    for _, _, e, _ in reduce_steps(e, max_steps, search,
+                                   lambda node, _: _l_contract(node, names),
+                                   (names,)):
         pass  # e becomes each step's result in turn
     return e
 

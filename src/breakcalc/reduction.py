@@ -72,12 +72,80 @@ class Measure(NamedTuple):
     second_arg_type_load: int
 
 
-class TraceStep(NamedTuple):
-    index: int
-    rule: RuleName
-    position: tuple[int, ...]
-    before: Term
-    after: Term
+class TraceStep:
+    """One step of a trace: its index, the rule it contracted at position,
+    and the terms before and after it, read by these names and unpacked in
+    this order.
+
+    A step holds its contractum and the step before it (the start term, for
+    the first step).  It builds before and after when they are first read
+    and keeps them: after is before with the contractum at position
+    (replace_at), unless normalize handed the step the root its search had
+    already built.  Reading a step whose earlier steps are unbuilt builds
+    them first, in one loop without recursion, so a trace read in either
+    order builds each root once.  `replaced` lists the nodes the step took
+    out of before: the spine from the root to position and the children of
+    the node there.
+    """
+
+    __slots__ = ("index", "rule", "position", "contractum", "_before",
+                 "_after", "_replaced")
+
+    def __init__(self, index: int, rule: RuleName, position: tuple[int, ...],
+                 contractum: Term, previous: TraceStep | Term,
+                 after: Term | None = None, replaced: list | None = None):
+        self.index, self.rule, self.position = index, rule, position
+        self.contractum, self._before = contractum, previous
+        self._after, self._replaced = after, replaced
+
+    @property
+    def before(self) -> Term:
+        b = self._before
+        if type(b) is TraceStep:  # keep the term, not the step before
+            b = self._before = b.after
+        return b
+
+    @property
+    def after(self) -> Term:
+        if self._after is None:
+            self._replay()
+        return self._after
+
+    @property
+    def replaced(self) -> list:
+        if self._after is None:
+            self._replay()
+        if self._replaced is None:  # after came from the search
+            spine = spine_at(self.before, self.position)
+            self._replaced = spine + list(children(spine[-1]))
+        return self._replaced
+
+    def _replay(self) -> None:
+        """Build after for this step and each unbuilt step before it."""
+        todo, s = [], self
+        while type(s) is TraceStep and s._after is None:
+            todo.append(s)
+            s = s._before
+        for s in reversed(todo):
+            spine = spine_at(s.before, s.position)
+            s._after = rebuild_spine(spine, s.position, s.contractum)[0]
+            s._replaced = spine + list(children(spine[-1]))
+
+    def __iter__(self):
+        return iter((self.index, self.rule, self.position, self.before,
+                     self.after))
+
+    def __eq__(self, other):
+        if type(other) is not TraceStep:
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return ("TraceStep(index={!r}, rule={!r}, position={!r}, before={!r}, "
+                "after={!r})".format(*self))
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +278,13 @@ def normalize(t: Term, max_steps: int = 100_000, strategy: str = "first",
     after max_steps steps; ValueError if max_steps is negative.
 
     Neither strategy lists the redexes.  Whether a node is a redex depends
-    on its subtree alone, and a step at position p rebuilds only p and its
+    on its subtree alone, and a step at position p changes only p and its
     ancestors; every other node is the object it was before the step.  So
-    the two searches are mirror-image walks from p with the spine they
-    hold.  The first strategy had no redex before p in preorder, so its
-    next search checks the ancestors of p root first, then walks on in
-    preorder from p (down to a first child, else up to the next right
-    sibling) and stops at the first redex (see first_redex).  The last
+    the two searches are mirror-image walks from p on the zipper that
+    reduce_steps keeps.  The first strategy had no redex before p in
+    preorder, so its next search checks the ancestors of p root first, then
+    walks on in preorder from p (down to a first child, else up to the next
+    right sibling) and stops at the first redex (see first_redex).  The last
     strategy had none after p, so its next search walks p's subtree in
     reverse preorder (children right to left, then the node), then on from
     p: at each ancestor the children left of the path, right to left, then
@@ -226,12 +294,16 @@ def normalize(t: Term, max_steps: int = 100_000, strategy: str = "first",
     the last strategy keeps the subtrees it found normal by node identity,
     beside the free names, and its walk skips them.  An entry holds its
     node, so it stays right for as long as it exists.  Both memos forget
-    the nodes a step replaces, the spine and the redex's children, which
-    only bounds their size.
+    the nodes a step replaces, which only bounds their size.
 
-    Each search returns the spine down to the redex it finds, so a step
-    costs its search, its contraction and the rebuilt spine, which gives
-    the root that TraceStep.after holds.
+    The first strategy's search rebuilds every ancestor of p, so it has the
+    root after each step, and the trace keeps it.  The last strategy's
+    search rebuilds an ancestor only when it reaches it, so a step costs its
+    contraction plus the distance the cursor moves, and its roots are built
+    when the trace is read (see TraceStep).  A step keeps its search's root
+    only if the step before it kept one, so that the nodes the search
+    replaced are those the step took out of its before; the last step
+    always keeps the normal form.
     """
     if strategy not in ("first", "last"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -248,76 +320,155 @@ def normalize(t: Term, max_steps: int = 100_000, strategy: str = "first",
     else:
         search = LastRedex(rule_at)
         memos = (fn, search)
-    steps = [TraceStep(index, r.rule, r.position, before, after)
-             for index, (r, before, after) in enumerate(reduce_steps(
-                 t, max_steps, search,
-                 lambda node, rule: _contract(node, rule, fn), memos))]
-    return (steps[-1].after if steps else t), steps
+    steps: list[TraceStep] = []
+    nf, kept = t, True
+    for index, (r, new, nf, replaced) in enumerate(reduce_steps(
+            t, max_steps, search, lambda node, rule: _contract(node, rule, fn),
+            memos)):
+        kept = kept and nf is not None
+        steps.append(TraceStep(index, r.rule, r.position, new,
+                               steps[-1] if steps else t,
+                               nf if kept else None, replaced if kept else None))
+    if not kept:  # the last search ends at the root, so nf is the normal form
+        steps[-1]._after = nf
+    return nf, steps
 
 
 def reduce_steps(t, max_steps: int, search, contract, memos):
     """Contract the redexes that search picks until none is left, yielding
-    (redex, before, after) per step.
+    (redex, contractum, root, replaced) per step.
 
-    search(spine, path) gives the next redex of spine[0] with the nodes
-    from spine[0] down to it, or None, where spine holds the nodes from the
-    root to path, the position the last step contracted ([t] and () before
-    the first step).  contract(node, rule) gives the contractum of a redex;
-    every memo in memos forgets the nodes a step replaces.  Of the term, a
-    step rebuilds only the found spine, over the contractum.
+    The term is kept as a Zipper.  search(z) moves z's cursor to the next
+    redex and gives it, or gives None with the cursor at the settled root;
+    contract(node, rule) gives the contractum of a redex.  root is the term
+    after the step if the step's search built it, else None, so the last
+    step always has it.  replaced lists the nodes that the step and its
+    search took out of the zipper: the redex, its children and the stale
+    ancestors rebuilt; every memo in memos forgets them.
     StepBudgetExceeded if a redex is left after max_steps steps; ValueError
     if max_steps is negative.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, not {max_steps}")
-    found = search([t], ())
+    z = Zipper(t)
+    found = search(z)
     for _ in range(max_steps):
         if found is None:
             return
-        r, old = found
-        spine = rebuild_spine(old, r.position, contract(old[-1], r.rule))
+        new = contract(z.nodes[-1], found.rule)
+        z.replace(new)
+        r, found = found, search(z)
+        replaced, z.replaced = z.replaced, []
         for memo in memos:
-            memo.forget(old)
-            memo.forget(children(old[-1]))
-        yield r, t, spine[0]
-        t = spine[0]
-        found = search(spine, r.position)
+            memo.forget(replaced)
+        yield r, new, z.root, replaced
     if found is not None:
         raise StepBudgetExceeded(max_steps)
 
 
-def first_redex(spine: list, path: tuple[int, ...],
-                rule_at) -> tuple[Redex, list] | None:
-    """The first redex in preorder of spine[0], with the nodes from spine[0]
-    down to it, or None; spine holds the nodes from the root to path and no
-    node before path in preorder, other than its ancestors, is a redex.
+class Zipper:
+    """A term held as the frames from its root down to a cursor (Huet, "The
+    Zipper", JFP 7(5), 1997), so that a change at the cursor rebuilds an
+    ancestor only when a walk needs it.
+
+    nodes[d] is the node of the frame at depth d, and path[d] the index of
+    nodes[d + 1] among its children.  Once a child of the node at depth d
+    changes, kids[d] is the list of its current children, in which the
+    child on the path counts only once that child's frame is closed.  A
+    frame is stale while it has kids or a frame below it is stale.
+    Settling a frame rebuilds its node from its kids (_rebuild) and puts
+    the new node in its parent's kids.  A walk settles a frame before it
+    reads the frame's node or climbs out of it, so only open frames have
+    kids.  root is the whole term while no frame is stale, else None;
+    replaced collects the nodes taken out of the term.
+    """
+
+    __slots__ = ("nodes", "kids", "path", "root", "replaced")
+
+    def __init__(self, t) -> None:
+        self.nodes, self.kids, self.path = [t], {}, []
+        self.root, self.replaced = t, []
+
+    def replace(self, new) -> None:
+        """Put new in place of the cursor's node."""
+        old = self.nodes[-1]
+        self.replaced += (old, *children(old))
+        self._put(new)
+
+    def settle(self):
+        """The cursor's node, rebuilt first if it is stale."""
+        k = self.kids.get(len(self.path))
+        if k is not None:
+            old = self.nodes[-1]
+            self.replaced.append(old)
+            self._put(_rebuild(old, k))
+        return self.nodes[-1]
+
+    def settle_spine(self) -> None:
+        """Settle every frame, from the cursor up to the root."""
+        nodes, kids, path = self.nodes, self.kids, self.path
+        if kids:  # stale: the deepest frame with kids and all above it
+            replaced = self.replaced
+            new = None
+            for d in range(max(kids), -1, -1):
+                k = kids[d] if d in kids else list(children(nodes[d]))
+                if new is not None:
+                    k[path[d]] = new
+                replaced.append(nodes[d])
+                new = nodes[d] = _rebuild(nodes[d], k)
+            kids.clear()
+        self.root = nodes[0]
+
+    def _put(self, new) -> None:
+        """Make new the cursor's node, and its parent's child."""
+        nodes, kids, path = self.nodes, self.kids, self.path
+        d = len(path)
+        nodes[d] = new
+        kids.pop(d, None)
+        if not d:
+            self.root = new
+            return
+        k = kids.get(d - 1)
+        if k is None:
+            k = kids[d - 1] = list(children(nodes[d - 1]))
+        k[path[-1]] = new
+        self.root = None
+
+
+def first_redex(z: Zipper, rule_at) -> Redex | None:
+    """The first redex in preorder of z's term, with z's cursor moved to
+    it, or None with the cursor at the root; no node before the cursor in
+    preorder, other than its ancestors, is a redex.
 
     rule_at(node) is the rule to contract at node, or None if it is no
-    redex.  After the ancestors, root first, the search walks on in
-    preorder from path, carrying the spine: down to a node's first child,
-    else up to the next right sibling of the node or of its nearest
-    ancestor that has one.  So it touches only the nodes it looks at.
+    redex.  The search settles the frames from the cursor up and checks the
+    ancestors, root first.  Then it walks on in preorder from the cursor:
+    down to a node's first child, else up to the next right sibling of the
+    node or of its nearest ancestor that has one.  So it touches only the
+    nodes it looks at, besides the ancestors it rebuilds.
     """
+    z.settle_spine()
+    nodes, path = z.nodes, z.path
     for d in range(len(path)):
-        rule = rule_at(spine[d])
+        rule = rule_at(nodes[d])
         if rule:
-            return Redex(path[:d], rule), spine[:d + 1]
-    spine, path = spine[:], list(path)
-    u = spine[-1]
+            del nodes[d + 1:], path[d:]
+            return Redex(tuple(path), rule)
+    u = nodes[-1]
     while True:
         rule = rule_at(u)
         if rule:
-            return Redex(tuple(path), rule), spine
+            return Redex(tuple(path), rule)
         kids, i = children(u), 0
         while i == len(kids):
             if not path:
                 return None
-            spine.pop()
+            nodes.pop()
             i = path.pop() + 1
-            kids = children(spine[-1])
+            kids = children(nodes[-1])
         u = kids[i]
         path.append(i)
-        spine.append(u)
+        nodes.append(u)
 
 
 class LastRedex(NodeMemo):
@@ -335,47 +486,46 @@ class LastRedex(NodeMemo):
     def __init__(self, rule_at) -> None:  # the memo starts empty
         self.rule_at = rule_at
 
-    def __call__(self, spine: list,
-                 path: tuple[int, ...]) -> tuple[Redex, list] | None:
-        """The last redex of spine[0], with the nodes from spine[0] down to
-        it, or None; spine holds the nodes from the root to path, and no
-        node after path in preorder is a redex unless it is in path's
-        subtree.
+    def __call__(self, z: Zipper) -> Redex | None:
+        """The last redex of z's term, with z's cursor moved to it, or None
+        with the cursor at the root; no node after the cursor in preorder is
+        a redex unless it is in the cursor's subtree.
 
-        After a step at path that holds: the step built only the spine and
-        the contractum, and before it nothing after path was a redex.  So
-        the search walks path's subtree in reverse preorder (children right
-        to left, then the node) and then climbs, at each ancestor looking at
-        the children left of the path, right to left, then at the ancestor
-        itself.  Both are one walk, whose stack is the spine and path it
-        returns.  It skips a child known to be normal and records a node as
-        normal when it leaves the node without a redex.  The first call
-        passes [t] and (), so it looks at all of t.
+        After a step at the cursor that holds: the step changed only the
+        cursor's node and, before it, nothing after the cursor was a redex.
+        So the search walks the cursor's subtree in reverse preorder
+        (children right to left, then the node) and then climbs, at each
+        ancestor looking at the children left of the path, right to left,
+        then at the ancestor itself, which it settles first.  Both are one
+        walk on z.  It skips a child known to be normal and records a node
+        as normal when it leaves the node without a redex, so every frame
+        it climbs out of is settled.  The first call gets a zipper on the
+        whole term with its cursor at the root, so it looks at all of it.
         """
         normal, rule_at = self, self.rule_at
-        spine, path = spine[:], list(path)
-        kids = children(spine[-1])
-        i = len(kids)  # the children of spine[-1] left to look at
+        nodes, stale, path = z.nodes, z.kids, z.path
+        kids = children(nodes[-1])
+        i = len(kids)  # the children of the cursor's node left to look at
         while True:
             if i:
                 i -= 1
                 u = kids[i]
                 if id(u) not in normal:
                     path.append(i)
-                    spine.append(u)
+                    nodes.append(u)
                     kids = children(u)
                     i = len(kids)
                 continue
-            u = spine[-1]
+            u = z.settle() if len(path) in stale else nodes[-1]
             rule = rule_at(u)
             if rule:
-                return Redex(tuple(path), rule), spine
+                return Redex(tuple(path), rule)
             normal[id(u)] = u
             if not path:
                 return None
-            spine.pop()
+            nodes.pop()
             i = path.pop()
-            kids = children(spine[-1])
+            kids = stale.get(len(path)) or children(nodes[-1])
 
 
 def reducts_one_step(t: Term, experimental: bool = False) -> list[Term]:
@@ -403,9 +553,7 @@ def format_trace(steps: list[TraceStep]) -> str:
     printer = TermPrinter()
     lines = []
     for s in steps:
-        spine = spine_at(s.before, s.position)
-        printer.forget(spine)
-        printer.forget(children(spine[-1]))
+        printer.forget(s.replaced)
         path = ".".join(str(i) for i in s.position) if s.position else "root"
         lines.append(f"{s.index} {s.rule} {path} {printer(s.after)}")
     return "\n".join(lines)

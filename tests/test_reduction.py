@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import breakcalc.reduction as reduction_module
+import breakcalc.syntax as syntax_module
 from breakcalc import catalog
 from breakcalc.catalog import divisibility_terms, identity_break
 from breakcalc.lambda_pair import (
@@ -22,12 +23,13 @@ from breakcalc.reduction import (
 )
 from breakcalc.syntax import (
     App, Arrow, Atom, Break, FreeNames, Lam, Let, Pair, Tensor, Var, alpha_eq,
-    alpha_key, avoid_capture, binders, free_vars, print_type, replace_at,
-    substitute, subterm_at, subterms,
+    alpha_key, avoid_capture, binders, children, free_vars, print_type,
+    replace_at, spine_at, substitute, subterm_at, subterms,
 )
 from breakcalc.typecheck import check
 from schemas import critical_pair_instances, join_within, nonconfluence_witness
 from termgen import clashing_copy, random_typable_term
+from test_golden_outputs import ITEMS as GOLDEN_ITEMS
 from test_lambda_pair import reference_print_lterm
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -586,6 +588,36 @@ def test_last_search_work_is_linear_in_the_depth(monkeypatch, chain,
     assert counts[1] <= 2.5 * counts[0]
 
 
+@pytest.mark.parametrize("chain, normal_form", [
+    (identity_chain, lambda n: Var("w", A)), (pair_chain, nested_pairs)],
+    ids=["identity_chain", "pair_chain"])
+def test_last_strategy_rebuilds_are_linear_in_the_depth(monkeypatch, chain,
+                                                       normal_form):
+    """The last strategy on the chains: a step rebuilds an ancestor of its
+    redex only when the next search reaches it, so the nodes rebuilt from
+    changed children (counted as calls to _rebuild, not timed) grow
+    linearly with the depth; rebuilding the spine up to the root at every
+    step would grow quadratically."""
+    rebuilds = [0]
+
+    def counted(real):
+        def wrapper(*args):
+            rebuilds[0] += 1
+            return real(*args)
+        return wrapper
+
+    for module in (syntax_module, reduction_module):
+        monkeypatch.setattr(module, "_rebuild", counted(module._rebuild))
+    counts = []
+    for n in (200, 400):
+        rebuilds[0] = 0
+        nf, steps = normalize(chain(n), strategy="last")
+        assert print_term(nf) == print_term(normal_form(n))
+        assert len(steps) == n
+        counts.append(rebuilds[0])
+    assert counts[1] <= 2.5 * counts[0]
+
+
 def break_chain(n: int):
     """b-conv puts the shared argument under fresh binders at every layer."""
     t = Lam("w", A, Var("w", A))
@@ -640,6 +672,57 @@ class TestTraceText:
         assert printer(Lam("x", A, x)) == "\\x:A. x"
         assert printer(Pair(x, Lam("x", A, x))) == "<(x : A), \\x:A. x>"
         assert printer(App(Lam("y", A, x), x)) == "(\\y:A. (x : A)) (x : A)"
+
+
+@functools.cache
+def lazy_root_terms():
+    """The golden items and 200 more seeded random terms."""
+    rng = random.Random(2024)
+    return ([t for _, t in GOLDEN_ITEMS]
+            + [random_typable_term(rng) for _ in range(200)])
+
+
+def node_ids(nodes) -> set[int]:
+    return {id(u) for u in nodes}
+
+
+@pytest.mark.parametrize("experimental", [False, True],
+                         ids=["standard", "experimental"])
+@pytest.mark.parametrize("strategy", ["first", "last"])
+class TestLazyRoots:
+    """A trace step builds its before and after when they are first read,
+    or keeps the root its search built; either way they equal the terms
+    that contracting each step in turn with apply_step gives."""
+
+    @pytest.mark.parametrize("order", ["first_to_last", "last_to_first"])
+    def test_roots_equal_the_replay(self, strategy, experimental, order):
+        for t in lazy_root_terms():
+            nf, steps = normalize(t, strategy=strategy,
+                                  experimental=experimental)
+            roots = [t]
+            for s in steps:
+                roots.append(apply_step(roots[-1], Redex(s.position, s.rule)))
+            assert nf is (steps[-1].after if steps else t)
+            for s in (steps if order == "first_to_last" else steps[::-1]):
+                assert s.before == roots[s.index]
+                assert s.after == roots[s.index + 1]
+                spine = spine_at(s.before, s.position)
+                assert node_ids(s.replaced) == node_ids(
+                    spine + list(children(spine[-1])))
+            assert nf == roots[-1]
+
+    def test_step_budget(self, strategy, experimental):
+        for t in lazy_root_terms():
+            _, steps = normalize(t, strategy=strategy,
+                                 experimental=experimental)
+            n = len(steps)
+            assert normalize(t, max_steps=n, strategy=strategy,
+                             experimental=experimental)[1] == steps
+            if n:
+                with pytest.raises(StepBudgetExceeded) as exc:
+                    normalize(t, max_steps=n - 1, strategy=strategy,
+                              experimental=experimental)
+                assert exc.value.max_steps == n - 1
 
 
 def identity_chain_text(n: int) -> str:
