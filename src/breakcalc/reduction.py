@@ -16,8 +16,8 @@ from .printer import TermPrinter
 from .syntax import (
     App, Arrow, Break, FreeNames, Lam, Let, NodeMemo, Pair, Term, Var,
     _freshen, _rebuild, annotated_type, avoid_capture, binders, children,
-    distinct_reducts, free_names, rebuild_spine, spine_at, subterm_at,
-    substitute, subterms, term_size, type_size,
+    distinct_reducts, free_names, rebuild_spine, spine_at, substitute,
+    subterms, term_size, type_size,
 )
 
 
@@ -128,7 +128,7 @@ class TraceStep:
             s = s._before
         for s in reversed(todo):
             spine = spine_at(s.before, s.position)
-            s._after = rebuild_spine(spine, s.position, s.contractum)[0]
+            s._after = rebuild_spine(spine, s.position, s.contractum)
             s._replaced = spine + list(children(spine[-1]))
 
     def __iter__(self):
@@ -197,15 +197,20 @@ def find_redexes(t: Term, experimental: bool = False) -> list[Redex]:
 
 def apply_step(t: Term, r: Redex) -> Term:
     """Contract the redex r in t; InvalidRedex if it does not match."""
+    fn = FreeNames()
+    spine = _redex_spine(t, r, fn)
+    return rebuild_spine(spine, r.position, _contract(spine[-1], r.rule, fn))
+
+
+def _redex_spine(t: Term, r: Redex, fn: FreeNames) -> list:
+    """spine_at(t, r.position); InvalidRedex if r.rule does not match there."""
     try:
         spine = spine_at(t, r.position)
     except IndexError as exc:
         raise InvalidRedex(str(exc)) from None
-    fn = FreeNames()
     if r.rule not in _node_rules(spine[-1], True, fn):
         raise InvalidRedex(f"{r.rule} does not match at {list(r.position)}")
-    new = _contract(spine[-1], r.rule, fn)
-    return rebuild_spine(spine, r.position, new)[0]
+    return spine
 
 
 def _contract(t: Term, rule: RuleName, fn: FreeNames) -> Term:
@@ -242,11 +247,12 @@ def _contract(t: Term, rule: RuleName, fn: FreeNames) -> Term:
 def is_silent(t: Term, r: Redex) -> bool:
     """True iff the contraction substitutes for variables absent from the body.
 
-    Only defined for the pair and break contractions; permuting rules raise.
+    Only defined for the pair and break contractions; other rules raise
+    ValueError, and a redex that does not match raises InvalidRedex.
     """
     if r.rule not in (RuleName.L_CONV, RuleName.B_CONV):
         raise ValueError(f"silence undefined for {r.rule}")
-    node = subterm_at(t, r.position)
+    node = _redex_spine(t, r, FreeNames())[-1]
     return free_names(node.body).isdisjoint(binders(node))
 
 
@@ -298,12 +304,13 @@ def normalize(t: Term, max_steps: int = 100_000, strategy: str = "first",
 
     The first strategy's search rebuilds every ancestor of p, so it has the
     root after each step, and the trace keeps it.  The last strategy's
-    search rebuilds an ancestor only when it reaches it, so a step costs its
-    contraction plus the distance the cursor moves, and its roots are built
-    when the trace is read (see TraceStep).  A step keeps its search's root
-    only if the step before it kept one, so that the nodes the search
-    replaced are those the step took out of its before; the last step
-    always keeps the normal form.
+    search rebuilds an ancestor only as it climbs into it (Zipper.up), so a
+    step costs its contraction plus the distance the cursor moves, and its
+    roots are built when the trace is read (see TraceStep) unless the
+    search climbed to the root.  A step keeps its search's root only if the
+    step before it kept one, so that the nodes the search replaced are
+    those the step took out of its before; the last step always keeps the
+    normal form.
     """
     if strategy not in ("first", "last"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -340,11 +347,11 @@ def reduce_steps(t, max_steps: int, search, contract, memos):
 
     The term is kept as a Zipper.  search(z) moves z's cursor to the next
     redex and gives it, or gives None with the cursor at the settled root;
-    contract(node, rule) gives the contractum of a redex.  root is the term
-    after the step if the step's search built it, else None, so the last
-    step always has it.  replaced lists the nodes that the step and its
-    search took out of the zipper: the redex, its children and the stale
-    ancestors rebuilt; every memo in memos forgets them.
+    contract(node, rule) gives the contractum of a redex.  root is z.root
+    after the search: the term after the step, or None while a frame is
+    stale; the last step always has it.  replaced lists the nodes the step
+    and its search took out: the redex, its children and the ancestors
+    that z.up() and z.settle_spine() rebuilt; every memo forgets them.
     StepBudgetExceeded if a redex is left after max_steps steps; ValueError
     if max_steps is negative.
     """
@@ -372,67 +379,51 @@ class Zipper:
     ancestor only when a walk needs it.
 
     nodes[d] is the node of the frame at depth d, and path[d] the index of
-    nodes[d + 1] among its children.  Once a child of the node at depth d
-    changes, kids[d] is the list of its current children, in which the
-    child on the path counts only once that child's frame is closed.  A
-    frame is stale while it has kids or a frame below it is stale.
-    Settling a frame rebuilds its node from its kids (_rebuild) and puts
-    the new node in its parent's kids.  A walk settles a frame before it
-    reads the frame's node or climbs out of it, so only open frames have
-    kids.  root is the whole term while no frame is stale, else None;
-    replaced collects the nodes taken out of the term.
+    nodes[d + 1] among its children.  replace sets only the cursor's node,
+    so a frame is stale while nodes[d + 1] is not the child that nodes[d]
+    holds; up and settle_spine rebuild it (_rebuild).  root is the whole
+    term while no frame is stale, else None; replaced collects the nodes
+    taken out of the term.
     """
 
-    __slots__ = ("nodes", "kids", "path", "root", "replaced")
+    __slots__ = ("nodes", "path", "root", "replaced")
 
     def __init__(self, t) -> None:
-        self.nodes, self.kids, self.path = [t], {}, []
+        self.nodes, self.path = [t], []
         self.root, self.replaced = t, []
 
     def replace(self, new) -> None:
         """Put new in place of the cursor's node."""
         old = self.nodes[-1]
         self.replaced += (old, *children(old))
-        self._put(new)
+        self.nodes[-1] = new
+        self.root = None if self.path else new
 
-    def settle(self):
-        """The cursor's node, rebuilt first if it is stale."""
-        k = self.kids.get(len(self.path))
-        if k is not None:
-            old = self.nodes[-1]
-            self.replaced.append(old)
-            self._put(_rebuild(old, k))
-        return self.nodes[-1]
+    def up(self) -> tuple[int, tuple | list]:
+        """Move the cursor to its parent, rebuilt if stale; give the index
+        of the node left and the parent's children."""
+        nodes, path = self.nodes, self.path
+        u, i = nodes.pop(), path.pop()
+        kids = children(nodes[-1])
+        if kids[i] is not u:
+            kids = list(kids)
+            kids[i] = u
+            self.replaced.append(nodes[-1])
+            nodes[-1] = _rebuild(nodes[-1], kids)
+        if not path:
+            self.root = nodes[0]
+        return i, kids
 
     def settle_spine(self) -> None:
-        """Settle every frame, from the cursor up to the root."""
-        nodes, kids, path = self.nodes, self.kids, self.path
-        if kids:  # stale: the deepest frame with kids and all above it
-            replaced = self.replaced
-            new = None
-            for d in range(max(kids), -1, -1):
-                k = kids[d] if d in kids else list(children(nodes[d]))
-                if new is not None:
-                    k[path[d]] = new
-                replaced.append(nodes[d])
-                new = nodes[d] = _rebuild(nodes[d], k)
-            kids.clear()
+        """Rebuild the stale frames, from the cursor up, leaving it put."""
+        nodes, path = self.nodes, self.path
+        for d in range(len(path) - 1, -1, -1):
+            kids, i = list(children(nodes[d])), path[d]
+            if kids[i] is not nodes[d + 1]:
+                kids[i] = nodes[d + 1]
+                self.replaced.append(nodes[d])
+                nodes[d] = _rebuild(nodes[d], kids)
         self.root = nodes[0]
-
-    def _put(self, new) -> None:
-        """Make new the cursor's node, and its parent's child."""
-        nodes, kids, path = self.nodes, self.kids, self.path
-        d = len(path)
-        nodes[d] = new
-        kids.pop(d, None)
-        if not d:
-            self.root = new
-            return
-        k = kids.get(d - 1)
-        if k is None:
-            k = kids[d - 1] = list(children(nodes[d - 1]))
-        k[path[-1]] = new
-        self.root = None
 
 
 def first_redex(z: Zipper, rule_at) -> Redex | None:
@@ -441,11 +432,12 @@ def first_redex(z: Zipper, rule_at) -> Redex | None:
     preorder, other than its ancestors, is a redex.
 
     rule_at(node) is the rule to contract at node, or None if it is no
-    redex.  The search settles the frames from the cursor up and checks the
-    ancestors, root first.  Then it walks on in preorder from the cursor:
-    down to a node's first child, else up to the next right sibling of the
-    node or of its nearest ancestor that has one.  So it touches only the
-    nodes it looks at, besides the ancestors it rebuilds.
+    redex.  The search settles the frames from the cursor up (settle_spine)
+    and checks the ancestors, root first.  Then it walks on in preorder
+    from the cursor: down to a node's first child, else up with z.up(),
+    which rebuilds nothing now, to the next right sibling of the node or of
+    its nearest ancestor that has one.  So it touches only the nodes it
+    looks at, besides the ancestors it rebuilds.
     """
     z.settle_spine()
     nodes, path = z.nodes, z.path
@@ -463,9 +455,8 @@ def first_redex(z: Zipper, rule_at) -> Redex | None:
         while i == len(kids):
             if not path:
                 return None
-            nodes.pop()
-            i = path.pop() + 1
-            kids = children(nodes[-1])
+            i, kids = z.up()
+            i += 1
         u = kids[i]
         path.append(i)
         nodes.append(u)
@@ -494,16 +485,16 @@ class LastRedex(NodeMemo):
         After a step at the cursor that holds: the step changed only the
         cursor's node and, before it, nothing after the cursor was a redex.
         So the search walks the cursor's subtree in reverse preorder
-        (children right to left, then the node) and then climbs, at each
-        ancestor looking at the children left of the path, right to left,
-        then at the ancestor itself, which it settles first.  Both are one
-        walk on z.  It skips a child known to be normal and records a node
-        as normal when it leaves the node without a redex, so every frame
-        it climbs out of is settled.  The first call gets a zipper on the
-        whole term with its cursor at the root, so it looks at all of it.
+        (children right to left, then the node) and then climbs with z.up(),
+        at each ancestor looking at the children left of the path, right to
+        left, then at the ancestor itself, which up has rebuilt if a child
+        changed.  Both are one walk on z.  It skips a child known to be
+        normal and records a node as normal when it leaves the node without
+        a redex.  The first call gets a zipper on the whole term with its
+        cursor at the root, so it looks at all of it.
         """
         normal, rule_at = self, self.rule_at
-        nodes, stale, path = z.nodes, z.kids, z.path
+        nodes, path = z.nodes, z.path
         kids = children(nodes[-1])
         i = len(kids)  # the children of the cursor's node left to look at
         while True:
@@ -516,16 +507,14 @@ class LastRedex(NodeMemo):
                     kids = children(u)
                     i = len(kids)
                 continue
-            u = z.settle() if len(path) in stale else nodes[-1]
+            u = nodes[-1]
             rule = rule_at(u)
             if rule:
                 return Redex(tuple(path), rule)
             normal[id(u)] = u
             if not path:
                 return None
-            nodes.pop()
-            i = path.pop()
-            kids = stale.get(len(path)) or children(nodes[-1])
+            i, kids = z.up()
 
 
 def reducts_one_step(t: Term, experimental: bool = False) -> list[Term]:

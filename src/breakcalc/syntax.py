@@ -385,26 +385,21 @@ def spine_at(t, path: tuple[int, ...]) -> list:
     spine = [t]
     for i in path:
         kids = children(t)
-        if i >= len(kids):
+        if not 0 <= i < len(kids):
             raise IndexError(f"no child {i} at {t!r}")
         t = kids[i]
         spine.append(t)
     return spine
 
 
-def rebuild_spine(spine: list, path: tuple[int, ...], new) -> list:
-    """The spine, root first, of spine[0] with the node at path replaced by new.
-
-    `spine` is spine_at(root, path); the nodes off the path are shared.
-    """
-    out = [new]
+def rebuild_spine(spine: list, path: tuple[int, ...], new):
+    """spine[0] with the node at path replaced by new, where `spine` is
+    spine_at(spine[0], path); the nodes off the path are shared."""
     for d in range(len(path) - 1, -1, -1):
         kids = list(children(spine[d]))
         kids[path[d]] = new
         new = _rebuild(spine[d], kids)
-        out.append(new)
-    out.reverse()
-    return out
+    return new
 
 
 def subterm_at(t, path: tuple[int, ...]):
@@ -412,7 +407,7 @@ def subterm_at(t, path: tuple[int, ...]):
 
 
 def replace_at(t, path: tuple[int, ...], new):
-    return rebuild_spine(spine_at(t, path), path, new)[0]
+    return rebuild_spine(spine_at(t, path), path, new)
 
 
 def subterms(t) -> Iterator[tuple[tuple[int, ...], object]]:
@@ -662,12 +657,11 @@ def _key_parts(t, env: dict[str, int], depth: int, parts: list[str],
     """Append t's key to parts, where env gives the levels of the names
     bound around t and depth is the next level.
 
-    When walk is (rules_at, spine, path, found), the walk also lists t's
-    redexes: spine and path hold the nodes and child indices from the root
-    down to t's parent, and a node for which rules_at gives rules appends
-    (path, spine, rules, span) to found, in preorder, where spine ends at
-    the node and its key is parts[span[0]:span[1]], written in the context
-    span[2:] (env, depth).
+    When walk is (rules_at, path, found), the walk also lists t's redexes:
+    path holds the child indices from the root down to t's parent, and a
+    node for which rules_at gives rules appends (path, node, rules, span)
+    to found, in preorder, where the node's key is parts[span[0]:span[1]],
+    written in the context span[2:] (env, depth).
     """
     # module level, not a closure: a self-referencing closure is a cycle that
     # keeps every key fragment alive until the cycle collector runs.
@@ -688,12 +682,11 @@ def _key_parts(t, env: dict[str, int], depth: int, parts: list[str],
             append(":" + _PRINTED[a])
         return
     if walk is not None:
-        rules_at, spine, path, found = walk
-        spine.append(t)
+        rules_at, path, found = walk
         rules = rules_at(t)
         if rules:
             span = [len(parts), 0, env, depth]
-            found.append((tuple(path), spine.copy(), rules, span))
+            found.append((tuple(path), t, rules, span))
         path.append(0)
     append(sp.tag)
     for a in sp.annots(t):
@@ -715,7 +708,6 @@ def _key_parts(t, env: dict[str, int], depth: int, parts: list[str],
             _key_parts(c, env, depth, parts, walk)
     append(")")
     if walk is not None:
-        spine.pop()
         path.pop()
         if rules:
             span[1] = len(parts)
@@ -727,30 +719,29 @@ def distinct_reducts(t, rules_at, contract) -> list:
 
     rules_at(node) gives the rules that match at node, in order, and
     contract(node, rule) the node's replacement.  One walk writes t's key,
-    with each redex's span and binding context, and keeps the spine down to
-    each redex.  A reduct keeps every node off the path to its position, and
-    the ancestors on it keep their binders, so alpha_key of the reduct is
-    t's key with that position's span replaced by the new node's key written
-    in the same context.  Only a reduct whose key is new is built, from the
-    kept spine.  A variable is never a redex, so rules_at is not asked
-    about one.
+    with each redex's node, position, span and binding context.  A reduct
+    keeps every node off the path to its position, and the ancestors on it
+    keep their binders, so alpha_key of the reduct is t's key with that
+    position's span replaced by the new node's key written in the same
+    context.  Only a reduct whose key is new is built, with replace_at.  A
+    variable is never a redex, so rules_at is not asked about one.
     """
     parts: list[str] = []
     found: list = []
-    _key_parts(t, {}, 0, parts, (rules_at, [], [], found))
+    _key_parts(t, {}, 0, parts, (rules_at, [], found))
     if not found:
         return []
     offsets = list(accumulate(map(len, parts), initial=0))
     key = "".join(parts)
     seen: dict[str, object] = {}
-    for path, spine, rules, (start, end, env, depth) in found:
+    for path, node, rules, (start, end, env, depth) in found:
         for rule in rules:
-            new = contract(spine[-1], rule)
+            new = contract(node, rule)
             mid: list[str] = []
             _key_parts(new, env, depth, mid, None)
             k = key[:offsets[start]] + "".join(mid) + key[offsets[end]:]
             if k not in seen:
-                seen[k] = rebuild_spine(spine, path, new)[0]
+                seen[k] = replace_at(t, path, new)
     return list(seen.values())
 
 

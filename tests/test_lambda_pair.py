@@ -148,6 +148,8 @@ class TestLReduction:
             with pytest.raises(ValueError) as exc:
                 l_contract_at(e, path)
             assert str(exc.value) == f"no redex at {list(path)}"
+        with pytest.raises(IndexError, match="no child -1 at LApp"):
+            l_contract_at(e, (-1,))
 
     def test_negative_budget_rejected(self):
         for e in (LVar("x"), LProj0(LPair(LVar("s"), LVar("t")))):

@@ -18,8 +18,8 @@ from breakcalc.parser import parse_term
 from breakcalc.printer import TermPrinter, print_lterm, print_term
 from breakcalc.reduction import (
     PERMUTING_RULES, InvalidRedex, Measure, Redex, RuleName,
-    StepBudgetExceeded, apply_step, find_redexes, format_trace, is_silent,
-    measure, normalize, reducts_one_step,
+    StepBudgetExceeded, Zipper, apply_step, find_redexes, format_trace,
+    is_silent, measure, normalize, reducts_one_step,
 )
 from breakcalc.syntax import (
     App, Arrow, Atom, Break, FreeNames, Lam, Let, Pair, Tensor, Var, alpha_eq,
@@ -103,6 +103,11 @@ class TestApplyStep:
         t = Lam("x", A, Var("x", A))
         with pytest.raises(InvalidRedex, match="no child 0 at Var"):
             apply_step(t, Redex((0, 0), RuleName.BETA))
+        # a negative index names no child, not the last one
+        t = App(Lam("x", A, Var("x", A)),
+                App(Lam("y", A, Var("y", A)), Var("a", A)))
+        with pytest.raises(InvalidRedex, match="no child -1 at App"):
+            apply_step(t, Redex((-1,), RuleName.BETA))
 
     def test_permuting_step_renames_to_avoid_capture(self):
         # (let <x, y> = t0 in u0) x  with x free in the argument
@@ -141,6 +146,18 @@ class TestIsSilent:
                 Var("r", P))
         with pytest.raises(ValueError):
             is_silent(t, Redex((), RuleName.AP_L_CONV))
+
+    def test_rule_must_match_at_the_position(self):
+        """A rule that does not match is rejected as apply_step rejects it,
+        whether the node lacks the fields it reads or has them."""
+        t = App(Lam("x", A, Var("x", A)), Var("a", A))
+        for r, message in [
+                (Redex((), RuleName.L_CONV), "l-conv does not match at []"),
+                (Redex((0,), RuleName.B_CONV), "b-conv does not match at [0]")]:
+            for f in (is_silent, apply_step):
+                with pytest.raises(InvalidRedex) as exc:
+                    f(t, r)
+                assert str(exc.value) == message
 
 
 class TestMeasure:
@@ -723,6 +740,53 @@ class TestLazyRoots:
                     normalize(t, max_steps=n - 1, strategy=strategy,
                               experimental=experimental)
                 assert exc.value.max_steps == n - 1
+
+
+def zipper_at(t, path) -> Zipper:
+    """A zipper on t with its cursor moved down to path, as the searches
+    move it: one frame per child index."""
+    z = Zipper(t)
+    for i in path:
+        z.nodes.append(children(z.nodes[-1])[i])
+        z.path.append(i)
+    return z
+
+
+class TestZipper:
+    """A change at the cursor reaches an ancestor only when a move climbs
+    into it or settles the spine."""
+
+    def test_up_out_of_an_unchanged_child_keeps_the_parent(self):
+        t = pair_chain(3)
+        z = zipper_at(t, (1, 1, 0))
+        parent = z.nodes[-2]
+        assert z.up() == (0, children(parent))
+        assert z.nodes[-1] is parent and z.path == [1, 1]
+        assert z.replaced == []
+        z.up()
+        z.up()
+        assert z.nodes == [t] and z.root is t and z.replaced == []
+
+    def test_settled_spine_after_a_change_at_depth_3(self):
+        t = pair_chain(3)
+        path = (1, 1, 0)
+        z = zipper_at(t, path)
+        old_spine, old = spine_at(t, path), z.nodes[-1]
+        new = Var("w", A)
+        z.replace(new)
+        assert z.root is None
+        z.settle_spine()
+        root = z.root
+        assert root == replace_at(t, path, new)
+        assert z.path == list(path) and z.nodes[-1] is new  # cursor kept
+        new_spine = spine_at(root, path)
+        assert new_spine == z.nodes and new_spine[-1] is new
+        for d, i in enumerate(path):  # every node off the path is shared
+            pairs = zip(children(old_spine[d]), children(new_spine[d]))
+            assert all(a is b for j, (a, b) in enumerate(pairs) if j != i)
+        assert node_ids(z.replaced) == node_ids(old_spine
+                                                + list(children(old)))
+        assert len(z.replaced) == len(old_spine) + len(children(old))
 
 
 def identity_chain_text(n: int) -> str:
