@@ -4,6 +4,9 @@ size-respecting translation into it used to justify termination.
 The translation erases lets and breaks into substitutions: a let body receives
 projections of the translated scrutinee, and a break body receives the two
 closed combinators ``\\x. \\p. p x`` and ``\\x. \\z. x`` applied to it.
+
+The λ-pair rules are records of the kind of reduction.RULES, and how a
+break-calculus step maps through the translation is its record's clause.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .reduction import (
-    PERMUTING_RULES, Redex, RuleName, apply_step, first_redex, is_silent,
-    reduce_steps,
+    RULE, Redex, Rule, RuleName, apply_step, first_redex, is_silent,
+    reduce_steps, rule_matcher,
 )
 from .syntax import (
     App, Arrow, Break, FreeNames, Lam, Let, Node, Pair, Tensor, Term,
@@ -111,46 +114,37 @@ def l_check(e: LTerm, env: dict[str, TypeExpr] | None = None) -> TypeExpr:
 # Reduction: beta plus the two projection rules
 # ---------------------------------------------------------------------------
 
-def _l_is_redex(e: LTerm) -> bool:
-    match e:
-        case LApp(fun=LLam()):
-            return True
-        case LProj0(arg=LPair()) | LProj1(arg=LPair()):
-            return True
-    return False
+#: The λ-pair rules.  Beta is the break calculus's record on LApp and LLam,
+#: laid out as App and Lam.  A λ-pair term is its own image, so each step
+#: maps to one step at the root: the "beta" clause.
+L_RULES = (
+    RULE[RuleName.BETA]._replace(outer=LApp, inner=LLam),
+    Rule("proj0", LProj0, LPair, None, lambda t, fn: t.arg.first, "beta"),
+    Rule("proj1", LProj1, LPair, None, lambda t, fn: t.arg.second, "beta"),
+)
+_L_RULE = {r.name: r for r in L_RULES}
+_l_rules = rule_matcher(L_RULES)
 
 
 def l_find_redexes(e: LTerm) -> list[tuple[int, ...]]:
-    return [path for path, sub in subterms(e) if _l_is_redex(sub)]
-
-
-def _l_contract(node: LTerm, names: FreeNames | None = None) -> LTerm | None:
-    """The contractum of node, or None if it is no redex."""
-    match node:
-        case LApp(fun=LLam(binder=b, body=body), arg=arg):
-            return substitute(body, {b: arg}, names)
-        case LProj0(arg=LPair(first=a)):
-            return a
-        case LProj1(arg=LPair(second=b)):
-            return b
-    return None
+    return [path for path, sub in subterms(e) if _l_rules(sub, False, None)]
 
 
 def l_contract_at(e: LTerm, path: tuple[int, ...]) -> LTerm:
-    new = _l_contract(subterm_at(e, path))
-    if new is None:
+    node = subterm_at(e, path)
+    rules = _l_rules(node, False, None)
+    if not rules:
         raise ValueError(f"no redex at {list(path)}")
-    return replace_at(e, path, new)
+    return replace_at(e, path, _L_RULE[rules[0]].contract(node, None))
 
 
 def l_step(e: LTerm) -> list[LTerm]:
     """All one-step reducts, deduplicated up to alpha equivalence, found,
-    keyed and placed in one walk as in reducts_one_step; each redex has the
-    one rule None, as a redex is contracted the same way whatever its
-    rule."""
+    keyed and placed in one walk as in reducts_one_step."""
     names = FreeNames()
-    return distinct_reducts(e, lambda node: (None,) if _l_is_redex(node)
-                            else (), lambda node, _: _l_contract(node, names))
+    return distinct_reducts(e, lambda node: _l_rules(node, False, names),
+                            lambda node, rule:
+                            _L_RULE[rule].contract(node, names))
 
 
 def l_normalize(e: LTerm, max_steps: int = 100_000) -> LTerm:
@@ -158,14 +152,14 @@ def l_normalize(e: LTerm, max_steps: int = 100_000) -> LTerm:
 
     StepBudgetExceeded if a redex is left after max_steps steps; ValueError
     if max_steps is negative.  Runs the resumable search of normalize's
-    first strategy, with _l_is_redex as the rule (a redex is contracted
-    the same way whatever its rule).
+    first strategy.
     """
     names = FreeNames()
-    search = functools.partial(first_redex, rule_at=_l_is_redex)
-    for _, _, e, _ in reduce_steps(e, max_steps, search,
-                                   lambda node, _: _l_contract(node, names),
-                                   (names,)):
+    search = functools.partial(
+        first_redex, rules_at=lambda node: _l_rules(node, False, names))
+    for _, _, e, _ in reduce_steps(
+            e, max_steps, search,
+            lambda node, rule: _L_RULE[rule].contract(node, names), (names,)):
         pass  # e becomes each step's result in turn
     return e
 
@@ -239,24 +233,6 @@ class StepMappingVerdict(NamedTuple):
     dead_context: bool = False
 
 
-def _local_spots(node: Term, rule: RuleName) -> list[tuple[int, ...]]:
-    """Paths, within the image of the redex, of the contractions its step maps to.
-
-    A beta redex translates to a beta redex at the root.  The pair and break
-    contractions translate to substitutions, leaving one projection or
-    combinator redex wherever a substituted variable occurred in the body
-    image; a variable whose occurrence the translation itself erased (for
-    example inside a discarded scrutinee) contributes nothing.
-    """
-    match rule:
-        case RuleName.BETA:
-            return [()]
-        case RuleName.L_CONV | RuleName.B_CONV:
-            body_img = _star(node.body, {})
-            return [p for b in binders(node) for p in free_positions(body_img, b)]
-    raise MappingFailure(f"{rule} is not a standard conversion")
-
-
 def check_step_mapping(t: Term, r: Redex) -> StepMappingVerdict:
     """Verify how one conversion step maps through the translation.
 
@@ -271,14 +247,15 @@ def check_step_mapping(t: Term, r: Redex) -> StepMappingVerdict:
     verdicts carry dead_context=True.
     """
     t = canonicalize(t)
-    if r.rule == RuleName.B_L_CONV:
+    rule = RULE.get(r.rule)
+    if rule and rule.clause is None:
         raise MappingFailure("experimental rule has no mapping guarantee")
-    t_after = apply_step(t, r)
+    t_after = apply_step(t, r)  # InvalidRedex unless a rule matches as r says
     img_before = _star(t, {})
     img_after = star_translate(t_after)
 
-    silent = r.rule in (RuleName.L_CONV, RuleName.B_CONV) and is_silent(t, r)
-    if r.rule in PERMUTING_RULES or silent:
+    silent = rule.clause == "substitution" and is_silent(t, r)
+    if rule.clause == "unchanged" or silent:
         if alpha_eq(img_before, img_after):
             return StepMappingVerdict("equal")
         raise MappingFailure(f"image changed under {r.rule}")
@@ -302,7 +279,13 @@ def check_step_mapping(t: Term, r: Redex) -> StepMappingVerdict:
     if graft(ctx_img, hole, copy_img) != img_before:
         raise MappingFailure("context decomposition disagrees with image")
 
-    spots = _local_spots(node, r.rule)
+    # a beta redex at the root of the copy, or a projection or combinator
+    # redex wherever the body's image has a substituted variable
+    if rule.clause == "beta":
+        spots = [()]
+    else:
+        body_img = _star(node.body, {})
+        spots = [p for b in binders(node) for p in free_positions(body_img, b)]
     if not spots:
         return equal_verdict()
     stepped_copy = copy_img

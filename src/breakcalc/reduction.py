@@ -1,20 +1,24 @@
 """Redex discovery, single-step conversion, the termination measure, and
 normalization with traces.
 
-Rules are matched in preorder (leftmost-outermost first).  The experimental
-rule pushing a break past a let in its scrutinee destroys confluence and is
-off unless explicitly enabled.
+Each rule is one record of the table RULES: the classes of the redex and
+of its first child, its side condition, its contraction and how a step
+maps through the translation.  Rules are matched in preorder
+(leftmost-outermost first).  The experimental rule pushing a break past a
+let in its scrutinee destroys confluence and is off unless explicitly
+enabled.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from collections import namedtuple
 from typing import NamedTuple
 
 from .printer import TermPrinter
 from .syntax import (
-    App, Arrow, Break, FreeNames, Lam, Let, NodeMemo, Pair, Term, Var,
+    App, Arrow, Break, FreeNames, Lam, Let, NodeMemo, Pair, SPECS, Term, Var,
     _freshen, _rebuild, annotated_type, avoid_capture, binders, children,
     distinct_reducts, free_names, rebuild_spine, spine_at, substitute,
     subterms, term_size, type_size,
@@ -35,13 +39,64 @@ class RuleName(str, enum.Enum):
         return self.value
 
 
-#: The permuting conversions by (outer class, inner class); b-l-conv, off
-#: unless experimental, is (Break, Let).  All five are two schemata: an
-#: argument (outer App) or an outer body (outer Let or Break) moves under
-#: the binders of the inner let or break (see _contract).
-_PERMUTING = {(App, Let): RuleName.AP_L_CONV, (App, Break): RuleName.AP_B_CONV,
-              (Let, Let): RuleName.L_L_CONV, (Let, Break): RuleName.L_B_CONV}
-PERMUTING_RULES = frozenset(_PERMUTING.values())
+#: A reduction rule: it matches at a node of class outer whose first child
+#: is of class inner (None: any) if side(node, fn) holds (None: always),
+#: fn giving free names, and contract(node, fn) is the contractum.  Its
+#: step maps through the translation (lambda_pair.check_step_mapping) by
+#: clause: "beta", to a beta step at the root of the redex's image;
+#: "substitution", to a contraction wherever a substituted variable occurs
+#: in the body's image; "unchanged", to the same image.  A rule with no
+#: clause is experimental and matches only when asked for.
+Rule = namedtuple("Rule", "name outer inner side contract clause")
+
+
+def _beta(t, fn):
+    return substitute(t.fun.body, [(t.fun.binder, t.arg)], fn)
+
+
+def _pair_subst(t, fn):
+    return substitute(t.body, zip((t.x, t.y), t.scrutinee), fn)
+
+
+def _break_subst(t, fn):
+    scrut, a, b = t.scrutinee, annotated_type(t.scrutinee), t.residue
+    (p, z), _ = _freshen(("p", "z"), fn(scrut) | fn(t.body) | {t.phi, t.f})
+    k_term = Lam(p, Arrow(a, b), App(Var(p, Arrow(a, b)), scrut))
+    return substitute(t.body, [(t.phi, k_term), (t.f, Lam(z, b, scrut))], fn)
+
+
+def _move_under(t, fn):
+    """t's second child moves under the binders of its first, a let or a
+    break, renamed if they would capture it (never in l-l- or l-b-conv)."""
+    inner, moving = children(t)
+    inner = avoid_capture(inner, fn(moving), fn)
+    scrut, body = children(inner)
+    return _rebuild(inner, (scrut, _rebuild(t, (body, moving))))
+
+
+def _disjoint(t, fn):
+    return fn(t.body).isdisjoint(binders(t.scrutinee))
+
+
+def _unused_or_closed(t, fn):
+    used = fn(t.body)
+    return t.phi not in used or t.f not in used or not fn(t.scrutinee)
+
+
+#: The rules, in the order they match at one node.
+RULES = (
+    Rule(RuleName.BETA, App, Lam, None, _beta, "beta"),
+    Rule(RuleName.AP_L_CONV, App, Let, None, _move_under, "unchanged"),
+    Rule(RuleName.AP_B_CONV, App, Break, None, _move_under, "unchanged"),
+    Rule(RuleName.L_CONV, Let, Pair, None, _pair_subst, "substitution"),
+    Rule(RuleName.L_L_CONV, Let, Let, _disjoint, _move_under, "unchanged"),
+    Rule(RuleName.L_B_CONV, Let, Break, _disjoint, _move_under, "unchanged"),
+    Rule(RuleName.B_CONV, Break, None, _unused_or_closed,
+         _break_subst, "substitution"),
+    Rule(RuleName.B_L_CONV, Break, Let, None, _move_under, None),
+)
+RULE = {r.name: r for r in RULES}
+PERMUTING_RULES = frozenset(r.name for r in RULES if r.clause == "unchanged")
 
 
 class Redex(NamedTuple):
@@ -152,36 +207,39 @@ class TraceStep:
 # Redex discovery
 # ---------------------------------------------------------------------------
 
-def _node_rules(t: Term, experimental: bool, fn) -> tuple[RuleName, ...]:
-    """The rules matching at the root of t; fn gives free names of subterms.
-
-    One test of t's class picks the case and its fields are read by index:
-    an App is a beta or permuting redex by its function's class, a Let an
-    l-conv or (under the free-name side condition) permuting redex by its
-    scrutinee's, and a Break a b-conv redex, then a b-l-conv one.
+def rule_matcher(rules):
+    """node_rules(t, experimental, fn): the names of the rules that match
+    at the root of t, in the order of rules; fn gives the free names.  One
+    dict read by t's class and one by its first child's give a ready tuple
+    of names, so a miss allocates nothing, or the rules to test one by one.
     """
-    cls = type(t)
-    if cls is App:
-        inner = type(t[0])
-        if inner is Lam:
-            return (RuleName.BETA,)
-        rule = _PERMUTING.get((App, inner))
-        return (rule,) if rule else ()
-    if cls is Let:
-        scrut = t[4]
-        inner = type(scrut)
-        if inner is Pair:
-            return (RuleName.L_CONV,)
-        rule = _PERMUTING.get((Let, inner))
-        return (rule,) if rule and fn(t[5]).isdisjoint(binders(scrut)) else ()
-    if cls is Break:
-        scrut, fns = t[0], fn(t[4])
-        rules = ((RuleName.B_CONV,) if t[1] not in fns or t[2] not in fns
-                 or not fn(scrut) else ())
-        if experimental and type(scrut) is Let:
-            rules += (RuleName.B_L_CONV,)
-        return rules
-    return ()
+    def entry(rs):  # a ready tuple of names, or the rules to test
+        if any(r.side or not r.clause for r in rs):
+            return (), tuple((r.name, r.side, bool(r.clause)) for r in rs)
+        return tuple(r.name for r in rs), ()
+
+    at = {}
+    for outer in dict.fromkeys(r.outer for r in rules):
+        mine = [r for r in rules if r.outer is outer]
+        by_inner = {i: entry([r for r in mine if r.inner in (None, i)])
+                    for i in [None] + [r.inner for r in mine]}
+        at[outer] = SPECS[outer].kid_slots[0], by_inner, by_inner.pop(None)
+
+    def node_rules(t, experimental: bool, fn) -> tuple:
+        found = at.get(type(t))
+        if found is None:
+            return ()
+        slot, by_inner, other = found
+        ready, checked = by_inner.get(type(t[slot]), other)
+        for name, side, standard in checked:  # genexpr would make t a cell
+            if (experimental or standard) and (side is None or side(t, fn)):
+                ready += (name,)
+        return ready
+
+    return node_rules
+
+
+_node_rules = rule_matcher(RULES)
 
 
 def find_redexes(t: Term, experimental: bool = False) -> list[Redex]:
@@ -199,7 +257,8 @@ def apply_step(t: Term, r: Redex) -> Term:
     """Contract the redex r in t; InvalidRedex if it does not match."""
     fn = FreeNames()
     spine = _redex_spine(t, r, fn)
-    return rebuild_spine(spine, r.position, _contract(spine[-1], r.rule, fn))
+    return rebuild_spine(spine, r.position,
+                         RULE[r.rule].contract(spine[-1], fn))
 
 
 def _redex_spine(t: Term, r: Redex, fn: FreeNames) -> list:
@@ -213,44 +272,14 @@ def _redex_spine(t: Term, r: Redex, fn: FreeNames) -> list:
     return spine
 
 
-def _contract(t: Term, rule: RuleName, fn: FreeNames) -> Term:
-    """The contractum of t, a redex of rule as _node_rules matched it."""
-    match rule:
-        case RuleName.BETA:
-            return substitute(t.fun.body, [(t.fun.binder, t.arg)], fn)
-        case RuleName.L_CONV:
-            return substitute(t.body, [(t.x, t.scrutinee.first),
-                                       (t.y, t.scrutinee.second)], fn)
-        case RuleName.B_CONV:
-            scrut = t.scrutinee
-            a = annotated_type(scrut)
-            b = t.residue
-            avoid = fn(scrut) | fn(t.body) | {t.phi, t.f}
-            (p, z), _ = _freshen(("p", "z"), avoid)
-            k_term = Lam(p, Arrow(a, b), App(Var(p, Arrow(a, b)), scrut))
-            s_term = Lam(z, b, scrut)
-            return substitute(t.body, [(t.phi, k_term), (t.f, s_term)], fn)
-        case RuleName.AP_L_CONV | RuleName.AP_B_CONV:
-            # the argument moves under the binders of the let or break
-            inner = avoid_capture(t.fun, fn(t.arg), fn)
-            scrut, body = children(inner)
-            return _rebuild(inner, (scrut, App(body, t.arg)))
-        case RuleName.L_L_CONV | RuleName.L_B_CONV | RuleName.B_L_CONV:
-            # t's body moves under the binders of its scrutinee; for
-            # l-l-conv and l-b-conv the side condition leaves nothing to rename
-            inner = avoid_capture(t.scrutinee, fn(t.body), fn)
-            scrut, body = children(inner)
-            return _rebuild(inner, (scrut, _rebuild(t, (body, t.body))))
-    raise InvalidRedex(f"unknown rule {rule}")
-
-
 def is_silent(t: Term, r: Redex) -> bool:
     """True iff the contraction substitutes for variables absent from the body.
 
-    Only defined for the pair and break contractions; other rules raise
-    ValueError, and a redex that does not match raises InvalidRedex.
+    Only defined for the rules whose clause is substitution; other rules
+    raise ValueError, and a redex that does not match raises InvalidRedex.
     """
-    if r.rule not in (RuleName.L_CONV, RuleName.B_CONV):
+    rule = RULE.get(r.rule)
+    if rule is None or rule.clause != "substitution":
         raise ValueError(f"silence undefined for {r.rule}")
     node = _redex_spine(t, r, FreeNames())[-1]
     return free_names(node.body).isdisjoint(binders(node))
@@ -285,22 +314,11 @@ def normalize(t: Term, max_steps: int = 100_000, strategy: str = "first",
 
     Neither strategy lists the redexes.  Whether a node is a redex depends
     on its subtree alone, and a step at position p changes only p and its
-    ancestors; every other node is the object it was before the step.  So
-    the two searches are mirror-image walks from p on the zipper that
-    reduce_steps keeps.  The first strategy had no redex before p in
-    preorder, so its next search checks the ancestors of p root first, then
-    walks on in preorder from p (down to a first child, else up to the next
-    right sibling) and stops at the first redex (see first_redex).  The last
-    strategy had none after p, so its next search walks p's subtree in
-    reverse preorder (children right to left, then the node), then on from
-    p: at each ancestor the children left of the path, right to left, then
-    the ancestor itself; it stops at the last redex (see LastRedex).
-
-    Whether a subtree holds a redex depends on the subtree alone too, so
-    the last strategy keeps the subtrees it found normal by node identity,
-    beside the free names, and its walk skips them.  An entry holds its
-    node, so it stays right for as long as it exists.  Both memos forget
-    the nodes a step replaces, which only bounds their size.
+    ancestors, so the two searches are mirror-image walks from p on the
+    zipper that reduce_steps keeps: on in preorder (first_redex), or back
+    in reverse preorder, skipping the subtrees found normal (LastRedex).
+    Both memos, that one and the free names, forget the nodes a step
+    replaces, which only bounds their size.
 
     The first strategy's search rebuilds every ancestor of p, so it has the
     root after each step, and the trace keeps it.  The last strategy's
@@ -315,23 +333,21 @@ def normalize(t: Term, max_steps: int = 100_000, strategy: str = "first",
     if strategy not in ("first", "last"):
         raise ValueError(f"unknown strategy {strategy!r}")
     fn = FreeNames()
-    pick = 0 if strategy == "first" else -1
 
-    def rule_at(u: Term) -> RuleName | None:
-        rules = _node_rules(u, experimental, fn)
-        return rules[pick] if rules else None
+    def rules_at(u: Term) -> tuple[RuleName, ...]:
+        return _node_rules(u, experimental, fn)
 
     if strategy == "first":
-        search = functools.partial(first_redex, rule_at=rule_at)
+        search = functools.partial(first_redex, rules_at=rules_at)
         memos = (fn,)
     else:
-        search = LastRedex(rule_at)
+        search = LastRedex(rules_at)
         memos = (fn, search)
     steps: list[TraceStep] = []
     nf, kept = t, True
     for index, (r, new, nf, replaced) in enumerate(reduce_steps(
-            t, max_steps, search, lambda node, rule: _contract(node, rule, fn),
-            memos)):
+            t, max_steps, search,
+            lambda node, rule: RULE[rule].contract(node, fn), memos)):
         kept = kept and nf is not None
         steps.append(TraceStep(index, r.rule, r.position, new,
                                steps[-1] if steps else t,
@@ -426,31 +442,31 @@ class Zipper:
         self.root = nodes[0]
 
 
-def first_redex(z: Zipper, rule_at) -> Redex | None:
+def first_redex(z: Zipper, rules_at) -> Redex | None:
     """The first redex in preorder of z's term, with z's cursor moved to
     it, or None with the cursor at the root; no node before the cursor in
     preorder, other than its ancestors, is a redex.
 
-    rule_at(node) is the rule to contract at node, or None if it is no
-    redex.  The search settles the frames from the cursor up (settle_spine)
-    and checks the ancestors, root first.  Then it walks on in preorder
-    from the cursor: down to a node's first child, else up with z.up(),
-    which rebuilds nothing now, to the next right sibling of the node or of
-    its nearest ancestor that has one.  So it touches only the nodes it
-    looks at, besides the ancestors it rebuilds.
+    rules_at(node) gives the rules that match at node, and the first is
+    contracted.  The search settles the frames from the cursor up
+    (settle_spine) and checks the ancestors, root first.  Then it walks on
+    in preorder from the cursor: down to a node's first child, else up with
+    z.up(), which rebuilds nothing now, to the next right sibling of the
+    node or of its nearest ancestor that has one.  So it touches only the
+    nodes it looks at, besides the ancestors it rebuilds.
     """
     z.settle_spine()
     nodes, path = z.nodes, z.path
     for d in range(len(path)):
-        rule = rule_at(nodes[d])
-        if rule:
+        rules = rules_at(nodes[d])
+        if rules:
             del nodes[d + 1:], path[d:]
-            return Redex(tuple(path), rule)
+            return Redex(tuple(path), rules[0])
     u = nodes[-1]
     while True:
-        rule = rule_at(u)
-        if rule:
-            return Redex(tuple(path), rule)
+        rules = rules_at(u)
+        if rules:
+            return Redex(tuple(path), rules[0])
         kids, i = children(u), 0
         while i == len(kids):
             if not path:
@@ -467,15 +483,15 @@ class LastRedex(NodeMemo):
     contracted, with the subtrees known to hold no redex kept by node
     identity.
 
-    rule_at(node) is the rule to contract at node, or None if it is no
-    redex.  The memo's entries are the subtrees found normal, each mapped
+    rules_at(node) gives the rules that match at node, and the last is
+    contracted.  The memo's entries are the subtrees found normal, each mapped
     from its id to itself.
     """
 
-    __slots__ = ("rule_at",)
+    __slots__ = ("rules_at",)
 
-    def __init__(self, rule_at) -> None:  # the memo starts empty
-        self.rule_at = rule_at
+    def __init__(self, rules_at) -> None:  # the memo starts empty
+        self.rules_at = rules_at
 
     def __call__(self, z: Zipper) -> Redex | None:
         """The last redex of z's term, with z's cursor moved to it, or None
@@ -493,7 +509,7 @@ class LastRedex(NodeMemo):
         a redex.  The first call gets a zipper on the whole term with its
         cursor at the root, so it looks at all of it.
         """
-        normal, rule_at = self, self.rule_at
+        normal, rules_at = self, self.rules_at
         nodes, path = z.nodes, z.path
         kids = children(nodes[-1])
         i = len(kids)  # the children of the cursor's node left to look at
@@ -508,9 +524,9 @@ class LastRedex(NodeMemo):
                     i = len(kids)
                 continue
             u = nodes[-1]
-            rule = rule_at(u)
-            if rule:
-                return Redex(tuple(path), rule)
+            rules = rules_at(u)
+            if rules:
+                return Redex(tuple(path), rules[-1])
             normal[id(u)] = u
             if not path:
                 return None
@@ -530,7 +546,7 @@ def reducts_one_step(t: Term, experimental: bool = False) -> list[Term]:
     """
     fn = FreeNames()
     return distinct_reducts(t, lambda node: _node_rules(node, experimental, fn),
-                            lambda node, rule: _contract(node, rule, fn))
+                            lambda node, rule: RULE[rule].contract(node, fn))
 
 
 def format_trace(steps: list[TraceStep]) -> str:

@@ -12,12 +12,13 @@ import breakcalc.syntax as syntax_module
 from breakcalc import catalog
 from breakcalc.catalog import divisibility_terms, identity_break
 from breakcalc.lambda_pair import (
+    L_RULES, LApp, LLam, LPair, LProj0, LProj1, check_step_mapping,
     l_contract_at, l_find_redexes, l_normalize, l_step, star_translate,
 )
 from breakcalc.parser import parse_term
 from breakcalc.printer import TermPrinter, print_lterm, print_term
 from breakcalc.reduction import (
-    PERMUTING_RULES, InvalidRedex, Measure, Redex, RuleName,
+    PERMUTING_RULES, RULES, InvalidRedex, Measure, Redex, RuleName,
     StepBudgetExceeded, Zipper, apply_step, find_redexes, format_trace,
     is_silent, measure, normalize, reducts_one_step,
 )
@@ -141,11 +142,34 @@ class TestIsSilent:
         assert not is_silent(t, Redex((), RuleName.B_CONV))
 
     def test_undefined_for_permuting(self):
+        """Silence is undefined for a permuting rule, beta and b-l-conv,
+        each at a redex it matches."""
         t = App(Let("x", Arrow(P, Q), "y", R,
                     Var("t0", Tensor(Arrow(P, Q), R)), Var("x", Arrow(P, Q))),
                 Var("r", P))
-        with pytest.raises(ValueError):
-            is_silent(t, Redex((), RuleName.AP_L_CONV))
+        beta = App(Lam("x", A, Var("x", A)), Var("a", A))
+        b_l = Break(Let("x", P, "y", Q, Var("t", Tensor(P, Q)), Var("u", A)),
+                    "phi", "f", B, Var("f", Arrow(A, B)))
+        for u, rule in [(t, RuleName.AP_L_CONV), (beta, RuleName.BETA),
+                        (b_l, RuleName.B_L_CONV)]:
+            assert rule in [r.rule for r in find_redexes(u, True)]
+            with pytest.raises(ValueError) as exc:
+                is_silent(u, Redex((), rule))
+            assert str(exc.value) == f"silence undefined for {rule}"
+
+    def test_unknown_rule(self):
+        """A rule name that no rule has raises ValueError from is_silent and
+        InvalidRedex from apply_step and check_step_mapping, not the
+        KeyError of a lookup in the rule table."""
+        t = App(Lam("x", A, Var("x", A)), Var("a", A))
+        r = Redex((), "no-such-conv")
+        with pytest.raises(ValueError) as exc:
+            is_silent(t, r)
+        assert str(exc.value) == "silence undefined for no-such-conv"
+        for f in (apply_step, check_step_mapping):
+            with pytest.raises(InvalidRedex) as exc:
+                f(t, r)
+            assert str(exc.value) == "no-such-conv does not match at []"
 
     def test_rule_must_match_at_the_position(self):
         """A rule that does not match is rejected as apply_step rejects it,
@@ -946,6 +970,9 @@ def side_condition_terms():
         open_break._replace(body=Var("f", ab)): [RuleName.B_CONV],
         open_break._replace(scrutinee=Let("x", P, "y", Q, Var("t", pq),
                                           Var("y", A))): [RuleName.B_L_CONV],
+        # a let whose scrutinee is a break: the body uses a break binder
+        Let("v", P, "w", Q, open_break, Var("f", ab)): [],
+        Let("v", P, "w", Q, open_break, Var("w", Q)): [RuleName.L_B_CONV],
     }
 
 
@@ -962,3 +989,59 @@ def test_node_rules_match_reference(experimental):
         for _, sub in subterms(t):
             assert (list(reduction_module._node_rules(sub, experimental, fn))
                     == reference_node_rules(sub, experimental, fn))
+
+
+def shape_matches(rule, node) -> bool:
+    """node's class and its first child's are those of rule's record."""
+    return (type(node) is rule.outer
+            and rule.inner in (None, type(children(node)[0])))
+
+
+def test_every_rule_record_matches_and_every_side_condition_refuses():
+    """Over the differential and side-condition terms, with the experimental
+    rule on, each record of the break calculus's rule table matches at some
+    node, and each side condition refuses some node of its record's shape;
+    over their images, each lambda-pair record matches.  So a record that
+    never matches, or a side condition that no input tests, fails."""
+    fn = FreeNames()
+    matched, refused = set(), set()
+    for t in differential_terms() + list(side_condition_terms()):
+        matched.update(r.rule for r in find_redexes(t, experimental=True))
+        refused.update(rule.name for _, sub in subterms(t) for rule in RULES
+                       if rule.side and shape_matches(rule, sub)
+                       and not rule.side(sub, fn))
+    assert matched == {rule.name for rule in RULES}
+    assert refused == {rule.name for rule in RULES if rule.side}
+    l_matched = {rule.name for e in differential_images()
+                 for _, sub in subterms(e) for rule in L_RULES
+                 if shape_matches(rule, sub)}
+    assert l_matched == {rule.name for rule in L_RULES}
+
+
+def reference_l_rules(e) -> list:
+    """The contracta of the lambda-pair rules matching at the root of e, one
+    match case per rule."""
+    match e:
+        case LApp(fun=LLam(binder=x, body=body), arg=arg):
+            return [substitute(body, {x: arg})]
+        case LProj0(arg=LPair(first=a)):
+            return [a]
+        case LProj1(arg=LPair(second=b)):
+            return [b]
+    return []
+
+
+def test_l_rules_match_reference():
+    """l_find_redexes and l_contract_at against the lambda-pair rules
+    written out one by one, at every node of every differential image."""
+    for e in differential_images():
+        expected = [(path, reference_l_rules(sub))
+                    for path, sub in subterms(e)]
+        assert l_find_redexes(e) == [path for path, c in expected if c]
+        for path, contracta in expected:
+            if contracta:
+                assert l_contract_at(e, path) == replace_at(e, path,
+                                                            contracta[0])
+            else:
+                with pytest.raises(ValueError):
+                    l_contract_at(e, path)

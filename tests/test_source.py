@@ -166,3 +166,37 @@ def test_module_import_graph_is_acyclic():
     for importer, target in import_edges():
         sorter.add(importer.removesuffix(".py"), target)
     sorter.prepare()  # raises CycleError, naming a cycle, if there is one
+
+
+def rule_name_reads() -> list[tuple[str, str, str]]:
+    """(module, top-level statement, member) for each RuleName.<member> read
+    in src/breakcalc, the statement named by what it defines."""
+    reads = []
+    for module, tree in MODULES.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
+                where = stmt.name
+            else:
+                where = ",".join(t.id for t in getattr(stmt, "targets", ())
+                                 if isinstance(t, ast.Name))
+            reads += [(module, where, n.attr) for n in ast.walk(stmt)
+                      if isinstance(n, ast.Attribute)
+                      and isinstance(n.value, ast.Name)
+                      and n.value.id == "RuleName"]
+    return reads
+
+
+def test_rule_names_are_read_only_in_the_rule_tables():
+    """A rule is spelled in one place: RuleName's members are read only in
+    the enum and in reduction's rule table, once each, and once in
+    lambda_pair, for the beta record its table shares; so a per-rule branch
+    anywhere else fails."""
+    enum = next(stmt for stmt in MODULES["reduction.py"].body
+                if isinstance(stmt, ast.ClassDef) and stmt.name == "RuleName")
+    members = [t.id for stmt in enum.body if isinstance(stmt, ast.Assign)
+               for t in stmt.targets]
+    reads = [r for r in rule_name_reads()
+             if r[:2] != ("reduction.py", "RuleName")]
+    assert sorted(reads) == sorted(
+        [("lambda_pair.py", "L_RULES", "BETA")]
+        + [("reduction.py", "RULES", member) for member in members])
