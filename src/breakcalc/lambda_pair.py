@@ -139,8 +139,8 @@ def l_contract_at(e: LTerm, path: tuple[int, ...]) -> LTerm:
 
 
 def l_step(e: LTerm) -> list[LTerm]:
-    """All one-step reducts, deduplicated up to alpha equivalence, found,
-    keyed and placed in one walk as in reducts_one_step."""
+    """All one-step reducts, deduplicated up to alpha equivalence by shape
+    hash and confirmed by alpha_key, as in reducts_one_step."""
     names = FreeNames()
     return distinct_reducts(e, lambda node: _l_rules(node, False, names),
                             lambda node, rule:

@@ -537,12 +537,10 @@ def reducts_one_step(t: Term, experimental: bool = False) -> list[Term]:
     """All one-step reducts, deduplicated up to alpha equivalence, in the
     order of their first redex in preorder.
 
-    One walk over t writes its key and lists its redexes (see
-    syntax.distinct_reducts).  Each reduct's key is t's key with the
-    contracted node's key spliced in at its position.  That equals alpha_key
-    of the reduct byte for byte, because a key is written node by node and
-    each node's part depends only on the node and the levels of the names
-    bound above it, which the step leaves unchanged.
+    One walk over t hashes its nodes by shape, names left out, and lists
+    its redexes (see syntax.distinct_reducts).  A reduct's hash costs the
+    nodes its contraction created and one climb up its spine; alpha_key is
+    written only to confirm two equal hashes, so the result is exact.
     """
     fn = FreeNames()
     return distinct_reducts(t, lambda node: _node_rules(node, experimental, fn),

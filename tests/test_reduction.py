@@ -1,6 +1,7 @@
 """Reduction: redex discovery, stepping, silence, the measure, normalization,
 critical pairs, and the confluence counterexample."""
 
+import collections
 import functools
 import random
 from pathlib import Path
@@ -23,9 +24,9 @@ from breakcalc.reduction import (
     is_silent, measure, normalize, reducts_one_step,
 )
 from breakcalc.syntax import (
-    App, Arrow, Atom, Break, FreeNames, Lam, Let, Pair, Tensor, Var, alpha_eq,
-    alpha_key, avoid_capture, binders, children, free_vars, print_type,
-    replace_at, spine_at, substitute, subterm_at, subterms,
+    App, Arrow, Atom, Break, FreeNames, Lam, Let, NodeMemo, Pair, Tensor, Var,
+    alpha_eq, alpha_key, avoid_capture, binders, children, free_vars,
+    print_type, replace_at, spine_at, substitute, subterm_at, subterms,
 )
 from breakcalc.typecheck import check
 from schemas import critical_pair_instances, join_within, nonconfluence_witness
@@ -317,6 +318,23 @@ class TestReducts:
         t, _ = divisibility_terms(A, B)
         assert reducts_one_step(t) == []
 
+    def test_alpha_equal_reducts_give_one(self):
+        """identity_chain(3)'s three reducts are alpha-equal: they share a
+        shape hash, and alpha_key keeps the first."""
+        t = identity_chain(3)
+        assert len(find_redexes(t)) == 3
+        assert reducts_one_step(t) == [apply_step(t, find_redexes(t)[0])]
+
+    def test_reducts_of_one_shape_hash_that_are_not_alpha_equal(self):
+        """The smallest differential term with two reducts of one shape hash:
+        they differ in a free name only, so both are kept."""
+        t = parse_term(r"(\w5:P3. (\v1:P3. (fv2 : P2)) (fv3 : P3)) (fv4 : P3)")
+        first, second = (apply_step(t, r) for r in find_redexes(t))
+        assert (syntax_module._shape(first, NodeMemo())
+                == syntax_module._shape(second, NodeMemo()))
+        assert not alpha_eq(first, second)
+        assert reducts_one_step(t) == [first, second]
+
     def test_witness_has_two_diverging_reducts_with_flag(self):
         w = nonconfluence_witness()
         outs = reducts_one_step(w, experimental=True)
@@ -433,9 +451,24 @@ def differential_images():
     return [star_translate(t) for t in differential_terms()]
 
 
+@functools.cache
+def clashing_terms():
+    """A clashing copy of each differential term.  Its binders reuse the
+    term's names, so a let over a let or a break whose body uses an inner
+    binder's name makes l-l-conv's or l-b-conv's side condition refuse,
+    which no generated term does."""
+    rng = random.Random(20261020)
+    return [clashing_copy(t, rng) for t in differential_terms()]
+
+
+@functools.cache
+def clashing_images():
+    return [star_translate(t) for t in clashing_terms()]
+
+
 def assert_normalize_matches_listing(strategy: str, experimental: bool):
     pick = 0 if strategy == "first" else -1
-    for t in differential_terms():
+    for t in differential_terms() + clashing_terms():
         ref_nf, ref_steps = reference_normalize(t, experimental, pick=pick)
         nf, steps = normalize(t, strategy=strategy, experimental=experimental)
         assert nf == ref_nf
@@ -467,14 +500,14 @@ def test_last_strategy_matches_listing_every_redex(experimental):
 @pytest.mark.parametrize("experimental", [False, True],
                          ids=["standard", "experimental"])
 def test_reducts_match_keying_every_apply_step(experimental):
-    for t in differential_terms():
+    for t in differential_terms() + clashing_terms():
         expected = reference_reducts(t, find_redexes(t, experimental),
                                      apply_step)
         assert reducts_one_step(t, experimental) == expected
 
 
 def test_l_step_matches_keying_every_contraction():
-    for e in differential_images():
+    for e in differential_images() + clashing_images():
         expected = reference_reducts(e, l_find_redexes(e), l_contract_at)
         assert l_step(e) == expected
 
@@ -665,6 +698,38 @@ def break_chain(n: int):
     for _ in range(n):
         t = App(identity_break(Arrow(A, A)), t)
     return t
+
+
+@pytest.mark.parametrize("chain, all_distinct", [
+    (break_chain, True), (identity_chain, False)],
+    ids=["break_chain", "identity_chain"])
+def test_reducts_write_alpha_keys_only_on_a_shape_hash_match(monkeypatch,
+                                                             chain,
+                                                             all_distinct):
+    """reducts_one_step writes alpha keys (counted as outermost calls to
+    _key_parts, not timed) only to settle a shape hash match: none for the
+    break chain, whose reducts are all distinct, and at most one per reduct
+    plus one for the identity chain, whose reducts are all alpha-equal."""
+    keys, depth = [0], [0]
+    real = syntax_module._key_parts
+
+    def counted(*args):
+        keys[0] += not depth[0]
+        depth[0] += 1
+        try:
+            return real(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(syntax_module, "_key_parts", counted)
+    t = chain(80)
+    n = len(find_redexes(t))
+    kept = len(reducts_one_step(t))
+    if all_distinct:
+        assert (kept, keys[0]) == (n, 0)
+    else:
+        assert kept == 1
+        assert keys[0] <= n + 1
 
 
 def permuting_chain(n: int):
@@ -1016,6 +1081,19 @@ def test_every_rule_record_matches_and_every_side_condition_refuses():
                  for _, sub in subterms(e) for rule in L_RULES
                  if shape_matches(rule, sub)}
     assert l_matched == {rule.name for rule in L_RULES}
+
+
+def test_clashing_copies_make_the_let_side_conditions_refuse():
+    """l-l-conv's and l-b-conv's side conditions, which refuse at no node
+    of a generated term, each refuse at least 100 nodes of the clashing
+    copies, so the differential tests run over both outcomes."""
+    fn = FreeNames()
+    refused = collections.Counter(
+        rule.name for t in clashing_terms() for _, sub in subterms(t)
+        for rule in RULES if rule.side and shape_matches(rule, sub)
+        and not rule.side(sub, fn))
+    assert refused[RuleName.L_L_CONV] >= 100
+    assert refused[RuleName.L_B_CONV] >= 100
 
 
 def reference_l_rules(e) -> list:
