@@ -314,13 +314,26 @@ def _pick(ctx: list[tuple[Term, TypeExpr]], ty: TypeExpr):
 
 
 def _split(ctx: list[tuple[Term, TypeExpr]], needed):
-    """The entries of ctx that _pick takes for each formula of the multiset
-    needed, and the rest of ctx."""
-    taken = []
-    for ty in needed:
-        entry, ctx = _pick(ctx, ty)
-        taken.append(entry)
-    return taken, ctx
+    """The entries of ctx that _pick would take for each formula of the
+    multiset needed in turn, in that order, and the rest of ctx in its
+    order.  One pass over ctx: an entry fills the first open slot of its
+    type in needed (types are interned), so each type's entries fill its
+    slots in context order."""
+    slots: dict[TypeExpr, list[int]] = {}  # each type's open slots, last first
+    for i in range(len(needed) - 1, -1, -1):
+        slots.setdefault(needed[i], []).append(i)
+    taken = [None] * len(needed)
+    rest = []
+    for entry in ctx:
+        open_slots = slots.get(entry[1])
+        if open_slots:
+            taken[open_slots.pop()] = entry
+        else:
+            rest.append(entry)
+    if None in taken:  # where the picks would have stopped
+        ty = needed[taken.index(None)]
+        raise InvalidRule((), f"no assumption of type {print_type(ty)}")
+    return taken, rest
 
 
 def sequent_to_term(d: SDerivation) -> Term:

@@ -15,7 +15,7 @@ body only.
 
 alpha_key writes a term's alpha-equivalence class as one string: a bound
 name as the level of its binder, a free name as itself, and an annotation as
-its print_type text, so the type printer is the only code that spells types.
+its type's serial number, so two different types never write alike.
 distinct_reducts deduplicates one-step reducts by a shape hash that leaves
 names out, and writes an alpha key only to confirm two equal hashes.
 """
@@ -23,6 +23,7 @@ names out, and writes an alpha key only to confirm two equal hashes.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
 from collections import namedtuple
@@ -216,6 +217,24 @@ def _reads_back(ty: TypeExpr) -> bool:
 
 #: A type in the surface syntax, with minimal parentheses.
 print_type = _PRINTED.__getitem__
+
+
+class _Serials(dict):
+    """Each type's alpha-key text, ":" and a serial number given at its
+    first use.  Types are interned, so two different types get two numbers,
+    where their print_type texts can agree (Atom("A -> B") and Arrow(A, B)).
+    The numbers come from one counter, so two threads never share one."""
+
+    __slots__ = ()
+
+    def __missing__(self, ty: TypeExpr) -> str:
+        if not isinstance(ty, TypeExpr):
+            raise TypeError(f"not a type: {ty!r}")
+        return self.setdefault(ty, f":{next(_SERIAL)}")
+
+
+_SERIAL = itertools.count()
+_ANNOT_KEYS = _Serials()
 
 
 def type_size(ty: TypeExpr) -> int:
@@ -584,21 +603,32 @@ def _subst(t, sub: dict, fn: FreeNames):
     return _rebuild(t, new, names)
 
 
-def _freshen(names: tuple[str, ...], avoid: set[str]):
+def _freshen(names: tuple[str, ...], avoid: set[str],
+             cursor: dict[str, str] | None = None):
     """The one binder-renaming policy: one node's binder names, each one in
     avoid renamed to its first primed variant not in avoid, not among names
     and not given to an earlier one; and the renaming that applies it.
 
     One node's binders are distinct, so a kept name is never taken by an
-    earlier binder, and names itself comes back when none is in avoid."""
+    earlier binder, and names itself comes back when none is in avoid.
+
+    cursor, when given, maps a base name to the last variant given to it,
+    and the search for that base resumes there.  That is exact when avoid
+    only grows between calls and holds every name given so far, kept names
+    included: every variant the search skips is then taken already, as
+    _canonical_names keeps it."""
     if avoid.isdisjoint(names):
         return names, {}
-    taken = {*avoid, *names}
     ren: dict[str, str] = {}
+    given = ren.values()
     for n in names:
         if n in avoid:
-            ren[n] = fresh = fresh_name(n, taken)
-            taken.add(fresh)
+            fresh = n if cursor is None else cursor.get(n, n)
+            while fresh in avoid or fresh in names or fresh in given:
+                fresh += "'"
+            ren[n] = fresh
+            if cursor is not None:
+                cursor[n] = fresh
     return tuple(ren.get(n, n) for n in names), ren
 
 
@@ -658,25 +688,20 @@ def _key_parts(t, env: dict[str, int], depth: int, parts: list[str]) -> None:
     bound around t and depth is the next level."""
     # module level, not a closure: a self-referencing closure is a cycle that
     # keeps every key fragment alive until the cycle collector runs.
-    # An annotation is written as ":" and its print_type text.  The key is
-    # injective because each annotation's end can be found in it:
-    # print_type round-trips through parse_type, and a printed type has no
-    # ":" or ",", balanced parentheses, and no "(" after an identifier or a
-    # ")".  So after a variable's annotation comes the end of the key, a ","
-    # or an unbalanced ")"; the annotations of one node are separated by
-    # ":"; and the "(" that opens a node's children is the first "(" after
-    # an identifier or a ")".
+    # An annotation is written as ":" and its type's serial number (see
+    # _Serials), which ends at the first character that is not a digit, so
+    # the key is injective on terms whose names are identifiers.
     sp = SPECS[type(t)]
     append = parts.append
     if sp.var is not None:
         n = sp.var(t)
         append(f"{sp.tag}#{env[n]}" if n in env else sp.tag + n)
         for a in sp.annots(t):
-            append(":" + _PRINTED[a])
+            append(_ANNOT_KEYS[a])
         return
     append(sp.tag)
     for a in sp.annots(t):
-        append(":" + _PRINTED[a])
+        append(_ANNOT_KEYS[a])
     append("(")
     scope = sp.scope
     for i, c in enumerate(sp.kids(t)):
@@ -701,7 +726,8 @@ def _shape(t, memo: NodeMemo) -> int:
     """t's shape hash: the hash of its parts, which are its children's
     shape hashes, then its tag and its annotations' print_type texts, so
     part i is child i's hash.  Names are left out, so alpha-equal terms hash
-    equal (alpha_key writes the same texts).  memo maps id(node) to (node,
+    equal; two different types can print alike, which alpha_key, confirming
+    a match, tells apart.  memo maps id(node) to (node,
     hash, parts), so a node already there costs one lookup."""
     hit = memo.get(id(t))
     if hit is not None:
@@ -827,6 +853,7 @@ def canonicalize(t):
 
     _freshen keeps a binder's name unless it is free in t or already given
     to a binder, so a canonical t (see is_canonical) comes back as itself.
+    One walk renames, in time linear in the size of t (see _canonical_names).
     """
     return _canonical_names(t)[0]
 
@@ -840,6 +867,13 @@ def _canonical_names(t):
     would leave the other occurrence outside its scope, which canonicity
     forbids.  Conversely, contraction is a name free in two children.
 
+    The renaming walk gives binders names in preorder, through _freshen
+    with one cursor per walk: `used`, its avoid set, starts as the free
+    names and only grows, by every name given, kept ones included, which is
+    the cursor's precondition.  So the k-th binder of one base name costs
+    one step, not k.  The same walk lists the result's variable names,
+    which is the names set that _scan would read off the result.
+
     A repeated call on the same t returns the same result, names set
     included, so callers only read that set.  The canonical term is its
     own canonical form with the same names, so a call on it, such as
@@ -848,20 +882,27 @@ def _canonical_names(t):
     if canonical:
         return t, names
     used = set(free_names(t))
+    cursor: dict[str, str] = {}
+    occurrences: list[str] = []  # the result's variable names, one each
+    note = occurrences.append
 
     def go(t, ren: dict[str, str]):
         sp = SPECS[type(t)]
         if sp.var is not None:
             n = sp.var(t)
-            return _rebuild(t, (), (ren[n],)) if n in ren else t
+            if n in ren:
+                n = ren[n]
+                t = _rebuild(t, (), (n,))
+            note(n)
+            return t
         kids, bound = sp.kids(t), sp.binders(t)
         new, names = [], bound
         for i, c in enumerate(kids):
             if i == sp.scope:
                 # a kept name cannot shadow a renamed one: that name is taken
-                names, fresh = _freshen(bound, used)
+                names, fresh = _freshen(bound, used, cursor)
                 used.update(names)
-                c = go(c, ren | fresh)
+                c = go(c, ren | fresh if fresh else ren)
             else:
                 c = go(c, ren)
             new.append(c)
@@ -870,7 +911,8 @@ def _canonical_names(t):
         return _rebuild(t, new, names)
 
     t = go(t, {})
-    return t, _scan(t)[1]
+    names = set(occurrences)
+    return t, names if len(names) == len(occurrences) else None
 
 
 def is_canonical(t) -> bool:

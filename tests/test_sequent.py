@@ -569,6 +569,35 @@ class TestAntecedentMultisets:
         monkeypatch.setattr(sequent_module, "_split", counter_split)
         assert [print_term(sequent_to_term(d)) for d in derivations] == got
 
+    def test_split_takes_what_repeated_picks_take(self):
+        # needed in its own order, each type's entries in context order,
+        # the rest in context order; and the first type needed once too
+        # often is the one the error names
+        rng = random.Random(20261028)
+        types = [A, B, C, Arrow(A, B), Tensor(A, A)]
+
+        def picks(ctx, needed):
+            taken = []
+            for ty in needed:
+                entry, ctx = sequent_module._pick(ctx, ty)
+                taken.append(entry)
+            return taken, ctx
+
+        missing = 0
+        for _ in range(2000):
+            ctx = [(Var(f"h{i}", ty), ty) for i, ty in
+                   enumerate(rng.choices(types, k=rng.randint(0, 12)))]
+            needed = rng.choices(types, k=rng.randint(0, 6))
+            try:
+                expected = picks(ctx, needed)
+            except InvalidRule as e:
+                missing += 1
+                with pytest.raises(InvalidRule, match=re.escape(str(e))):
+                    sequent_module._split(ctx, needed)
+            else:
+                assert sequent_module._split(ctx, needed) == expected
+        assert 500 < missing < 1500
+
 
 class TestWeaken:
     def test_adds_context_through_rules(self):

@@ -13,8 +13,9 @@ import pytest
 from breakcalc.lambda_pair import (
     LApp, LLam, LPair, LProj0, LProj1, LVar, star_translate,
 )
-from breakcalc.parser import parse_type
-from breakcalc.reduction import Redex, RuleName
+from breakcalc.parser import TokenStream, _TermParser, parse_type
+from breakcalc.printer import print_term
+from breakcalc.reduction import Redex, RuleName, reducts_one_step
 from breakcalc.sequent import arr_r, asm, sequent
 from breakcalc.syntax import (
     SPECS, App, Arrow, Atom, Break, FreeNames, IllFormedTermError, Lam, Let,
@@ -24,14 +25,17 @@ from breakcalc.syntax import (
     substitute, subterm_at, subterms, term_size, type_size,
 )
 from breakcalc.syntax import (
-    _IDENT, _PARSED, KEYWORDS, _freshen, _rebuild, _subst,
+    _IDENT, _PARSED, KEYWORDS, _canonical_names, _freshen, _rebuild, _scan,
+    _subst,
 )
 from breakcalc.typecheck import UApp, UBreak, ULam, ULet, UPair, UVar, erase
 from termgen import (
     clashing_copy, random_large_term, random_type, random_typable_term,
 )
 from test_golden_outputs import golden_items
-from test_reduction import capturing_permutations
+from test_reduction import (
+    break_chain, capturing_permutations, identity_chain, permuting_chain,
+)
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -411,6 +415,139 @@ class TestOneRenamingPolicy:
         assert nontrivial > 1000
 
 
+def quadratic_fresh_name(base: str, avoid: set[str]) -> str:
+    """fresh_name: the first primed variant of base not in avoid."""
+    name = base
+    while name in avoid:
+        name += "'"
+    return name
+
+
+def quadratic_freshen(names: tuple[str, ...], avoid: set[str]):
+    """_freshen as it was before its cursor: a copy of avoid, and a prime
+    search from the base name at every binder."""
+    if avoid.isdisjoint(names):
+        return names, {}
+    taken = {*avoid, *names}
+    ren: dict[str, str] = {}
+    for n in names:
+        if n in avoid:
+            ren[n] = fresh = quadratic_fresh_name(n, taken)
+            taken.add(fresh)
+    return tuple(ren.get(n, n) for n in names), ren
+
+
+def quadratic_canonical_names(t):
+    """_canonical_names as it was before its cursor: the renaming walk
+    through quadratic_freshen, then a _scan of the result for its names."""
+    canonical, names = _scan(t)
+    if canonical:
+        return t, names
+    used = set(free_names(t))
+
+    def go(t, ren: dict[str, str]):
+        sp = SPECS[type(t)]
+        if sp.var is not None:
+            n = sp.var(t)
+            return _rebuild(t, (), (ren[n],)) if n in ren else t
+        kids, bound = sp.kids(t), sp.binders(t)
+        new, names = [], bound
+        for i, c in enumerate(kids):
+            if i == sp.scope:
+                names, fresh = quadratic_freshen(bound, used)
+                used.update(names)
+                c = go(c, ren | fresh)
+            else:
+                c = go(c, ren)
+            new.append(c)
+        return _rebuild(t, new, names)
+
+    t = go(t, {})
+    return t, _scan(t)[1]
+
+
+def raw_parse(text: str):
+    """parse_term(text) without its canonical renaming."""
+    return TokenStream(text).parse(lambda ts: _TermParser(ts).term({}))
+
+
+class TestRenamingCursor:
+    """_canonical_names gives exactly the names of the renaming that
+    searched every binder's primes from its base name, and lists the names
+    that a _scan of its result reads."""
+
+    def assert_same_names(self, t):
+        got, names = _canonical_names(t)
+        ref, ref_names = quadratic_canonical_names(t)
+        assert got == ref, t
+        assert names == ref_names == _scan(got)[1], t
+        return got
+
+    @pytest.mark.parametrize("chain", [identity_chain, break_chain,
+                                       permuting_chain])
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 80, 160, 320])
+    def test_chain_texts(self, chain, n):
+        # the raw parse is the chain as built; at n = 320 the parser's
+        # recursion runs out under pytest, so the built chain stands for it
+        t = chain(n)
+        if n <= 160:
+            assert raw_parse(print_term(t)) == t
+        got = self.assert_same_names(t)
+        assert is_canonical(got)
+        assert (got is not t) == (chain is break_chain and n > 1)
+
+    def test_renaming_population(self):
+        renamed = 0
+        for t in renaming_population():
+            renamed += self.assert_same_names(t) is not t
+        assert renamed > 1000
+
+    def test_clashing_copies_of_the_chains_and_their_erasures(self):
+        rng = random.Random(20261028)
+        renamed = 0
+        for chain in (identity_chain, break_chain, permuting_chain):
+            for n in (3, 20, 80):
+                for _ in range(5):
+                    u = clashing_copy(chain(n), rng)
+                    for v in (u, erase(u)):
+                        renamed += self.assert_same_names(v) is not v
+        assert renamed > 60
+
+    def test_a_primed_base_name_next_to_its_base(self):
+        # x and x' are free, and two lets bind x and x' again: the cursors
+        # of x and of x' are kept apart
+        s = Var("s", Tensor(A, A))
+
+        def let(x, y):
+            return Let(x, A, y, A, s, Pair(Var(x, A), Var(y, A)))
+
+        free = Pair(Var("x", A), Var("x'", A))
+        t = Pair(free, Pair(let("x", "x'"), let("x", "x'")))
+        got = self.assert_same_names(t)
+        assert got == Pair(free, Pair(let("x''", "x'''"),
+                                      let("x''''", "x'''''")))
+
+    def test_a_sibling_binder_takes_the_next_variant(self):
+        # x is free, so the let's x is renamed past its kept sibling x',
+        # and the lambda's x resumes past both
+        s = Var("s", Tensor(A, A))
+        t = Pair(Var("x", A),
+                 Pair(Let("x", A, "x'", A, s, Var("x", A)),
+                      Lam("x", A, Var("x", A))))
+        got = self.assert_same_names(t)
+        assert got == Pair(Var("x", A),
+                           Pair(Let("x''", A, "x'", A, s, Var("x''", A)),
+                                Lam("x'''", A, Var("x'''", A))))
+
+    def test_freshen_resumes_from_the_cursor(self):
+        cursor = {"x": "x'"}
+        avoid = {"x", "x'", "y"}
+        assert _freshen(("x", "y"), avoid, cursor) == (
+            ("x''", "y'"), {"x": "x''", "y": "y'"})
+        assert cursor == {"x": "x''", "y": "y'"}
+        assert _freshen(("z",), avoid, cursor) == (("z",), {})
+        assert cursor == {"x": "x''", "y": "y'"}
+
 def _type_key(ty) -> str:
     """The type text that alpha keys wrote before they used print_type."""
     if type(ty) is Atom:
@@ -452,8 +589,8 @@ def annotation_changes(t, rng: random.Random, count: int = 3):
 
 
 class TestAlphaKeyTypeText:
-    """Annotations in alpha keys are print_type text: alpha_eq agrees with
-    the key that spelled types on its own."""
+    """alpha_eq agrees with the key that spelled types on its own, and
+    tells apart two types that print alike."""
 
     AB, BC = Atom("AB"), Atom("BC")
     PAIR = Var("s", Tensor(A, B))
@@ -468,6 +605,26 @@ class TestAlphaKeyTypeText:
     def test_where_an_annotation_ends(self, t, u):
         assert reference_alpha_key(t) != reference_alpha_key(u)
         assert not alpha_eq(t, u)
+
+    @pytest.mark.parametrize("atom, compound", [
+        (Atom("A -> B"), Arrow(A, B)),
+        (Atom("A * B"), Tensor(A, B)),
+        (Atom("(A -> B) -> C"), Arrow(Arrow(A, B), C)),
+    ], ids=["arrow", "tensor", "nested"])
+    def test_an_atom_that_prints_as_a_compound(self, atom, compound):
+        assert print_type(atom) == print_type(compound)
+        assert not alpha_eq(Var("x", atom), Var("x", compound))
+        assert not alpha_eq(Lam("y", atom, Var("y", atom)),
+                            Lam("y", compound, Var("y", compound)))
+
+    def test_reducts_that_differ_only_by_such_a_type_are_both_kept(self):
+        # the outer and the inner beta give (\y:T. y) (w : T) and
+        # (\x:U. x) (w : T), with U an atom that prints as T
+        t_ty, u_ty = Arrow(A, B), Atom("A -> B")
+        inner = App(Lam("y", t_ty, Var("y", t_ty)), Var("w", t_ty))
+        t = App(Lam("x", u_ty, Var("x", u_ty)), inner)
+        assert reducts_one_step(t) == [
+            inner, App(Lam("x", u_ty, Var("x", u_ty)), Var("w", t_ty))]
 
     def test_agrees_with_the_reference_on_every_family(self):
         rng = random.Random(20261022)
