@@ -612,23 +612,24 @@ def _freshen(names: tuple[str, ...], avoid: set[str],
     One node's binders are distinct, so a kept name is never taken by an
     earlier binder, and names itself comes back when none is in avoid.
 
-    cursor, when given, maps a base name to the last variant given to it,
-    and the search for that base resumes there.  That is exact when avoid
-    only grows between calls and holds every name given so far, kept names
-    included: every variant the search skips is then taken already, as
-    _canonical_names keeps it."""
+    cursor maps a base name to the last variant given to it, and the
+    search for that base resumes there.  A cursor shared across calls is
+    exact when avoid only grows between them and holds every name given so
+    far, kept names included: every variant the search skips is then taken
+    already, as _canonical_names keeps it.  Without one, each call starts
+    from an empty cursor, so each search starts from its base name."""
     if avoid.isdisjoint(names):
         return names, {}
+    if cursor is None:
+        cursor = {}
     ren: dict[str, str] = {}
     given = ren.values()
     for n in names:
         if n in avoid:
-            fresh = n if cursor is None else cursor.get(n, n)
+            fresh = cursor.get(n, n)
             while fresh in avoid or fresh in names or fresh in given:
                 fresh += "'"
-            ren[n] = fresh
-            if cursor is not None:
-                cursor[n] = fresh
+            ren[n] = cursor[n] = fresh
     return tuple(ren.get(n, n) for n in names), ren
 
 
@@ -853,7 +854,8 @@ def canonicalize(t):
 
     _freshen keeps a binder's name unless it is free in t or already given
     to a binder, so a canonical t (see is_canonical) comes back as itself.
-    One walk renames, in time linear in the size of t (see _canonical_names).
+    The k-th renamed binder of one base name costs one prime step, not k
+    (see _canonical_names).
     """
     return _canonical_names(t)[0]
 
