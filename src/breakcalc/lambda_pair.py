@@ -157,9 +157,9 @@ def l_normalize(e: LTerm, max_steps: int = 100_000) -> LTerm:
     names = FreeNames()
     search = functools.partial(
         first_redex, rules_at=lambda node: _l_rules(node, False, names))
-    for _, _, e, _ in reduce_steps(
+    for _, _, e in reduce_steps(
             e, max_steps, search,
-            lambda node, rule: _L_RULE[rule].contract(node, names), (names,)):
+            lambda node, rule: _L_RULE[rule].contract(node, names)):
         pass  # e becomes each step's result in turn
     return e
 

@@ -33,8 +33,9 @@ class TermPrinter:
     around it, so `memo`, a NodeMemo, maps the node's identity to the node,
     those names and the text; the user of a text adds the parentheses its
     position needs.  Call `forget` with the nodes that have left the terms
-    still to be printed (a step's replaced spine), so that the memo and the
-    free names memo hold about one term's entries.
+    still to be printed (the spine a step rebuilt and its redex's children,
+    as format_trace does), so that the memo and the free names memo hold
+    about one term's entries.
 
     `text` is the one builder, memo or none, for Term and LTerm alike: it
     dispatches on the tag of the node's constructor spec, with a branch for

@@ -138,20 +138,18 @@ class TraceStep:
     (replace_at), unless normalize handed the step the root its search had
     already built.  Reading a step whose earlier steps are unbuilt builds
     them first, in one loop without recursion, so a trace read in either
-    order builds each root once.  `replaced` lists the nodes the step took
-    out of before: the spine from the root to position and the children of
-    the node there.
+    order builds each root once.
     """
 
     __slots__ = ("index", "rule", "position", "contractum", "_before",
-                 "_after", "_replaced")
+                 "_after")
 
     def __init__(self, index: int, rule: RuleName, position: tuple[int, ...],
                  contractum: Term, previous: TraceStep | Term,
-                 after: Term | None = None, replaced: list | None = None):
+                 after: Term | None = None):
         self.index, self.rule, self.position = index, rule, position
         self.contractum, self._before = contractum, previous
-        self._after, self._replaced = after, replaced
+        self._after = after
 
     @property
     def before(self) -> Term:
@@ -166,15 +164,6 @@ class TraceStep:
             self._replay()
         return self._after
 
-    @property
-    def replaced(self) -> list:
-        if self._after is None:
-            self._replay()
-        if self._replaced is None:  # after came from the search
-            spine = spine_at(self.before, self.position)
-            self._replaced = spine + list(children(spine[-1]))
-        return self._replaced
-
     def _replay(self) -> None:
         """Build after for this step and each unbuilt step before it."""
         todo, s = [], self
@@ -184,7 +173,6 @@ class TraceStep:
         for s in reversed(todo):
             spine = spine_at(s.before, s.position)
             s._after = rebuild_spine(spine, s.position, s.contractum)
-            s._replaced = spine + list(children(spine[-1]))
 
     def __iter__(self):
         return iter((self.index, self.rule, self.position, self.before,
@@ -317,18 +305,17 @@ def normalize(t: Term, max_steps: int = 100_000, strategy: str = "first",
     ancestors, so the two searches are mirror-image walks from p on the
     zipper that reduce_steps keeps: on in preorder (first_redex), or back
     in reverse preorder, skipping the subtrees found normal (LastRedex).
-    Both memos, that one and the free names, forget the nodes a step
-    replaces, which only bounds their size.
+    Both memos, that one and the free names, live for this call and forget
+    nothing: each entry holds its node, so an id is not reused while the
+    entry lives.
 
     The first strategy's search rebuilds every ancestor of p, so it has the
     root after each step, and the trace keeps it.  The last strategy's
     search rebuilds an ancestor only as it climbs into it (Zipper.up), so a
-    step costs its contraction plus the distance the cursor moves, and its
-    roots are built when the trace is read (see TraceStep) unless the
-    search climbed to the root.  A step keeps its search's root only if the
-    step before it kept one, so that the nodes the search replaced are
-    those the step took out of its before; the last step always keeps the
-    normal form.
+    step costs its contraction plus the distance the cursor moves.  A step
+    keeps its search's root whenever the search climbed to the root, else
+    its roots are built when the trace is read (see TraceStep); the last
+    search ends at the root, so the last step keeps the normal form.
     """
     if strategy not in ("first", "last"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -339,37 +326,28 @@ def normalize(t: Term, max_steps: int = 100_000, strategy: str = "first",
 
     if strategy == "first":
         search = functools.partial(first_redex, rules_at=rules_at)
-        memos = (fn,)
     else:
         search = LastRedex(rules_at)
-        memos = (fn, search)
     steps: list[TraceStep] = []
-    nf, kept = t, True
-    for index, (r, new, nf, replaced) in enumerate(reduce_steps(
+    nf = t
+    for index, (r, new, nf) in enumerate(reduce_steps(
             t, max_steps, search,
-            lambda node, rule: RULE[rule].contract(node, fn), memos)):
-        kept = kept and nf is not None
+            lambda node, rule: RULE[rule].contract(node, fn))):
         steps.append(TraceStep(index, r.rule, r.position, new,
-                               steps[-1] if steps else t,
-                               nf if kept else None, replaced if kept else None))
-    if not kept:  # the last search ends at the root, so nf is the normal form
-        steps[-1]._after = nf
+                               steps[-1] if steps else t, nf))
     return nf, steps
 
 
-def reduce_steps(t, max_steps: int, search, contract, memos):
+def reduce_steps(t, max_steps: int, search, contract):
     """Contract the redexes that search picks until none is left, yielding
-    (redex, contractum, root, replaced) per step.
+    (redex, contractum, root) per step.
 
     The term is kept as a Zipper.  search(z) moves z's cursor to the next
     redex and gives it, or gives None with the cursor at the settled root;
     contract(node, rule) gives the contractum of a redex.  root is z.root
     after the search: the term after the step, or None while a frame is
-    stale; the last step always has it.  replaced lists the nodes the step
-    and its search took out: the redex, its children and the ancestors
-    that z.up() and z.settle_spine() rebuilt; every memo forgets them.
-    StepBudgetExceeded if a redex is left after max_steps steps; ValueError
-    if max_steps is negative.
+    stale; the last step always has it.  StepBudgetExceeded if a redex is
+    left after max_steps steps; ValueError if max_steps is negative.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, not {max_steps}")
@@ -381,10 +359,7 @@ def reduce_steps(t, max_steps: int, search, contract, memos):
         new = contract(z.nodes[-1], found.rule)
         z.replace(new)
         r, found = found, search(z)
-        replaced, z.replaced = z.replaced, []
-        for memo in memos:
-            memo.forget(replaced)
-        yield r, new, z.root, replaced
+        yield r, new, z.root
     if found is not None:
         raise StepBudgetExceeded(max_steps)
 
@@ -398,20 +373,17 @@ class Zipper:
     nodes[d + 1] among its children.  replace sets only the cursor's node,
     so a frame is stale while nodes[d + 1] is not the child that nodes[d]
     holds; up and settle_spine rebuild it (_rebuild).  root is the whole
-    term while no frame is stale, else None; replaced collects the nodes
-    taken out of the term.
+    term while no frame is stale, else None.
     """
 
-    __slots__ = ("nodes", "path", "root", "replaced")
+    __slots__ = ("nodes", "path", "root")
 
     def __init__(self, t) -> None:
         self.nodes, self.path = [t], []
-        self.root, self.replaced = t, []
+        self.root = t
 
     def replace(self, new) -> None:
         """Put new in place of the cursor's node."""
-        old = self.nodes[-1]
-        self.replaced += (old, *children(old))
         self.nodes[-1] = new
         self.root = None if self.path else new
 
@@ -424,7 +396,6 @@ class Zipper:
         if kids[i] is not u:
             kids = list(kids)
             kids[i] = u
-            self.replaced.append(nodes[-1])
             nodes[-1] = _rebuild(nodes[-1], kids)
         if not path:
             self.root = nodes[0]
@@ -437,7 +408,6 @@ class Zipper:
             kids, i = list(children(nodes[d])), path[d]
             if kids[i] is not nodes[d + 1]:
                 kids[i] = nodes[d + 1]
-                self.replaced.append(nodes[d])
                 nodes[d] = _rebuild(nodes[d], kids)
         self.root = nodes[0]
 
@@ -551,12 +521,16 @@ def format_trace(steps: list[TraceStep]) -> str:
     """One line per step: index, rule, dot-separated path, resulting term.
 
     Consecutive terms share every node off the contracted spine, so the
-    text of the shared subterms is printed once.
+    text of the shared subterms is printed once.  Before each line the
+    printer forgets the nodes the step took out, the spine down to the
+    redex and the redex's children, so its memos hold about one term's
+    entries; no other memo forgets.
     """
     printer = TermPrinter()
     lines = []
     for s in steps:
-        printer.forget(s.replaced)
+        spine = spine_at(s.before, s.position)
+        printer.forget((*spine, *children(spine[-1])))
         path = ".".join(str(i) for i in s.position) if s.position else "root"
         lines.append(f"{s.index} {s.rule} {path} {printer(s.after)}")
     return "\n".join(lines)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .parser import ParseError, TokenStream, parse_type, parse_type_stream
 from .syntax import (
     App, Arrow, Break, Lam, Let, Pair, Tensor, Term, TypeExpr, Var, _PARSED,
-    _PRINTED, _canonical_names, _remember_last, ks_types, print_type,
+    _canonical_names, _remember_last, ks_types, print_type,
 )
 from .typecheck import check
 
@@ -44,11 +44,6 @@ class BudgetExceeded(Exception):
     pass
 
 
-#: print_type as a C-level function, for sort keys and printing sequents:
-#: a formula printed before is one dictionary lookup with no Python frame
-_formula_text = _PRINTED.__getitem__
-
-
 class Sequent(NamedTuple):
     """antecedent |- succedent; `sequent` sorts the antecedent by formula text."""
 
@@ -56,13 +51,13 @@ class Sequent(NamedTuple):
     succedent: TypeExpr
 
     def __str__(self) -> str:
-        ant = ", ".join(map(_formula_text, self.antecedent))
-        return f"{ant} |- {_formula_text(self.succedent)}" if ant \
-            else f"|- {_formula_text(self.succedent)}"
+        ant = ", ".join(map(print_type, self.antecedent))
+        return f"{ant} |- {print_type(self.succedent)}" if ant \
+            else f"|- {print_type(self.succedent)}"
 
 
 def sequent(antecedent, succedent: TypeExpr) -> Sequent:
-    return Sequent(tuple(sorted(antecedent, key=_formula_text)), succedent)
+    return Sequent(tuple(sorted(antecedent, key=print_type)), succedent)
 
 
 def _take(formulas, formula: TypeExpr, path: tuple[int, ...],
@@ -503,7 +498,7 @@ def _residues(a: TypeExpr, ant, which: int):
     """Each residue B, in print order of the assumptions, such that ant holds
     ks_types(a, B)[which]: the higher-order assumption (0) or the section (1).
     """
-    for formula in sorted(set(ant), key=_formula_text):
+    for formula in sorted(set(ant), key=print_type):
         if isinstance(formula, Arrow):
             b = formula.dom if which else formula.cod
             if ks_types(a, b)[which] == formula:
@@ -614,7 +609,7 @@ def prove_bounded(goal: Sequent, depth: int = 8) -> SDerivation | None:
                     if s2 is not None:
                         return tens_r(s1, s2)
         # left rules
-        for formula in sorted(set(goal.antecedent), key=_formula_text):
+        for formula in sorted(set(goal.antecedent), key=print_type):
             rest = tuple(_take(goal.antecedent, formula, (), "assumption"))
             match formula:
                 case Arrow(dom, cod):
@@ -642,7 +637,7 @@ def _splits(formulas: tuple[TypeExpr, ...]):
     for mask in range(1 << n):
         left = tuple(formulas[i] for i in range(n) if mask >> i & 1)
         right = tuple(formulas[i] for i in range(n) if not mask >> i & 1)
-        key = tuple(sorted(left, key=_formula_text))
+        key = tuple(sorted(left, key=print_type))
         if key in seen:
             continue
         seen.add(key)

@@ -460,8 +460,10 @@ def free_names(t) -> frozenset[str]:
 
 class NodeMemo(dict):
     """A memo keyed by id(node) whose entries hold their node, so an id is
-    not reused while it is kept.  `forget` drops the entries of nodes that
-    have left the term being worked on."""
+    not reused while it is kept, and no entry need ever be forgotten for
+    correctness.  `forget` drops the entries of nodes that have left the
+    terms still to be printed; only the trace printer calls it, since its
+    entries hold text."""
 
     __slots__ = ()
 
@@ -473,8 +475,8 @@ class NodeMemo(dict):
 
 class FreeNames(NodeMemo):
     """free_names memoised by node identity, for many queries on shared
-    terms; a forgotten node still in use is recomputed from its children's
-    entries, which are (node, free names)."""
+    terms; its entries are (node, free names).  A memo serves one call of
+    normalize, substitute or the like; only the trace printer's forgets."""
 
     __slots__ = ()
 
@@ -570,8 +572,7 @@ def substitute(t, bindings, names: FreeNames | None = None):
 def _subst(t, sub: dict, fn: FreeNames):
     """substitute, where a str value renames the variable (keeping its type).
 
-    A subterm in which no key of sub is free comes back untouched.  Every
-    node that is rebuilt is forgotten by fn.
+    A subterm in which no key of sub is free comes back untouched.
     """
     sp = SPECS[type(t)]
     if sp.var is not None:
@@ -599,7 +600,6 @@ def _subst(t, sub: dict, fn: FreeNames):
             new.append(c)
         else:
             new.append(_subst(c, sub, fn))
-    fn.forget((t,))
     return _rebuild(t, new, names)
 
 
@@ -725,17 +725,16 @@ def _key_parts(t, env: dict[str, int], depth: int, parts: list[str]) -> None:
 
 def _shape(t, memo: NodeMemo) -> int:
     """t's shape hash: the hash of its parts, which are its children's
-    shape hashes, then its tag and its annotations' print_type texts, so
-    part i is child i's hash.  Names are left out, so alpha-equal terms hash
-    equal; two different types can print alike, which alpha_key, confirming
-    a match, tells apart.  memo maps id(node) to (node,
-    hash, parts), so a node already there costs one lookup."""
+    shape hashes, then its tag and its annotations' types, which are
+    interned and hash by identity, so part i is child i's hash.  Names are
+    left out, so alpha-equal terms hash equal, and alpha_key confirms a
+    match.  memo maps id(node) to (node, hash, parts), so a node already
+    there costs one lookup."""
     hit = memo.get(id(t))
     if hit is not None:
         return hit[1]
     sp = SPECS[type(t)]
-    parts = (*[_shape(c, memo) for c in sp.kids(t)], sp.tag,
-             *map(_PRINTED.__getitem__, sp.annots(t)))
+    parts = (*[_shape(c, memo) for c in sp.kids(t)], sp.tag, *sp.annots(t))
     h = hash(parts)
     memo[id(t)] = (t, h, parts)
     return h
@@ -763,7 +762,7 @@ def _redex_walk(t, memo: NodeMemo, rules_at, path: list, spine: list,
             hs.append(_redex_walk(c, memo, rules_at, path, spine, found))
         path.pop()
         spine.pop()
-    parts = (*hs, sp.tag, *map(_PRINTED.__getitem__, sp.annots(t)))
+    parts = (*hs, sp.tag, *sp.annots(t))
     h = hash(parts)
     memo[id(t)] = (t, h, parts)
     return h

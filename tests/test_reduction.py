@@ -4,6 +4,7 @@ critical pairs, and the confluence counterexample."""
 import collections
 import functools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -779,6 +780,20 @@ class TestTraceText:
         assert printer(Pair(x, Lam("x", A, x))) == "<(x : A), \\x:A. x>"
         assert printer(App(Lam("y", A, x), x)) == "(\\y:A. (x : A)) (x : A)"
 
+    def test_memory_stays_within_a_few_times_the_text(self):
+        """The printer forgets the nodes each step took out, so its memos
+        hold about one term's texts: format_trace of break_chain(80) under
+        the last strategy peaks at about 3x its output, where a printer
+        that forgot nothing would keep every step's new texts (about 33x)."""
+        _, steps = normalize(break_chain(80), strategy="last")
+        tracemalloc.start()
+        try:
+            text = format_trace(steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(text)
+
 
 @functools.cache
 def lazy_root_terms():
@@ -786,10 +801,6 @@ def lazy_root_terms():
     rng = random.Random(2024)
     return ([t for _, t in GOLDEN_ITEMS]
             + [random_typable_term(rng) for _ in range(200)])
-
-
-def node_ids(nodes) -> set[int]:
-    return {id(u) for u in nodes}
 
 
 @pytest.mark.parametrize("experimental", [False, True],
@@ -812,9 +823,6 @@ class TestLazyRoots:
             for s in (steps if order == "first_to_last" else steps[::-1]):
                 assert s.before == roots[s.index]
                 assert s.after == roots[s.index + 1]
-                spine = spine_at(s.before, s.position)
-                assert node_ids(s.replaced) == node_ids(
-                    spine + list(children(spine[-1])))
             assert nf == roots[-1]
 
     def test_step_budget(self, strategy, experimental):
@@ -851,16 +859,15 @@ class TestZipper:
         parent = z.nodes[-2]
         assert z.up() == (0, children(parent))
         assert z.nodes[-1] is parent and z.path == [1, 1]
-        assert z.replaced == []
         z.up()
         z.up()
-        assert z.nodes == [t] and z.root is t and z.replaced == []
+        assert z.nodes == [t] and z.root is t
 
     def test_settled_spine_after_a_change_at_depth_3(self):
         t = pair_chain(3)
         path = (1, 1, 0)
         z = zipper_at(t, path)
-        old_spine, old = spine_at(t, path), z.nodes[-1]
+        old_spine = spine_at(t, path)
         new = Var("w", A)
         z.replace(new)
         assert z.root is None
@@ -873,9 +880,6 @@ class TestZipper:
         for d, i in enumerate(path):  # every node off the path is shared
             pairs = zip(children(old_spine[d]), children(new_spine[d]))
             assert all(a is b for j, (a, b) in enumerate(pairs) if j != i)
-        assert node_ids(z.replaced) == node_ids(old_spine
-                                                + list(children(old)))
-        assert len(z.replaced) == len(old_spine) + len(children(old))
 
 
 def identity_chain_text(n: int) -> str:

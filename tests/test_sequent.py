@@ -886,10 +886,10 @@ class TestFormulaOrder:
     print_type does."""
 
     def test_key_first_prints_as_print_type(self):
-        key = sequent_module._formula_text
+        key = sequent_module.print_type
         types = fresh_types(random.Random(20261024), 2000)
         unprinted = [ty for ty in dict.fromkeys(types)
-                     if ty not in sequent_module._PRINTED]
+                     if ty not in _PRINTED]
         assert len(unprinted) > 500
         for ty in unprinted:  # printed through the key first
             assert key(ty) == _ptype(ty, _TOP) == print_type(ty)

@@ -107,7 +107,6 @@ PRIVATE_IMPORTS = {
     ("reduction.py", "syntax", "_freshen"),
     ("reduction.py", "syntax", "_rebuild"),
     ("sequent.py", "syntax", "_PARSED"),
-    ("sequent.py", "syntax", "_PRINTED"),
     ("sequent.py", "syntax", "_canonical_names"),
     ("sequent.py", "syntax", "_remember_last"),
     ("typecheck.py", "syntax", "_canonical_names"),
@@ -200,3 +199,34 @@ def test_rule_names_are_read_only_in_the_rule_tables():
     assert sorted(reads) == sorted(
         [("lambda_pair.py", "L_RULES", "BETA")]
         + [("reduction.py", "RULES", member) for member in members])
+
+
+def forget_calls() -> list[tuple[str, str]]:
+    """(module, dotted name of the enclosing class and function) for each
+    call of a method named forget in src/breakcalc."""
+    calls, stack = [], [(tree, module, "") for module, tree in MODULES.items()]
+    while stack:
+        node, module, where = stack.pop()
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "forget"):
+            calls.append((module, where))
+        stack += [(c, module, where) for c in ast.iter_child_nodes(node)]
+    return calls
+
+
+def test_memo_entries_are_forgotten_only_by_the_trace_printer():
+    """Each node memo's entry holds its node, so an id is never reused
+    while the entry lives and no memo needs to forget for correctness.
+    Only the trace printer's memos hold text, so only they forget: per
+    step, format_trace names the nodes the step took out and
+    TermPrinter.forget passes them to its two memos.  A forget call
+    anywhere else, such as a list of replaced nodes kept by reduction,
+    fails."""
+    assert sorted(forget_calls()) == [
+        ("printer.py", "TermPrinter.forget"),
+        ("printer.py", "TermPrinter.forget"),
+        ("reduction.py", "format_trace"),
+    ]
