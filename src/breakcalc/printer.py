@@ -12,7 +12,7 @@ from .syntax import SPECS, FreeNames, NodeMemo, Term, print_type
 
 
 def print_term(t: Term) -> str:
-    return _PlainPrinter().text(t, frozenset())
+    return _PlainPrinter()(t)
 
 
 #: The lambda-pair terms print through the same printer; projections print
@@ -24,24 +24,30 @@ print_lterm = print_term
 # parentheses in function position, in argument position and as scrutinee
 _OPEN = frozenset({"l", "L", "B"})
 _OPEN_OR_APP = _OPEN | {"a"}
+_NONE: frozenset[str] = frozenset()
 
 
 class TermPrinter:
     """print_term for a run of terms that share subterms, as a trace does.
 
+    `write` is the one builder, memo or none, for Term and LTerm alike: it
+    appends a term's text to a list as pieces, which the caller joins
+    once.  It dispatches on the tag of the node's constructor spec, reads
+    its fields by index and calls itself on the children, so a nesting
+    level costs one Python frame, and 900 levels print under the default
+    recursion limit.  The parentheses a position needs are written by the
+    parent.
+
     A subterm's text depends only on which of its free names are bound
     around it, so `memo`, a NodeMemo, maps the node's identity to the node,
-    those names and the text; the user of a text adds the parentheses its
-    position needs.  Call `forget` with the nodes that have left the terms
-    still to be printed (the spine a step rebuilt and its redex's children,
-    as format_trace does), so that the memo and the free names memo hold
-    about one term's entries.
-
-    `text` is the one builder, memo or none, for Term and LTerm alike: it
-    dispatches on the tag of the node's constructor spec, with a branch for
-    every tag in SPECS, reads its fields by index and calls itself on the
-    children, so a nesting level costs one Python frame, and about 900
-    levels print under the default recursion limit.
+    those names and its text's span (list, start, end) in the list it was
+    first written to.  When a later write reuses the node, the span becomes
+    one string, which is one piece from then on, so a text is copied when
+    it is first reused and when its list is joined, not once per enclosing
+    node.  Call `forget` with the nodes that have left the terms still to
+    be printed (the spine a step rebuilt and its redex's children, as
+    format_trace does), so that the memo and the free names memo hold
+    about one term's entries.  A span keeps its list alive.
     """
 
     __slots__ = ("memo", "names")
@@ -51,14 +57,17 @@ class TermPrinter:
         self.names = FreeNames()
 
     def __call__(self, t: Term) -> str:
-        return self.text(t, frozenset())
+        out: list[str] = []
+        self.write(t, _NONE, out)
+        return "".join(out)
 
     def forget(self, nodes) -> None:
         self.memo.forget(nodes)
         self.names.forget(nodes)
 
-    def text(self, t: Term, bound: frozenset[str]) -> str:
-        """t's text, without outer parentheses, when bound is bound around it."""
+    def write(self, t: Term, bound: frozenset[str], out: list[str]) -> None:
+        """Append t's text, without outer parentheses, to out, when bound
+        is bound around it."""
         try:
             sp = SPECS[type(t)]
         except KeyError:
@@ -67,49 +76,69 @@ class TermPrinter:
         if tag == "v":  # cheaper to build than to memoise
             name = t[0]
             if name in bound or not sp.annot_slots:
-                return name
-            return f"({name} : {print_type(t[1])})"
+                out.append(name)
+            else:
+                out.append(f"({name} : {print_type(t[1])})")
+            return
         memo = self.memo
         if memo is not None:
             if bound:
                 bound = bound.intersection(self.names(t))
-            hit = memo.get(id(t))
+            key = id(t)
+            hit = memo.get(key)
             if hit is not None and hit[1] == bound:
-                return hit[2]
+                text = hit[2]
+                if type(text) is not str:  # a span, reused for the first time
+                    text = "".join(text[hit[3]:hit[4]])
+                    memo[key] = (t, bound, text)
+                out.append(text)
+                return
+            start = len(out)
         if tag == "a":
             fun, arg = t[0], t[1]
-            f, a = self.text(fun, bound), self.text(arg, bound)
-            if SPECS[type(fun)].tag in _OPEN:
-                f = f"({f})"
-            if SPECS[type(arg)].tag in _OPEN_OR_APP:
-                a = f"({a})"
-            s = f"{f} {a}"
+            fo = SPECS[type(fun)].tag in _OPEN
+            ao = SPECS[type(arg)].tag in _OPEN_OR_APP
+            if fo:
+                out.append("(")
+            self.write(fun, bound, out)
+            out.append((") (" if ao else ") ") if fo else " (" if ao else " ")
+            self.write(arg, bound, out)
+            if ao:
+                out.append(")")
         elif tag == "l":
             b = t[0]
-            s = f"\\{b}:{print_type(t[1])}. {self.text(t[2], bound | {b})}"
+            out.append(f"\\{b}:{print_type(t[1])}. ")
+            self.write(t[2], bound | {b}, out)
         elif tag == "p":
-            s = f"<{self.text(t[0], bound)}, {self.text(t[1], bound)}>"
+            out.append("<")
+            self.write(t[0], bound, out)
+            out.append(", ")
+            self.write(t[1], bound, out)
+            out.append(">")
         elif tag == "L":
             # scrutinees would reparse unparenthesized, but parens keep the
             # binding structure readable
             x, y, scrut = t[0], t[2], t[4]
-            sc = self.text(scrut, bound)
-            if SPECS[type(scrut)].tag in _OPEN:
-                sc = f"({sc})"
-            s = (f"let <{x}:{print_type(t[1])}, {y}:{print_type(t[3])}> = "
-                 f"{sc} in {self.text(t[5], bound | {x, y})}")
+            so = SPECS[type(scrut)].tag in _OPEN
+            out.append(f"let <{x}:{print_type(t[1])}, {y}:{print_type(t[3])}>"
+                       + (" = (" if so else " = "))
+            self.write(scrut, bound, out)
+            out.append(") in " if so else " in ")
+            self.write(t[5], bound | {x, y}, out)
         elif tag == "B":
             scrut, phi, f = t[0], t[1], t[2]
-            sc = self.text(scrut, bound)
-            if SPECS[type(scrut)].tag in _OPEN:
-                sc = f"({sc})"
-            s = (f"break {sc} as <{phi}, {f}> @ {print_type(t[3])} in "
-                 f"{self.text(t[4], bound | {phi, f})}")
+            so = SPECS[type(scrut)].tag in _OPEN
+            out.append("break (" if so else "break ")
+            self.write(scrut, bound, out)
+            out.append(f"{')' if so else ''} as <{phi}, {f}> @ "
+                       f"{print_type(t[3])} in ")
+            self.write(t[4], bound | {phi, f}, out)
         elif tag == "p0" or tag == "p1":
-            s = f"{tag}({self.text(t[0], bound)})"
+            out.append(f"{tag}(")
+            self.write(t[0], bound, out)
+            out.append(")")
         if memo is not None:
-            memo[id(t)] = (t, bound, s)
-        return s
+            memo[key] = (t, bound, out, start, len(out))
 
 
 class _PlainPrinter(TermPrinter):

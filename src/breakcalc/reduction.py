@@ -171,8 +171,14 @@ class TraceStep:
             todo.append(s)
             s = s._before
         for s in reversed(todo):
-            spine = spine_at(s.before, s.position)
-            s._after = rebuild_spine(spine, s.position, s.contractum)
+            s._build(spine_at(s.before, s.position))
+
+    def _build(self, spine: list) -> Term:
+        """after, built from spine, which is spine_at(before, position),
+        unless it is built already."""
+        if self._after is None:
+            self._after = rebuild_spine(spine, self.position, self.contractum)
+        return self._after
 
     def __iter__(self):
         return iter((self.index, self.rule, self.position, self.before,
@@ -520,17 +526,25 @@ def reducts_one_step(t: Term, experimental: bool = False) -> list[Term]:
 def format_trace(steps: list[TraceStep]) -> str:
     """One line per step: index, rule, dot-separated path, resulting term.
 
+    The lines are written to one list of pieces, joined once at the end.
     Consecutive terms share every node off the contracted spine, so the
-    text of the shared subterms is printed once.  Before each line the
-    printer forgets the nodes the step took out, the spine down to the
-    redex and the redex's children, so its memos hold about one term's
-    entries; no other memo forgets.
+    printer writes the text of a shared subterm once and, when a later
+    line reuses it, copies it once into one piece (see TermPrinter).
+    Before each line the printer forgets the nodes the step took out, the
+    spine down to the redex and the redex's children, so its memos hold
+    about one term's entries; no other memo forgets.  Each step's spine
+    is walked once, for that and to build the step's after when it is
+    unbuilt.
     """
     printer = TermPrinter()
-    lines = []
+    out: list[str] = []
+    unbound = frozenset()
     for s in steps:
         spine = spine_at(s.before, s.position)
         printer.forget((*spine, *children(spine[-1])))
-        path = ".".join(str(i) for i in s.position) if s.position else "root"
-        lines.append(f"{s.index} {s.rule} {path} {printer(s.after)}")
-    return "\n".join(lines)
+        path = ".".join(map(str, s.position)) if s.position else "root"
+        if out:
+            out.append("\n")
+        out.append(f"{s.index} {s.rule.value} {path} ")
+        printer.write(s._build(spine), unbound, out)
+    return "".join(out)

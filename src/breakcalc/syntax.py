@@ -454,8 +454,43 @@ _NO_NAMES: frozenset[str] = frozenset()
 
 
 def free_names(t) -> frozenset[str]:
-    """Names occurring free in t (no type information)."""
-    return FreeNames()(t)
+    """Names occurring free in t (no type information), in one walk that
+    builds no set per node: `depth` counts, for each name, the binders of
+    that name in scope, so a variable is free when its count is 0.  A
+    binder's scope child is walked first, between raising its binders'
+    counts and a marker (their tuple) that lowers them, as in _scan.
+    FreeNames memoises the set of every node, for many queries on one
+    term."""
+    out: set[str] = set()
+    depth: dict[str, int] = {}
+    stack = [t]
+    pop, push = stack.pop, stack.append
+    while stack:
+        t = pop()
+        if type(t) is tuple:  # a scope's binders, leaving it
+            for b in t:
+                depth[b] -= 1
+            continue
+        sp = SPECS[type(t)]
+        if sp.var is not None:
+            n = sp.var(t)
+            if not depth.get(n):
+                out.add(n)
+            continue
+        kids = sp.kids(t)
+        scope = sp.scope
+        if scope < 0:
+            stack.extend(kids)
+            continue
+        for i, c in enumerate(kids):
+            if i != scope:
+                push(c)
+        bound = sp.binders(t)
+        push(bound)
+        push(kids[scope])
+        for b in bound:
+            depth[b] = depth.get(b, 0) + 1
+    return frozenset(out)
 
 
 class NodeMemo(dict):

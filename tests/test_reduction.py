@@ -4,6 +4,8 @@ critical pairs, and the confluence counterexample."""
 import collections
 import functools
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -794,6 +796,37 @@ class TestTraceText:
             tracemalloc.stop()
         assert peak <= 8 * len(text)
 
+    def test_memory_under_the_first_strategy_stays_within_twice_the_text(self):
+        """Under the first strategy normalize hands every step its root, so
+        format_trace builds no term: it keeps one list of pieces, in which
+        a reused text is one piece, and joins it once.  For break_chain(80)
+        the peak is about 1.5x the output; a printer that built a string
+        per node, and a string per line, peaked at about 2.2x."""
+        _, steps = normalize(break_chain(80))
+        tracemalloc.start()
+        try:
+            text = format_trace(steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(text)
+
+    def test_each_spine_is_walked_once(self, monkeypatch):
+        """Under the last strategy most steps' roots are built when the
+        trace is read; format_trace builds each from the spine it walks to
+        name the nodes the printer forgets, so one spine_at call per step."""
+        _, steps = normalize(identity_chain(400), strategy="last")
+        calls = []
+
+        def counted(t, path):
+            calls.append(path)
+            return spine_at(t, path)
+
+        monkeypatch.setattr(reduction_module, "spine_at", counted)
+        text = format_trace(steps)
+        assert len(calls) == len(steps) == 400
+        assert text == plain_trace(steps)
+
 
 @functools.cache
 def lazy_root_terms():
@@ -922,6 +955,67 @@ class TestPrinterContract:
     def test_a_non_term_raises_type_error(self, printer, value):
         with pytest.raises(TypeError, match="not a term"):
             printer(value)
+
+
+class TestPrinterBuffers:
+    """TermPrinter writes each call's text as pieces to one list and joins
+    it once.  A node's memo entry is the span of the list it was first
+    written to, until a later write reuses the node and joins the span."""
+
+    F = Var("f", Arrow(A, A))
+
+    def test_a_span_in_an_earlier_call_before_and_after_forget(self):
+        inner = Lam("x", A, App(self.F, Var("x", A)))
+        outer = Pair(inner, Var("y", A))
+        printer = TermPrinter()
+        assert printer(outer) == print_term(outer)
+        buf = printer.memo[id(inner)][2]  # the first call's list
+        assert type(buf) is list
+        # the node that held inner leaves; inner's span stays in that list
+        printer.forget([outer])
+        later = App(inner, Var("z", A))
+        assert printer(later) == print_term(later)
+        assert printer.memo[id(inner)][2] == print_term(inner)
+        # inner under a binder of its free name is written anew
+        bound = Lam("f", Arrow(A, A), inner)
+        assert printer(bound) == print_term(bound)
+        printer.forget([inner])
+        again = Pair(Var("y", A), inner)
+        assert printer(again) == print_term(again)
+
+    def test_a_span_reused_in_a_later_call_without_forget(self):
+        inner = Lam("x", A, App(self.F, Var("x", A)))
+        printer = TermPrinter()
+        terms = [Pair(inner, Var("y", A)), App(inner, Var("z", A)),
+                 Pair(Var("y", A), Pair(inner, inner))]
+        assert [printer(t) for t in terms] == [print_term(t) for t in terms]
+
+    def test_900_levels_print_under_the_default_recursion_limit(self):
+        # in a subprocess, so that the limit and the stack below the
+        # printer are a fresh interpreter's
+        depth = 900
+        script = (
+            "import sys\n"
+            "from breakcalc.printer import TermPrinter, print_term\n"
+            "from breakcalc.syntax import App, Arrow, Atom, Lam, Var\n"
+            "A = Atom('A')\n"
+            "lams = apps = Var('w', A)\n"
+            f"for i in range({depth}):\n"
+            "    lams = Lam(f'x{i}', A, lams)\n"
+            "    apps = App(Var('f', Arrow(A, A)), apps)\n"
+            "assert sys.getrecursionlimit() == 1000\n"
+            "for t in (lams, apps):\n"
+            "    text = print_term(t)\n"
+            "    assert TermPrinter()(t) == text\n"
+            "    print(text)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lams = "".join(f"\\x{i}:A. " for i in reversed(range(depth)))
+        assert proc.stdout.splitlines() == [
+            lams + "(w : A)",
+            "(f : A -> A) (" * (depth - 1) + "(f : A -> A) (w : A)"
+            + ")" * (depth - 1)]
 
 
 # ---------------------------------------------------------------------------

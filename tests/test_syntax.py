@@ -25,8 +25,8 @@ from breakcalc.syntax import (
     substitute, subterm_at, subterms, term_size, type_size,
 )
 from breakcalc.syntax import (
-    _IDENT, _PARSED, KEYWORDS, _canonical_names, _freshen, _rebuild, _scan,
-    _subst,
+    _IDENT, _PARSED, KEYWORDS, _canonical_names, _freshen,
+    _rebuild, _scan, _subst,
 )
 from breakcalc.typecheck import UApp, UBreak, ULam, ULet, UPair, UVar, erase
 from termgen import (
@@ -469,6 +469,41 @@ def quadratic_canonical_names(t):
 def raw_parse(text: str):
     """parse_term(text) without its canonical renaming."""
     return TokenStream(text).parse(lambda ts: _TermParser(ts).term({}))
+
+
+class TestFreeNamesWalk:
+    """free_names, one walk that counts the binders of each name in scope
+    and builds no set per node, equals FreeNames, which builds a set per
+    node and memoises it."""
+
+    def test_renaming_population_and_erasures(self):
+        for t in renaming_population():
+            for u in (t, erase(t)):
+                assert free_names(u) == FreeNames()(u), u
+
+    @pytest.mark.parametrize("chain", [identity_chain, break_chain,
+                                       permuting_chain])
+    def test_chains_and_their_clashing_copies(self, chain):
+        rng = random.Random(20261101)
+        for n in (1, 2, 5, 20, 80, 320):
+            t = chain(n)
+            for u in (t, clashing_copy(t, rng), clashing_copy(t, rng)):
+                for v in (u, erase(u), star_translate(u)):
+                    assert free_names(v) == FreeNames()(v)
+
+    def test_shadowing_binders_of_a_name_that_is_also_free(self):
+        # the walk meets the free x before and after the nested binders
+        x = Var("x", A)
+        nest = Lam("x", A, Lam("x", A, x))
+        let = Let("x", A, "y", A, Var("s", Tensor(A, A)),
+                  Pair(nest, Pair(x, Var("y", A))))
+        for t, free in [(nest, set()), (let, {"s"}), (Pair(x, nest), {"x"}),
+                        (Pair(nest, x), {"x"}),
+                        (Pair(x, Pair(let, x)), {"x", "s"})]:
+            assert free_names(t) == FreeNames()(t) == free, t
+        # the scrutinee lies outside the let's binders
+        u = Let("x", A, "y", A, Var("x", Tensor(A, A)), Var("y", A))
+        assert free_names(u) == FreeNames()(u) == {"x"}
 
 
 class TestRenamingCursor:
