@@ -20,8 +20,8 @@ from .printer import TermPrinter
 from .syntax import (
     App, Arrow, Break, FreeNames, Lam, Let, NodeMemo, Pair, SPECS, Term, Var,
     _freshen, _rebuild, annotated_type, avoid_capture, binders, children,
-    distinct_reducts, free_names, rebuild_spine, spine_at, substitute,
-    subterms, term_size, type_size,
+    distinct_reducts, free_names, rebuild_spine, replace_child, spine_at,
+    substitute, subterms, term_size, type_size,
 )
 
 
@@ -378,8 +378,10 @@ class Zipper:
     nodes[d] is the node of the frame at depth d, and path[d] the index of
     nodes[d + 1] among its children.  replace sets only the cursor's node,
     so a frame is stale while nodes[d + 1] is not the child that nodes[d]
-    holds; up and settle_spine rebuild it (_rebuild).  root is the whole
-    term while no frame is stale, else None.
+    holds; up and settle_spine rebuild it by replace_child, which puts the
+    child in and runs no constructor check: only a frame's child changes,
+    never the names its constructor checked.  root is the whole term while
+    no frame is stale, else None.
     """
 
     __slots__ = ("nodes", "path", "root")
@@ -398,23 +400,16 @@ class Zipper:
         of the node left and the parent's children."""
         nodes, path = self.nodes, self.path
         u, i = nodes.pop(), path.pop()
-        kids = children(nodes[-1])
-        if kids[i] is not u:
-            kids = list(kids)
-            kids[i] = u
-            nodes[-1] = _rebuild(nodes[-1], kids)
+        nodes[-1] = parent = replace_child(nodes[-1], i, u)
         if not path:
-            self.root = nodes[0]
-        return i, kids
+            self.root = parent
+        return i, children(parent)
 
     def settle_spine(self) -> None:
         """Rebuild the stale frames, from the cursor up, leaving it put."""
         nodes, path = self.nodes, self.path
         for d in range(len(path) - 1, -1, -1):
-            kids, i = list(children(nodes[d])), path[d]
-            if kids[i] is not nodes[d + 1]:
-                kids[i] = nodes[d + 1]
-                nodes[d] = _rebuild(nodes[d], kids)
+            nodes[d] = replace_child(nodes[d], path[d], nodes[d + 1])
         self.root = nodes[0]
 
 

@@ -307,17 +307,31 @@ def constructor(tag: str, **shape):
 
 
 def _rebuild(t, kids, names=None):
-    """t with its children, and optionally its binder or variable names, replaced."""
+    """t with its children, and optionally its binder or variable names,
+    replaced.  Only new names go through the constructor: it checks names
+    and the field count, which t's kept names and fields pass already."""
     sp = SPECS[type(t)]
     if sp.only_kids:
-        return sp.cls(*kids)
+        return tuple.__new__(sp.cls, kids)
     vals = list(t)
     for i, v in zip(sp.kid_slots, kids):
         vals[i] = v
-    if names is not None:
-        for i, v in zip(sp.name_slots, names):
-            vals[i] = v
+    if names is None:
+        return tuple.__new__(sp.cls, vals)
+    for i, v in zip(sp.name_slots, names):
+        vals[i] = v
     return sp.cls(*vals)
+
+
+def replace_child(t, i: int, kid):
+    """t with child i replaced by kid (t itself if kid is that child), names
+    kept, built as by _rebuild: the one step that rebuilds an ancestor."""
+    slot = SPECS[type(t)].kid_slots[i]
+    if t[slot] is kid:
+        return t
+    vals = list(t)
+    vals[slot] = kid
+    return tuple.__new__(type(t), vals)
 
 
 class DistinctBinders:
@@ -416,9 +430,7 @@ def rebuild_spine(spine: list, path: tuple[int, ...], new):
     """spine[0] with the node at path replaced by new, where `spine` is
     spine_at(spine[0], path); the nodes off the path are shared."""
     for d in range(len(path) - 1, -1, -1):
-        kids = list(children(spine[d]))
-        kids[path[d]] = new
-        new = _rebuild(spine[d], kids)
+        new = replace_child(spine[d], path[d], new)
     return new
 
 
@@ -813,7 +825,7 @@ def distinct_reducts(t, rules_at, contract) -> list:
     path and spine.  A reduct shares every node off its spine with t, so
     hashing its contractum through the memo costs the nodes the contraction
     created; each ancestor's hash is its old parts with the changed child's
-    hash put in, and rebuild_spine builds the ancestors.  No walk starts
+    hash put in, and replace_child builds the ancestor.  No walk starts
     from the root again.  A reduct whose hash is new is kept; on a hash
     match alpha_key decides, and each kept reduct's key is written at most
     once.
@@ -831,7 +843,7 @@ def distinct_reducts(t, rules_at, contract) -> list:
                 i = path[d]
                 parts = memo[id(spine[d])][2]
                 h = hash((*parts[:i], h, *parts[i + 1:]))
-            new = rebuild_spine(spine, path, new)
+                new = replace_child(spine[d], i, new)
             same = kept.get(h)
             if same is None:
                 kept[h] = [[new, None]]
@@ -908,7 +920,9 @@ def _canonical_names(t):
     names and only grows, by every name given, kept ones included, which is
     the cursor's precondition.  So the k-th binder of one base name costs
     one step, not k.  The same walk lists the result's variable names,
-    which is the names set that _scan would read off the result.
+    which is the names set that _scan would read off the result.  `ren`,
+    the renaming in scope, is one dict, changed on entering a renamed
+    binder's scope and restored on leaving it, so the walk is linear.
 
     A repeated call on the same t returns the same result, names set
     included, so callers only read that set.  The canonical term is its
@@ -919,10 +933,11 @@ def _canonical_names(t):
         return t, names
     used = set(free_names(t))
     cursor: dict[str, str] = {}
+    ren: dict[str, str] = {}
     occurrences: list[str] = []  # the result's variable names, one each
     note = occurrences.append
 
-    def go(t, ren: dict[str, str]):
+    def go(t):
         sp = SPECS[type(t)]
         if sp.var is not None:
             n = sp.var(t)
@@ -938,15 +953,20 @@ def _canonical_names(t):
                 # a kept name cannot shadow a renamed one: that name is taken
                 names, fresh = _freshen(bound, used, cursor)
                 used.update(names)
-                c = go(c, ren | fresh if fresh else ren)
+                outer = {k: ren[k] for k in fresh if k in ren}
+                ren.update(fresh)
+                c = go(c)
+                for k in fresh:  # leaving the scope
+                    del ren[k]
+                ren.update(outer)
             else:
-                c = go(c, ren)
+                c = go(c)
             new.append(c)
-        if names == bound and all(map(operator.is_, new, kids)):
-            return t
-        return _rebuild(t, new, names)
+        if names is not bound:  # _freshen gives bound back when it keeps all
+            return _rebuild(t, new, names)
+        return t if all(map(operator.is_, new, kids)) else _rebuild(t, new)
 
-    t = go(t, {})
+    t = go(t)
     names = set(occurrences)
     return t, names if len(names) == len(occurrences) else None
 

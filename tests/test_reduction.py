@@ -2,7 +2,9 @@
 critical pairs, and the confluence counterexample."""
 
 import collections
+import copy
 import functools
+import pickle
 import random
 import subprocess
 import sys
@@ -27,11 +29,12 @@ from breakcalc.reduction import (
     is_silent, measure, normalize, reducts_one_step,
 )
 from breakcalc.syntax import (
-    App, Arrow, Atom, Break, FreeNames, Lam, Let, NodeMemo, Pair, Tensor, Var,
-    alpha_eq, alpha_key, avoid_capture, binders, children, free_vars,
-    print_type, replace_at, spine_at, substitute, subterm_at, subterms,
+    SPECS, App, Arrow, Atom, Break, FreeNames, IllFormedTermError, Lam, Let,
+    Node, NodeMemo, Pair, Tensor, TypeExpr, Var, _rebuild, alpha_eq,
+    alpha_key, avoid_capture, binders, children, free_vars, print_type,
+    replace_at, replace_child, spine_at, substitute, subterm_at, subterms,
 )
-from breakcalc.typecheck import check
+from breakcalc.typecheck import UBreak, ULet, UVar, check
 from schemas import critical_pair_instances, join_within, nonconfluence_witness
 from termgen import clashing_copy, random_typable_term
 from test_golden_outputs import ITEMS as GOLDEN_ITEMS
@@ -672,19 +675,22 @@ def test_last_strategy_rebuilds_are_linear_in_the_depth(monkeypatch, chain,
                                                        normal_form):
     """The last strategy on the chains: a step rebuilds an ancestor of its
     redex only when the next search reaches it, so the nodes rebuilt from
-    changed children (counted as calls to _rebuild, not timed) grow
-    linearly with the depth; rebuilding the spine up to the root at every
-    step would grow quadratically."""
+    changed children (counted as the calls to _rebuild and the calls to
+    replace_child that build a node, not timed) grow linearly with the
+    depth; rebuilding the spine up to the root at every step would grow
+    quadratically."""
     rebuilds = [0]
 
     def counted(real):
-        def wrapper(*args):
-            rebuilds[0] += 1
-            return real(*args)
+        def wrapper(t, *args):
+            new = real(t, *args)
+            rebuilds[0] += new is not t
+            return new
         return wrapper
 
     for module in (syntax_module, reduction_module):
-        monkeypatch.setattr(module, "_rebuild", counted(module._rebuild))
+        for name in ("_rebuild", "replace_child"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
     counts = []
     for n in (200, 400):
         rebuilds[0] = 0
@@ -913,6 +919,122 @@ class TestZipper:
         for d, i in enumerate(path):  # every node off the path is shared
             pairs = zip(children(old_spine[d]), children(new_spine[d]))
             assert all(a is b for j, (a, b) in enumerate(pairs) if j != i)
+
+
+def constructed(t):
+    """t built again, node by node, by the constructors, so every check
+    that they make runs on it."""
+    if not isinstance(t, Node) or isinstance(t, TypeExpr):
+        return t
+    return type(t)(*map(constructed, t))
+
+
+def assert_as_constructed(t) -> None:
+    """t cannot be told apart from t built by the constructors: the two
+    trees are equal and print alike, and node by node they have one type
+    and one hash."""
+    c = constructed(t)
+    assert t == c and c == t and repr(t) == repr(c)  # == checks every field
+    pairs = [(t, c)]
+    while pairs:
+        a, b = pairs.pop()
+        assert type(a) is type(b) and hash(a) == hash(b)
+        pairs += zip(children(a), children(b))
+
+
+def contract_terms():
+    """The fixed differential terms and every fifth random one: each whole
+    term is rebuilt by the constructors, which takes too long on all."""
+    terms = differential_terms()
+    n = len(fixed_terms())
+    return terms[:n] + terms[n::5]
+
+
+def deepest_path(t) -> tuple[int, ...]:
+    """The first of the longest paths from t's root to a leaf."""
+    return max((p for p, _ in subterms(t)), key=len)
+
+
+class TestConstructionContract:
+    """A node rebuilt without its constructor's checks (_rebuild,
+    replace_child and the walks that use them) is the node that the
+    constructor builds, and no other way of building a node has lost a
+    check."""
+
+    def test_rebuild_of_every_node(self):
+        # each child replaced by a leaf, so that repr stays short
+        w = Var("w'", A)
+        for t in differential_terms():
+            for _, node in subterms(t):
+                sp = SPECS[type(node)]
+                kids = [w] * len(sp.kid_slots)
+                vals = list(node)
+                for i in sp.kid_slots:
+                    vals[i] = w
+                got, want = _rebuild(node, kids), type(node)(*vals)
+                assert type(got) is type(want) and got == want and want == got
+                assert hash(got) == hash(want) and repr(got) == repr(want)
+
+    def test_rebuilt_spines_zippers_and_reducts(self):
+        w = Var("w'", A)
+        for t in contract_terms():
+            path = deepest_path(t)
+            assert_as_constructed(replace_at(t, path, w))
+            z = zipper_at(t, path)
+            z.replace(w)
+            z.settle_spine()
+            assert_as_constructed(z.root)
+            z = zipper_at(t, path)
+            z.replace(w)
+            while z.path:
+                z.up()
+            assert_as_constructed(z.root)
+            assert z.root == replace_at(t, path, w)
+            for u in reducts_one_step(t):
+                assert_as_constructed(u)
+
+    @pytest.mark.parametrize("strategy", ["first", "last"])
+    def test_roots_of_both_strategies(self, strategy):
+        for t in contract_terms():
+            nf, steps = normalize(t, strategy=strategy)
+            assert_as_constructed(nf)
+            for s in steps:
+                assert_as_constructed(s.after)
+
+    @pytest.mark.parametrize("cls, fields, names", [
+        (Let, ("x", A, "y", B, Var("s", Tensor(A, B)), Var("x", A)),
+         ("x", "x")),
+        (Break, (Var("s", A), "phi", "f", B, Var("f", Arrow(B, A))),
+         ("f", "f")),
+        (ULet, ("x", "y", UVar("s"), UVar("x")), ("y", "y")),
+        (UBreak, (UVar("s"), "phi", "f", UVar("f")), ("phi", "phi")),
+    ], ids=["let", "break", "untyped let", "untyped break"])
+    def test_one_name_for_both_binders_is_refused(self, cls, fields, names):
+        t = cls(*fields)
+        first, second = SPECS[cls].binders(t)
+        twice = [first if v == second else v for v in fields]
+        with pytest.raises(IllFormedTermError):
+            _rebuild(t, children(t), names)
+        with pytest.raises(IllFormedTermError):
+            cls(*twice)
+        with pytest.raises(IllFormedTermError):
+            cls._make(twice)
+        with pytest.raises(IllFormedTermError):
+            t._replace(**{t._fields[SPECS[cls].name_slots[1]]: first})
+        # a node made past the checks is checked again when copied or
+        # unpickled, which build through the constructor
+        bad = tuple.__new__(cls, twice)
+        for rebuild in (copy.copy, copy.deepcopy,
+                        lambda u: pickle.loads(pickle.dumps(u))):
+            with pytest.raises(IllFormedTermError):
+                rebuild(bad)
+
+    @pytest.mark.parametrize("ty", [A, Arrow(A, B), Tensor(A, B)])
+    def test_no_type_is_rebuilt(self, ty):
+        with pytest.raises(KeyError):
+            _rebuild(ty, ())
+        with pytest.raises(KeyError):
+            replace_child(ty, 0, B)
 
 
 def identity_chain_text(n: int) -> str:

@@ -201,20 +201,25 @@ def test_rule_names_are_read_only_in_the_rule_tables():
         + [("reduction.py", "RULES", member) for member in members])
 
 
-def forget_calls() -> list[tuple[str, str]]:
+def sites(found) -> list[tuple[str, str]]:
     """(module, dotted name of the enclosing class and function) for each
-    call of a method named forget in src/breakcalc."""
-    calls, stack = [], [(tree, module, "") for module, tree in MODULES.items()]
+    node of src/breakcalc's syntax trees for which found(node) holds."""
+    out, stack = [], [(tree, module, "") for module, tree in MODULES.items()]
     while stack:
         node, module, where = stack.pop()
         if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
             where = f"{where}.{node.name}" if where else node.name
-        elif (isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "forget"):
-            calls.append((module, where))
+        elif found(node):
+            out.append((module, where))
         stack += [(c, module, where) for c in ast.iter_child_nodes(node)]
-    return calls
+    return out
+
+
+def forget_calls() -> list[tuple[str, str]]:
+    """The sites of each call of a method named forget."""
+    return sites(lambda node: isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "forget")
 
 
 def test_memo_entries_are_forgotten_only_by_the_trace_printer():
@@ -229,4 +234,19 @@ def test_memo_entries_are_forgotten_only_by_the_trace_printer():
         ("printer.py", "TermPrinter.forget"),
         ("printer.py", "TermPrinter.forget"),
         ("reduction.py", "format_trace"),
+    ]
+
+
+def test_only_the_rebuild_step_builds_a_term_past_its_constructor():
+    """tuple.__new__ builds a node without its constructor's checks, which
+    is safe only where a node keeps the names that a constructor checked
+    and gets new children: syntax's _rebuild and replace_child.  Any other
+    use, such as in erase, the translation or the parser, fails."""
+    assert sorted(sites(lambda node: isinstance(node, ast.Attribute)
+                        and node.attr == "__new__"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "tuple")) == [
+        ("syntax.py", "_rebuild"),
+        ("syntax.py", "_rebuild"),
+        ("syntax.py", "replace_child"),
     ]

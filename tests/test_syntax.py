@@ -506,6 +506,23 @@ class TestFreeNamesWalk:
         assert free_names(u) == FreeNames()(u) == {"x"}
 
 
+def nested_renamed_binders(n: int):
+    """n nested lambdas binding x0 .. x(n-1) over a body that uses them
+    all, beside a pair tree of the same names free: every binder is
+    renamed, and all n renamings are in scope at the body."""
+    def tree(leaves):
+        while len(leaves) > 1:
+            leaves = [Pair(*leaves[i:i + 2]) if i + 1 < len(leaves)
+                      else leaves[i] for i in range(0, len(leaves), 2)]
+        return leaves[0]
+
+    names = [f"x{i}" for i in range(n)]
+    body = tree([Var(x, A) for x in names])
+    for x in reversed(names):
+        body = Lam(x, A, body)
+    return Pair(tree([Var(x, A) for x in names]), body)
+
+
 class TestRenamingCursor:
     """_canonical_names gives exactly the names of the renaming that
     searched every binder's primes from its base name, and lists the names
@@ -547,6 +564,14 @@ class TestRenamingCursor:
                     for v in (u, erase(u)):
                         renamed += self.assert_same_names(v) is not v
         assert renamed > 60
+
+    def test_nested_renamed_binders(self):
+        # the renaming in scope is one dict, changed at each of the 200
+        # scopes and restored on leaving it; the reference copies it at each
+        t = nested_renamed_binders(200)
+        got = self.assert_same_names(t)
+        assert binders(got.second) == ("x0'",)
+        assert free_names(got) == free_names(t)
 
     def test_a_primed_base_name_next_to_its_base(self):
         # x and x' are free, and two lets bind x and x' again: the cursors
