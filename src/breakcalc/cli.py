@@ -164,8 +164,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except RecursionError:
         # parsing and typing, inference, free names, substitution, alpha keys,
-        # term printing, the translations, check_derivation and
-        # eliminate_cuts recurse per level; the limit is left as is
+        # term printing, the translations, sequent_to_term and eliminate_cuts
+        # recurse per level; the limit is left as is
         print("budget exceeded: input nested too deeply", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -8,9 +8,9 @@ equal; the checker compares them so, re-sorting a stated antecedent first.
 There is no contraction rule, so affinity carries over; weakening is
 admissible because the axiom rule allows an arbitrary context.
 
-`_conclude` is the one definition of each non-axiom rule: the conclusion it
-draws from its premises and its formula.  The node builders, the checker and
-cut elimination all go through it.
+Each rule is one `Rule` record, which builds its nodes, beside the clause
+of `_translate` whose inverse its extraction is.  The checker, cut
+elimination, extraction and both readers read the records.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import enum
 import itertools
 import operator
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .parser import ParseError, TokenStream, parse_type, parse_type_stream
 from .syntax import (
@@ -60,15 +60,14 @@ def sequent(antecedent, succedent: TypeExpr) -> Sequent:
     return Sequent(tuple(sorted(antecedent, key=print_type)), succedent)
 
 
-def _take(formulas, formula: TypeExpr, path: tuple[int, ...],
-          what: str) -> list[TypeExpr]:
+def _take(formulas, formula: TypeExpr, what: str) -> list[TypeExpr]:
     """formulas less one copy of formula; InvalidRule if there is none."""
     out = list(formulas)
     try:
         out.remove(formula)
     except ValueError:
         raise InvalidRule(
-            path, f"{what} {print_type(formula)} not in antecedent") from None
+            (), f"{what} {print_type(formula)} not in antecedent") from None
     return out
 
 
@@ -80,15 +79,6 @@ class SRule(str, enum.Enum):
     ArrL = "ArrL"
     TensR = "TensR"
     TensL = "TensL"
-
-
-_ARITY = {SRule.ASM: 0, SRule.ArrR: 1, SRule.TensL: 1,
-          SRule.CUT: 2, SRule.BRK: 2, SRule.ArrL: 2, SRule.TensR: 2}
-
-#: the class of the `data` field per rule (BRK: the residue type, ArrL and
-#: TensL: the principal formula); the other rules carry no datum
-_DATUM = {SRule.BRK: (TypeExpr, "a formula"), SRule.ArrL: (Arrow, "an arrow"),
-          SRule.TensL: (Tensor, "a pair")}
 
 
 class SDerivation(NamedTuple):
@@ -111,121 +101,150 @@ class SDerivation(NamedTuple):
             stack.extend(d.premises)
 
 
-def _conclude(rule: SRule, premises: tuple[SDerivation, ...],
-              formula: TypeExpr | None,
-              path: tuple[int, ...]) -> tuple[list[TypeExpr], TypeExpr]:
-    """Antecedent (a multiset, as a list) and succedent that a non-axiom rule
-    concludes from its premises and its formula: the residue of BRK, the
-    domain of ArrR, the principal formula of ArrL and TensL, None otherwise.
-    InvalidRule at path when the premises do not fit."""
-    c = [p.conclusion for p in premises]
-    match rule:
-        case SRule.CUT:
-            rest = _take(c[1].antecedent, c[0].succedent, path, "cut formula")
-            return [*c[0].antecedent, *rest], c[1].succedent
-        case SRule.BRK:
-            k, s = ks_types(c[0].succedent, formula)
-            rest = _take(c[1].antecedent, k, path, "higher-order assumption")
-            rest = _take(rest, s, path, "section assumption")
-            return [*c[0].antecedent, *rest], c[1].succedent
-        case SRule.ArrR:
-            rest = _take(c[0].antecedent, formula, path, "discharged formula")
-            return rest, Arrow(formula, c[0].succedent)
-        case SRule.ArrL:
-            if c[0].succedent != formula.dom:
-                raise InvalidRule(path, "first premise must prove the domain")
-            rest = _take(c[1].antecedent, formula.cod, path,
-                         "codomain assumption")
-            return [*c[0].antecedent, *rest, formula], c[1].succedent
-        case SRule.TensR:
-            return ([*c[0].antecedent, *c[1].antecedent],
-                    Tensor(c[0].succedent, c[1].succedent))
-        case SRule.TensL:
-            rest = _take(c[0].antecedent, formula.left, path, "left component")
-            rest = _take(rest, formula.right, path, "right component")
-            return [*rest, formula], c[0].succedent
-    raise TypeError(f"not a non-axiom rule: {rule!r}")
-
-
-def _formula(d: SDerivation) -> TypeExpr | None:
-    """The formula `_conclude` reads for d's rule; ArrR keeps no datum, its
-    domain is read off its succedent."""
-    return d.conclusion.succedent.dom if d.rule == SRule.ArrR else d.data
-
-
 # ---------------------------------------------------------------------------
-# Checking
+# The rules, each beside the clause of _translate that its extraction undoes
 # ---------------------------------------------------------------------------
 
-@_remember_last
-def check_derivation(d: SDerivation) -> Sequent:
-    """Validate every node; returns the end sequent of a valid derivation.
-
-    A repeated call on the same object (`is`) reuses the last result; a
-    failing one raises again."""
-    _check_node(d, ())
-    return d.conclusion
+_NO_DATUM = (type(None), "no")
 
 
-def _check_node(d: SDerivation, path: tuple[int, ...]) -> None:
-    if len(d.premises) != _ARITY[d.rule]:
-        raise InvalidRule(path, f"{d.rule.value} wants {_ARITY[d.rule]} premises,"
-                                f" got {len(d.premises)}")
-    cls, what = _DATUM.get(d.rule, (type(None), "no"))
-    if not isinstance(d.data, cls):
-        raise InvalidRule(path, f"{d.rule.value} takes {what} datum")
-    for i, p in enumerate(d.premises):
-        _check_node(p, path + (i,))
-    concl = d.conclusion
-    if d.rule == SRule.ASM:
-        if concl.succedent not in concl.antecedent:
-            raise InvalidRule(path, "axiom succedent not in antecedent")
-        return
-    if d.rule == SRule.ArrR and not isinstance(concl.succedent, Arrow):
-        raise InvalidRule(path, "right arrow rule with non-arrow succedent")
-    ant, suc = _conclude(d.rule, d.premises, _formula(d), path)
-    if sequent(ant, suc) != sequent(*concl):
-        raise InvalidRule(
-            path, f"{d.rule.value} conclusion does not match its premises")
+class Rule(NamedTuple):
+    """A rule of the calculus, and the builder of its nodes: called on
+    premises and a formula, or on an axiom's antecedent and succedent.  In
+    the clauses, a and b are the first and last premises' succedents, g the
+    principal formula's term and t1 the first premise's (see conclude and
+    sequent_to_term)."""
+
+    rule: SRule
+    arity: int
+    datum: tuple[type, str] = _NO_DATUM  # its class, and its text in errors
+    #: (a, formula): what the last premise's antecedent loses, in order
+    discharges: Callable = lambda a, f: ()
+    texts: tuple[str, ...] = ()  # each discharged formula's name in errors
+    left: bool = False  # a left rule: its formula joins the antecedent
+    succedent: Callable | None = None  # a right rule's: (a, b, formula)
+    formula: Callable = operator.attrgetter("data")  # a node's formula
+    binders: tuple[str, ...] = ()  # extraction's variables, per discharge
+    value: Callable | None = None  # (g, t1): the discharge's term, unbound
+    term: Callable | None = None  # (formula, g, t1, names, body): the term
+    translate: tuple[type, Callable] | None = None  # term class, clause
+
+    def __call__(self, *args) -> SDerivation:
+        if not self.arity:
+            return SDerivation(self.rule, sequent(*args))
+        premises, formula = args[:self.arity], args[self.arity:] or (None,)
+        if len(premises) < self.arity:
+            raise TypeError(f"{self.rule.value} wants {self.arity} premises")
+        ant, suc = self.conclude(premises, *formula)
+        return SDerivation(self.rule, sequent(ant, suc), premises,
+                           None if self.datum is _NO_DATUM else formula[0])
+
+    def conclude(self, premises: tuple[SDerivation, ...],
+                 formula: TypeExpr | None = None) -> tuple[list, TypeExpr]:
+        """Antecedent (a multiset, as a list) and succedent of the node over
+        premises and formula: the last premise's antecedent less the
+        discharges, plus the first premise's when there are two, plus the
+        formula for a left rule; InvalidRule at the root if they misfit."""
+        first, last = premises[0].conclusion, premises[-1].conclusion
+        ant = last.antecedent
+        for ty, what in zip(self.discharges(first.succedent, formula),
+                            self.texts):
+            ant = _take(ant, ty, what)
+        ant = [*first.antecedent, *ant] if len(premises) == 2 else list(ant)
+        if self.left:
+            ant.append(formula)
+        if self.succedent is None:
+            return ant, last.succedent
+        return ant, self.succedent(first.succedent, last.succedent, formula)
 
 
-# ---------------------------------------------------------------------------
-# Node builders (conclusions computed from premises)
-# ---------------------------------------------------------------------------
+asm = Rule(SRule.ASM, 0, translate=(
+    Var, lambda t, pending, names: asm((t.type, *pending), t.type)))
 
-def _node(rule: SRule, premises: tuple[SDerivation, ...],
-          formula: TypeExpr | None = None) -> SDerivation:
-    ant, suc = _conclude(rule, premises, formula, ())
-    return SDerivation(rule, sequent(ant, suc), premises,
-                       None if rule == SRule.ArrR else formula)
+cut = Rule(SRule.CUT, 2, discharges=lambda a, f: (a,), texts=("cut formula",),
+           value=lambda g, t1: t1)
 
 
-def asm(antecedent, succedent: TypeExpr) -> SDerivation:
-    return SDerivation(SRule.ASM, sequent(antecedent, succedent))
+def _from_break(t: Break, pending, names) -> SDerivation:
+    scrut, phi, f, residue, body = t
+    ds = _translate(scrut, (), names)
+    k, s = ks_types(ds.conclusion.succedent, residue)
+    extra = _unused(((phi, k), (f, s)), names)
+    return brk(ds, _translate(body, pending + extra, names), residue)
 
 
-def cut(p1: SDerivation, p2: SDerivation) -> SDerivation:
-    return _node(SRule.CUT, (p1, p2))
+brk = Rule(SRule.BRK, 2, (TypeExpr, "a formula"), ks_types,
+           ("higher-order assumption", "section assumption"),
+           binders=("phi", "sec"),
+           term=lambda f, g, t1, names, body: Break(t1, *names, f, body),
+           translate=(Break, _from_break))
 
 
-def brk(p1: SDerivation, p2: SDerivation, residue: TypeExpr) -> SDerivation:
-    return _node(SRule.BRK, (p1, p2), residue)
+def _from_lam(t: Lam, pending, names) -> SDerivation:
+    b, bt, body = t
+    return arr_r(_translate(body, pending + _unused(((b, bt),), names),
+                            names), bt)
 
 
-def arr_r(p: SDerivation, dom: TypeExpr) -> SDerivation:
-    return _node(SRule.ArrR, (p,), dom)
+def _domain(d: SDerivation) -> TypeExpr:
+    """ArrR's formula: it keeps no datum, so its succedent's domain."""
+    if not isinstance(d.conclusion.succedent, Arrow):
+        raise InvalidRule((), "right arrow rule with non-arrow succedent")
+    return d.conclusion.succedent.dom
 
 
-def arr_l(p1: SDerivation, p2: SDerivation, principal: Arrow) -> SDerivation:
-    return _node(SRule.ArrL, (p1, p2), principal)
+arr_r = Rule(SRule.ArrR, 1, discharges=lambda a, f: (f,),
+             texts=("discharged formula",),
+             succedent=lambda a, b, f: Arrow(f, b), formula=_domain,
+             binders=("x",),
+             term=lambda f, g, t1, names, body: Lam(*names, f, body),
+             translate=(Lam, _from_lam))
 
 
-def tens_r(p1: SDerivation, p2: SDerivation) -> SDerivation:
-    return _node(SRule.TensR, (p1, p2))
+def _from_app(t: App, pending, names) -> SDerivation:
+    fun, arg = t
+    df = _translate(fun, (), names)
+    fty = df.conclusion.succedent
+    assert isinstance(fty, Arrow)
+    hook = asm((fty.cod, *pending), fty.cod)
+    return cut(df, arr_l(_translate(arg, (), names), hook, fty))
 
 
-def tens_l(p: SDerivation, principal: Tensor) -> SDerivation:
-    return _node(SRule.TensL, (p,), principal)
+def _codomain(a: TypeExpr, f: Arrow) -> tuple[TypeExpr]:
+    """ArrL's discharged formula, once its first premise proves the domain."""
+    if a != f.dom:
+        raise InvalidRule((), "first premise must prove the domain")
+    return (f.cod,)
+
+
+arr_l = Rule(SRule.ArrL, 2, (Arrow, "an arrow"), _codomain,
+             ("codomain assumption",), left=True, value=App,
+             translate=(App, _from_app))
+
+tens_r = Rule(SRule.TensR, 2, succedent=lambda a, b, f: Tensor(a, b),
+              term=lambda f, g, t1, names, body: Pair(t1, body),
+              translate=(Pair, lambda t, pending, names: tens_r(
+                  _translate(t.first, (), names),
+                  _translate(t.second, pending, names))))
+
+
+def _from_let(t: Let, pending, names) -> SDerivation:
+    x, xt, y, yt, scrut, body = t
+    db = _translate(body, pending + _unused(((x, xt), (y, yt)), names), names)
+    return cut(_translate(scrut, (), names), tens_l(db, Tensor(xt, yt)))
+
+
+tens_l = Rule(SRule.TensL, 1, (Tensor, "a pair"),
+              lambda a, f: (f.left, f.right),
+              ("left component", "right component"), left=True,
+              binders=("a", "b"),
+              term=lambda f, g, t1, names, body: Let(
+                  names[0], f.left, names[1], f.right, g, body),
+              translate=(Let, _from_let))
+
+#: each rule's record, in SRule's order; a rule's name finds its record too
+RULES = {r.rule: r for r in (asm, cut, brk, arr_r, arr_l, tens_r, tens_l)}
+_TRANSLATE = dict(r.translate for r in RULES.values() if r.translate)
 
 
 def weaken(d: SDerivation, extras) -> SDerivation:
@@ -241,6 +260,46 @@ def weaken(d: SDerivation, extras) -> SDerivation:
     premises = d.premises[:-1] + tuple(weaken(p, extras)
                                        for p in d.premises[-1:])
     return SDerivation(d.rule, concl, premises, d.data)
+
+
+# ---------------------------------------------------------------------------
+# Checking
+# ---------------------------------------------------------------------------
+
+@_remember_last
+def check_derivation(d: SDerivation) -> Sequent:
+    """Validate every node; returns the end sequent of a valid derivation.
+
+    An explicit stack, so that any depth is checked, in a recursive check's
+    order: a node's arity and datum, its premises, then its conclusion.  A
+    repeated call on the same object (`is`) reuses the last result; a
+    failing one raises again."""
+    stack = [(d, (), False)]
+    while stack:
+        node, path, entered = stack.pop()
+        rule, premises, concl = RULES[node.rule], node.premises, node.conclusion
+        if not entered:
+            if len(premises) != rule.arity:
+                raise InvalidRule(path, f"{rule.rule.value} wants {rule.arity}"
+                                        f" premises, got {len(premises)}")
+            cls, what = rule.datum
+            if not isinstance(node.data, cls):
+                raise InvalidRule(path, f"{rule.rule.value} takes {what} datum")
+            stack.append((node, path, True))
+            stack += [(premises[i], path + (i,), False)
+                      for i in range(len(premises) - 1, -1, -1)]
+        elif not premises:
+            if concl.succedent not in concl.antecedent:
+                raise InvalidRule(path, "axiom succedent not in antecedent")
+        else:
+            try:
+                ant, suc = rule.conclude(premises, rule.formula(node))
+            except InvalidRule as e:
+                raise InvalidRule(path, e.reason) from None
+            if sequent(ant, suc) != sequent(*concl):
+                raise InvalidRule(path, f"{rule.rule.value} conclusion does"
+                                        " not match its premises")
+    return d.conclusion
 
 
 # ---------------------------------------------------------------------------
@@ -260,37 +319,12 @@ def nd_to_sequent(t: Term) -> SDerivation:
 
 def _translate(t: Term, pending: tuple[TypeExpr, ...],
                names: set[str]) -> SDerivation:
-    """The derivation of a canonical t, weakened by pending.
-
-    The types of binders a body leaves unused join pending, which rides the
-    last-premise path down to the axiom leaf where `weaken` would put it, so
-    every node is built once, with its final sequent.
-    """
-    match t:
-        case Var(_, ty):
-            return asm((ty, *pending), ty)
-        case Lam(b, bt, body):
-            extra = _unused(((b, bt),), names)
-            return arr_r(_translate(body, pending + extra, names), bt)
-        case App(fun, arg):
-            df = _translate(fun, (), names)
-            fty = df.conclusion.succedent
-            assert isinstance(fty, Arrow)
-            hook = asm((fty.cod, *pending), fty.cod)
-            return cut(df, arr_l(_translate(arg, (), names), hook, fty))
-        case Pair(a, b):
-            return tens_r(_translate(a, (), names),
-                          _translate(b, pending, names))
-        case Let(x, xt, y, yt, scrut, body):
-            extra = _unused(((x, xt), (y, yt)), names)
-            db = _translate(body, pending + extra, names)
-            return cut(_translate(scrut, (), names), tens_l(db, Tensor(xt, yt)))
-        case Break(scrut, phi, f, residue, body):
-            ds = _translate(scrut, (), names)
-            k, s = ks_types(ds.conclusion.succedent, residue)
-            extra = _unused(((phi, k), (f, s)), names)
-            return brk(ds, _translate(body, pending + extra, names), residue)
-    raise TypeError(f"not a term: {t!r}")
+    """The derivation of a canonical t, weakened by pending, by the clause
+    beside the rule whose extraction builds t's class.  The types of binders
+    a body leaves unused join pending, which rides the last-premise path down
+    to the axiom leaf where `weaken` would put it, so every node is built
+    once, with its final sequent."""
+    return _TRANSLATE[type(t)](t, pending, names)
 
 
 def _unused(binders, names: set[str]) -> tuple[TypeExpr, ...]:
@@ -300,20 +334,12 @@ def _unused(binders, names: set[str]) -> tuple[TypeExpr, ...]:
     return tuple(ty for name, ty in binders if name not in names)
 
 
-def _pick(ctx: list[tuple[Term, TypeExpr]], ty: TypeExpr):
-    """The first (term, type) entry of ctx at type ty, and ctx without it."""
-    for i, (term, t2) in enumerate(ctx):
-        if t2 is ty:  # types are interned
-            return (term, ty), ctx[:i] + ctx[i + 1:]
-    raise InvalidRule((), f"no assumption of type {print_type(ty)}")
-
-
 def _split(ctx: list[tuple[Term, TypeExpr]], needed):
-    """The entries of ctx that _pick would take for each formula of the
-    multiset needed in turn, in that order, and the rest of ctx in its
-    order.  One pass over ctx: an entry fills the first open slot of its
-    type in needed (types are interned), so each type's entries fill its
-    slots in context order."""
+    """The (term, type) entries of ctx that taking each formula of the
+    multiset needed in turn, as the first entry left of its type, would
+    take, in that order, and the rest of ctx in its order.  One pass over
+    ctx: an entry fills the first open slot of its type in needed (types are
+    interned), so each type's entries fill its slots in context order."""
     slots: dict[TypeExpr, list[int]] = {}  # each type's open slots, last first
     for i in range(len(needed) - 1, -1, -1):
         slots.setdefault(needed[i], []).append(i)
@@ -335,12 +361,10 @@ def sequent_to_term(d: SDerivation) -> Term:
     """Extract a term from a valid derivation; break nodes become break terms.
 
     Each context entry pairs a formula with its term: a variable for a
-    hypothesis or binder, the first premise's term for a cut formula, and g
-    applied to it for an ArrL's codomain.  Binders come from one counter and
-    each entry goes to one premise, so no term is captured or placed twice.
-    d is validated by check_derivation, which reuses its result when d was
-    the last derivation it checked.
-    """
+    hypothesis or binder, or a rule's `value`.  Binders come from one counter
+    and each entry goes to one premise, so no term is captured or placed
+    twice.  d is validated by check_derivation, which reuses its result when
+    d was the last derivation it checked."""
     check_derivation(d)
     counter = itertools.count()
 
@@ -348,48 +372,24 @@ def sequent_to_term(d: SDerivation) -> Term:
         return f"{base}{next(counter)}"
 
     def go(d: SDerivation, ctx: list[tuple[Term, TypeExpr]]) -> Term:
-        match d.rule:
-            case SRule.ASM:
-                (term, _), _ = _pick(ctx, d.conclusion.succedent)
-                return term
-            case SRule.CUT:
-                p1, p2 = d.premises
-                ctx1, rest = _split(ctx, p1.conclusion.antecedent)
-                t1 = go(p1, ctx1)
-                return go(p2, rest + [(t1, p1.conclusion.succedent)])
-            case SRule.BRK:
-                p1, p2 = d.premises
-                k, s = ks_types(p1.conclusion.succedent, d.data)
-                ctx1, rest = _split(ctx, p1.conclusion.antecedent)
-                phi, f = fresh("phi"), fresh("sec")
-                return Break(go(p1, ctx1), phi, f, d.data,
-                             go(p2, rest + [(Var(phi, k), k), (Var(f, s), s)]))
-            case SRule.ArrR:
-                (p,) = d.premises
-                dom = d.conclusion.succedent.dom
-                x = fresh("x")
-                return Lam(x, dom, go(p, ctx + [(Var(x, dom), dom)]))
-            case SRule.ArrL:
-                p1, p2 = d.premises
-                principal: Arrow = d.data
-                (g, _), rest0 = _pick(ctx, principal)
-                ctx1, rest = _split(rest0, p1.conclusion.antecedent)
-                t1 = go(p1, ctx1)
-                return go(p2, rest + [(App(g, t1), principal.cod)])
-            case SRule.TensR:
-                p1, p2 = d.premises
-                ctx1, ctx2 = _split(ctx, p1.conclusion.antecedent)
-                return Pair(go(p1, ctx1), go(p2, ctx2))
-            case SRule.TensL:
-                (p,) = d.premises
-                principal: Tensor = d.data
-                (v, _), rest = _pick(ctx, principal)
-                left, right = principal
-                x, y = fresh("a"), fresh("b")
-                body = go(p, rest + [(Var(x, left), left),
-                                     (Var(y, right), right)])
-                return Let(x, left, y, right, v, body)
-        raise TypeError(f"unknown rule {d.rule!r}")
+        """d's term, each formula of d's antecedent taking its term from one
+        entry of ctx: Rule.conclude in reverse."""
+        premises = d.premises
+        if not premises:  # an axiom: the first entry of its formula
+            return next(t for t, ty in ctx if ty is d.conclusion.succedent)
+        rule = RULES[d.rule]
+        f, first = rule.formula(d), premises[0]
+        g = t1 = None
+        if rule.left:
+            ((g, _),), ctx = _split(ctx, (f,))
+        names = [fresh(base) for base in rule.binders]
+        if len(premises) == 2:
+            ctx1, ctx = _split(ctx, first.conclusion.antecedent)
+            t1 = go(first, ctx1)
+        held = rule.discharges(first.conclusion.succedent, f)
+        terms = [rule.value(g, t1)] if rule.value else map(Var, names, held)
+        body = go(premises[-1], [*ctx, *zip(terms, held)])
+        return body if rule.term is None else rule.term(f, g, t1, names, body)
 
     ctx0 = [(Var(fresh("h"), ty), ty) for ty in d.conclusion.antecedent]
     return go(d, ctx0)
@@ -438,11 +438,11 @@ def eliminate_cuts(d: SDerivation, node_budget: int = 1_000_000) -> SDerivation:
         a = p1.conclusion.succedent
 
         if p1.rule == SRule.ASM:
-            return weaken(p2, _take(p1.conclusion.antecedent, a, (),
+            return weaken(p2, _take(p1.conclusion.antecedent, a,
                                     "axiom formula"))
         if p2.rule == SRule.ASM:
             c = p2.conclusion.succedent
-            others = _take(p2.conclusion.antecedent, a, (), "cut formula")
+            others = _take(p2.conclusion.antecedent, a, "cut formula")
             if c in others:
                 return asm(p1.conclusion.antecedent + tuple(others), c)
             # the axiom's formula is the cut formula itself
@@ -459,11 +459,11 @@ def eliminate_cuts(d: SDerivation, node_budget: int = 1_000_000) -> SDerivation:
                 r1, r2 = p1.premises
                 (q,) = p2.premises
                 return combine(r1, combine(r2, q))
-            case (SRule.ArrR | SRule.TensR), _:
-                # into the premise of p2 that holds the cut formula: the
-                # first if it does, else the last
-                i = 0 if a in p2.premises[0].conclusion.antecedent else -1
-                return push(p2, i, combine(p1, p2.premises[i]))
+        if RULES[p1.rule].succedent is not None:
+            # p1 ends in a right rule: into the premise of p2 that holds the
+            # cut formula, the first if it does, else the last
+            i = 0 if a in p2.premises[0].conclusion.antecedent else -1
+            return push(p2, i, combine(p1, p2.premises[i]))
         # p1 ends in a left rule or break: push the cut into the branch
         # providing the succedent
         return push(p1, -1, combine(p1.premises[-1], p2))
@@ -473,7 +473,8 @@ def eliminate_cuts(d: SDerivation, node_budget: int = 1_000_000) -> SDerivation:
         bump()
         premises = list(d.premises)
         premises[i] = inner
-        return _node(d.rule, tuple(premises), _formula(d))
+        rule = RULES[d.rule]
+        return rule(*premises, rule.formula(d))
 
     return elim(d)
 
@@ -558,7 +559,6 @@ def brk_via_cut_superfluous(d_a: SDerivation, d_c: SDerivation, which: str,
     # the index in ks_types of the assumption d_c uses, and its derivation
     used, derive = ((1, _derive_section) if which == "K-side"
                     else (0, _derive_hof))
-    names = ("higher-order", "section")
     if residue is not None:
         needed = ks_types(a, residue)[used]
         if needed not in ant:
@@ -567,10 +567,10 @@ def brk_via_cut_superfluous(d_a: SDerivation, d_c: SDerivation, which: str,
         return cut(derive(d_a, residue), d_c)
     b = next(_residues(a, ant, used), None)
     if b is None:
-        raise PreconditionViolation(f"no {names[used]} assumption found")
+        raise PreconditionViolation(f"no {brk.texts[used]} found")
     if ks_types(a, b)[1 - used] in ant:
         raise PreconditionViolation(
-            f"{names[1 - used]} assumption present; it must be superfluous")
+            f"{brk.texts[1 - used]} present; it must be superfluous")
     return cut(derive(d_a, b), d_c)
 
 
@@ -610,7 +610,7 @@ def prove_bounded(goal: Sequent, depth: int = 8) -> SDerivation | None:
                         return tens_r(s1, s2)
         # left rules
         for formula in sorted(set(goal.antecedent), key=print_type):
-            rest = tuple(_take(goal.antecedent, formula, (), "assumption"))
+            rest = tuple(_take(goal.antecedent, formula, "assumption"))
             match formula:
                 case Arrow(dom, cod):
                     for g1, g2 in _splits(rest):
@@ -677,11 +677,10 @@ def _derivation(ts: TokenStream) -> SDerivation:
     """The derivation at ts."""
     ts.expect("LPAREN", "'('")
     tok = ts.expect("IDENT", "rule name")
-    try:
-        rule = SRule(tok[1])
-    except ValueError:
+    rule = RULES.get(tok[1])
+    if rule is None:
         raise ts.error(tok, f"unknown rule {tok[1]!r}",
-                       [r.value for r in SRule]) from None
+                       [r.value for r in RULES])
     data = None
     if ts.accept("LBRACE"):
         data = parse_type_stream(ts)
@@ -699,7 +698,7 @@ def _derivation(ts: TokenStream) -> SDerivation:
     while ts.peek()[0] == "LPAREN":
         premises.append(_derivation(ts))
     ts.expect("RPAREN", "')'")
-    return SDerivation(rule, sequent(ant, suc), tuple(premises), data)
+    return SDerivation(rule.rule, sequent(ant, suc), tuple(premises), data)
 
 
 #: one event of derivation text: a closing ``)`` (group 1), or a node head
@@ -712,7 +711,6 @@ _END = re.compile(r"\s*\Z")
 #: a comment, up to the end of its line; deleting it joins no two tokens,
 #: since a line break or the end of the text follows it
 _COMMENT = re.compile(r"--[^\n]*")
-_RULES = {r.value: r for r in SRule}
 
 
 def _read_layout(text: str) -> SDerivation | None:
@@ -761,12 +759,13 @@ def _read_layout(text: str) -> SDerivation | None:
                 stack[-1][3].append(d)
                 continue
             name, datum, ant, suc = m.group(2, 3, 4, 5)
-            rule = _RULES.get(name)
+            rule = RULES.get(name)
             if rule is None:
                 return None
             data = None if datum is None else formula(datum)
             ants = [formula(f) for f in ant.split(",")] if ant.strip() else ()
-            stack.append((rule, sequent(ants, formula(suc)), data, []))
+            stack.append((rule.rule, sequent(ants, formula(suc)), data,
+                          []))
     except ParseError:
         return None
 

@@ -1,10 +1,12 @@
 """Sequent calculus: checking, the two translations, cut elimination, the
 break-from-cut constructions, bounded search, and serialization."""
 
+import hashlib
 import itertools
 import json
 import random
 import re
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -26,9 +28,9 @@ from breakcalc.sequent import (
     weaken,
 )
 from breakcalc.syntax import (
-    App, Arrow, Atom, Break, FreeNames, Lam, Let, Pair, Tensor, Var, alpha_eq,
-    canonicalize, free_names, free_vars, ks_types, print_type, substitute,
-    subterm_at,
+    App, Arrow, Atom, Break, FreeNames, Lam, Let, Pair, Tensor, TypeExpr, Var,
+    alpha_eq, canonicalize, free_names, free_vars, ks_types, print_type,
+    substitute, subterm_at,
 )
 from breakcalc.syntax import _PARSED, _PRINTED
 from breakcalc.typecheck import check
@@ -211,16 +213,19 @@ class TestRepeatedCheck:
 
     def test_sequent_to_term_after_check_derivation_runs_no_check_node(
             self, monkeypatch):
+        # the checker checks each non-axiom node's conclusion through its
+        # rule's conclude, once per node
         visits = []
-        real = sequent_module._check_node
+        real = sequent_module.Rule.conclude
 
-        def counted(d, path):
-            visits.append(path)
-            real(d, path)
+        def counted(rule, premises, formula=None):
+            visits.append(rule.rule)
+            return real(rule, premises, formula)
 
-        monkeypatch.setattr(sequent_module, "_check_node", counted)
         d, _ = self.pair()
-        n = d.node_count()
+        monkeypatch.setattr(sequent_module.Rule, "conclude", counted)
+        n = sum(bool(node.premises) for _, node in _nodes(d))
+        assert n == 3
         check_derivation(d)
         assert len(visits) == n
         t = sequent_to_term(d)
@@ -233,6 +238,211 @@ def _nodes(d, path=()):
     yield path, d
     for i, p in enumerate(d.premises):
         yield from _nodes(p, path + (i,))
+
+
+#: The checker as it was written before each rule became one record, kept as
+#: the reference that check_derivation must agree with: a table of premise
+#: counts, a table of datum classes, and a match case per non-axiom rule.
+REFERENCE_ARITY = {SRule.ASM: 0, SRule.ArrR: 1, SRule.TensL: 1, SRule.CUT: 2,
+                   SRule.BRK: 2, SRule.ArrL: 2, SRule.TensR: 2}
+REFERENCE_DATUM = {SRule.BRK: (TypeExpr, "a formula"),
+                   SRule.ArrL: (Arrow, "an arrow"),
+                   SRule.TensL: (Tensor, "a pair")}
+
+
+def reference_take(formulas, formula, path, what):
+    out = list(formulas)
+    try:
+        out.remove(formula)
+    except ValueError:
+        raise InvalidRule(
+            path, f"{what} {print_type(formula)} not in antecedent") from None
+    return out
+
+
+def reference_conclude(rule, premises, formula, path):
+    c = [p.conclusion for p in premises]
+    match rule:
+        case SRule.CUT:
+            rest = reference_take(c[1].antecedent, c[0].succedent, path,
+                                  "cut formula")
+            return [*c[0].antecedent, *rest], c[1].succedent
+        case SRule.BRK:
+            k, s = ks_types(c[0].succedent, formula)
+            rest = reference_take(c[1].antecedent, k, path,
+                                  "higher-order assumption")
+            rest = reference_take(rest, s, path, "section assumption")
+            return [*c[0].antecedent, *rest], c[1].succedent
+        case SRule.ArrR:
+            rest = reference_take(c[0].antecedent, formula, path,
+                                  "discharged formula")
+            return rest, Arrow(formula, c[0].succedent)
+        case SRule.ArrL:
+            if c[0].succedent != formula.dom:
+                raise InvalidRule(path, "first premise must prove the domain")
+            rest = reference_take(c[1].antecedent, formula.cod, path,
+                                  "codomain assumption")
+            return [*c[0].antecedent, *rest, formula], c[1].succedent
+        case SRule.TensR:
+            return ([*c[0].antecedent, *c[1].antecedent],
+                    Tensor(c[0].succedent, c[1].succedent))
+        case SRule.TensL:
+            rest = reference_take(c[0].antecedent, formula.left, path,
+                                  "left component")
+            rest = reference_take(rest, formula.right, path,
+                                  "right component")
+            return [*rest, formula], c[0].succedent
+    raise TypeError(f"not a non-axiom rule: {rule!r}")
+
+
+def reference_check(d, path=()):
+    """The end sequent of a valid d, checked recursively node by node."""
+    if len(d.premises) != REFERENCE_ARITY[d.rule]:
+        raise InvalidRule(path, f"{d.rule.value} wants"
+                                f" {REFERENCE_ARITY[d.rule]} premises,"
+                                f" got {len(d.premises)}")
+    cls, what = REFERENCE_DATUM.get(d.rule, (type(None), "no"))
+    if not isinstance(d.data, cls):
+        raise InvalidRule(path, f"{d.rule.value} takes {what} datum")
+    for i, p in enumerate(d.premises):
+        reference_check(p, path + (i,))
+    concl = d.conclusion
+    if d.rule == SRule.ASM:
+        if concl.succedent not in concl.antecedent:
+            raise InvalidRule(path, "axiom succedent not in antecedent")
+        return concl
+    if d.rule == SRule.ArrR and not isinstance(concl.succedent, Arrow):
+        raise InvalidRule(path, "right arrow rule with non-arrow succedent")
+    formula = concl.succedent.dom if d.rule == SRule.ArrR else d.data
+    ant, suc = reference_conclude(d.rule, d.premises, formula, path)
+    if sequent(ant, suc) != sequent(*concl):
+        raise InvalidRule(
+            path, f"{d.rule.value} conclusion does not match its premises")
+    return concl
+
+
+def check_outcome(check, d):
+    """check(d), or the path and reason of the InvalidRule it raises."""
+    try:
+        return check(d)
+    except InvalidRule as e:
+        return e.path, e.reason
+
+
+def broken_nodes(n: SDerivation):
+    """n with a wrong conclusion, premise count, premise order or datum."""
+    z = Atom("Z")
+    ant, suc = n.conclusion
+    for concl in [sequent(ant + (z,), suc), Sequent(ant, z),
+                  *([Sequent(ant[1:], suc)] if ant else [])]:
+        yield n._replace(conclusion=concl)
+    yield n._replace(premises=n.premises + (asm([z], z),))
+    if n.premises:
+        yield n._replace(premises=n.premises[:-1])
+        yield n._replace(premises=n.premises[::-1])
+    for data in (None, z, Arrow(z, z), Tensor(z, z), Arrow(suc, suc)):
+        if data != n.data:
+            yield n._replace(data=data)
+
+
+def replaced_at(d: SDerivation, path, node: SDerivation) -> SDerivation:
+    if not path:
+        return node
+    ps = list(d.premises)
+    ps[path[0]] = replaced_at(ps[path[0]], path[1:], node)
+    return d._replace(premises=tuple(ps))
+
+
+#: sha256 of print_term(sequent_to_term(d)), one line per derivation, for
+#: nd_to_sequent(t) and its cut-free form for each golden item in order,
+#: recorded before each rule became one record: extraction keeps the exact
+#: binder names, not only the terms up to alpha
+EXTRACTED_DIGEST = (
+    "1b392706dc62a816fc073aa9b63fa3eab73516aedd9881495042c978628c5a2e")
+
+
+class TestRulesAgainstReference:
+    """The rule records conclude, refuse and extract as the per-rule code
+    before them did."""
+
+    def roots(self, seed: int, count: int):
+        for _, d in translated_population(seed, count):
+            yield d
+            yield eliminate_cuts(d)
+
+    def test_valid_derivations_end_alike(self):
+        roots = list(self.roots(78, 100))
+        for _, t in golden_items():
+            d = nd_to_sequent(t)
+            roots += [d, eliminate_cuts(d)]
+        for d in roots:
+            assert check_derivation(d) == reference_check(d) == d.conclusion
+
+    def test_each_broken_node_is_refused_alike_at_its_path(self):
+        seen, refused = set(), 0
+        for root in self.roots(79, 30):
+            for path, n in _nodes(root):
+                for bad in broken_nodes(n):
+                    seen.add(bad.rule)
+                    bad_root = replaced_at(root, path, bad)
+                    got = check_outcome(check_derivation, bad_root)
+                    assert got == check_outcome(reference_check, bad_root)
+                    refused += not isinstance(got, Sequent)
+        assert seen == set(SRule) and refused > 5000
+
+    def test_each_broken_golden_node_is_refused_alike(self):
+        k, s = ks_types(A, B)
+        bad = [  # what the golden nodes broken so do not reach
+            SDerivation(SRule.BRK, sequent([A, C], C),
+                        (asm([A], A), asm([k, C], C)), B),
+            SDerivation(SRule.TensL, sequent([Tensor(A, B)], A),
+                        (asm([A], A),), Tensor(A, B)),
+            SDerivation(SRule.ArrR, sequent([], Arrow(B, A)), (asm([A], A),)),
+        ]
+        for _, t in golden_items():
+            d = nd_to_sequent(t)
+            for root in (d, eliminate_cuts(d)):
+                bad += [b for _, n in _nodes(root) for b in broken_nodes(n)]
+        reasons = set()
+        for b in bad:
+            got = check_outcome(check_derivation, b)
+            assert got == check_outcome(reference_check, b)
+            if not isinstance(got, Sequent):
+                reasons.add(got[1])
+        kinds = ["wants", "takes no datum", "takes a formula datum",
+                 "takes an arrow datum", "takes a pair datum",
+                 "axiom succedent not in antecedent", "cut formula",
+                 "higher-order assumption", "section assumption",
+                 "discharged formula", "codomain assumption",
+                 "left component", "right component",
+                 "first premise must prove the domain",
+                 "right arrow rule with non-arrow succedent",
+                 "conclusion does not match its premises"]
+        assert {kind for kind in kinds for r in reasons if kind in r} \
+            == set(kinds)
+
+    def test_extracted_terms_keep_their_binder_names(self):
+        digest = hashlib.sha256()
+        for _, t in golden_items():
+            d = nd_to_sequent(t)
+            for e in (d, eliminate_cuts(d)):
+                digest.update(print_term(sequent_to_term(e)).encode() + b"\n")
+        assert digest.hexdigest() == EXTRACTED_DIGEST
+
+    def test_a_cut_chain_deeper_than_the_recursion_limit_checks(self):
+        depth = 3 * sys.getrecursionlimit()
+        leaf = asm([A], A)
+        d = leaf
+        for _ in range(depth):
+            d = cut(leaf, d)
+        assert check_derivation(d) == sequent([A], A)
+        bad = SDerivation(SRule.ASM, sequent([B], A))
+        for _ in range(depth):
+            bad = SDerivation(SRule.CUT, sequent([A], A), (leaf, bad))
+        with pytest.raises(InvalidRule) as err:
+            check_derivation(bad)
+        assert err.value.path == (1,) * depth
+        assert err.value.reason == "axiom succedent not in antecedent"
 
 
 class TestNdToSequent:
@@ -576,10 +786,17 @@ class TestAntecedentMultisets:
         rng = random.Random(20261028)
         types = [A, B, C, Arrow(A, B), Tensor(A, A)]
 
+        def pick(ctx, ty):
+            # the first entry at type ty, and ctx without it
+            for i, (term, t2) in enumerate(ctx):
+                if t2 is ty:
+                    return (term, ty), ctx[:i] + ctx[i + 1:]
+            raise InvalidRule((), f"no assumption of type {print_type(ty)}")
+
         def picks(ctx, needed):
             taken = []
             for ty in needed:
-                entry, ctx = sequent_module._pick(ctx, ty)
+                entry, ctx = pick(ctx, ty)
                 taken.append(entry)
             return taken, ctx
 

@@ -201,6 +201,47 @@ def test_rule_names_are_read_only_in_the_rule_tables():
         + [("reduction.py", "RULES", member) for member in members])
 
 
+def srule_reads() -> list[tuple[str, str, str]]:
+    """(module, site, member) for each SRule.<member> read in src/breakcalc:
+    the site is the dotted name of the enclosing class and function, under
+    the name that its top-level statement defines."""
+    reads = []
+    for module, tree in MODULES.items():
+        for stmt in tree.body:
+            where = ",".join(t.id for t in getattr(stmt, "targets", ())
+                             if isinstance(t, ast.Name))
+            stack = [(stmt, where)]
+            while stack:
+                node, where = stack.pop()
+                if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                    where = f"{where}.{node.name}" if where else node.name
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "SRule"):
+                    reads.append((module, where, node.attr))
+                stack += [(c, where) for c in ast.iter_child_nodes(node)]
+    return reads
+
+
+def test_sequent_rules_are_read_only_in_their_records():
+    """A sequent rule is spelled in one place: each SRule member is read once,
+    in the record that builds its nodes, and otherwise only where cut
+    elimination names the cut it removes, the axioms it cuts against and its
+    principal cases; so a per-rule branch anywhere else fails."""
+    enum = next(stmt for stmt in MODULES["sequent.py"].body
+                if isinstance(stmt, ast.ClassDef) and stmt.name == "SRule")
+    members = [t.id for stmt in enum.body if isinstance(stmt, ast.Assign)
+               for t in stmt.targets]
+    records = dict(ASM="asm", CUT="cut", BRK="brk", ArrR="arr_r",
+                   ArrL="arr_l", TensR="tens_r", TensL="tens_l")
+    assert sorted(records) == sorted(members)
+    assert sorted(srule_reads()) == sorted(
+        [("sequent.py", records[member], member) for member in members]
+        + [("sequent.py", "eliminate_cuts.elim", "CUT")]
+        + [("sequent.py", "eliminate_cuts.combine", member)
+           for member in ("ASM", "ASM", "ArrR", "ArrL", "TensR", "TensL")])
+
+
 def sites(found) -> list[tuple[str, str]]:
     """(module, dotted name of the enclosing class and function) for each
     node of src/breakcalc's syntax trees for which found(node) holds."""
