@@ -163,9 +163,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:
-        # parsing and typing, inference, free names, substitution, alpha keys,
-        # term printing, the translations, sequent_to_term and eliminate_cuts
-        # recurse per level; the limit is left as is
+        # typing (a break's scrutinee is typed while parsing), inference,
+        # free names, substitution, alpha keys, term printing, the
+        # translations, sequent_to_term and eliminate_cuts recurse per level;
+        # the limit is left as is
         print("budget exceeded: input nested too deeply", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer, a loop for types, recursive descent for terms.
+"""Concrete syntax: a tokenizer, and one loop each for types and terms.
 
 Grammar summary::
 
@@ -15,8 +15,11 @@ Grammar summary::
 
 Identifiers are ``[A-Za-z][A-Za-z0-9_']*``; ``--`` starts a line comment.  A
 free variable must be written with a type ascription ``(x : A)`` at its first
-use; later uses may be bare.  Parsed terms are canonically renamed, so all
-binders are distinct from each other and from every free name.
+use; later uses may be bare.  A parsed term is canonical: the term loop names
+each binder as it enters its scope, so all binders are distinct from each
+other and from every free name.  No function here calls itself, so input
+nests as deep as memory allows; only a break's scrutinee is typed by
+syntax.annotated_type, which recurses.
 
 A token is a plain tuple ``(kind, value, offset)``: the kind is ``"IDENT"``,
 ``"EOF"``, a punctuation name such as ``"LPAREN"``, or the keyword itself, and
@@ -32,7 +35,8 @@ from typing import Callable, NamedTuple, TypeVar
 
 from .syntax import (
     KEYWORDS, App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair,
-    Tensor, Term, TypeExpr, Var, annotated_type, canonicalize, ks_types,
+    Tensor, Term, TypeExpr, Var, _freshen, annotated_type, canonicalize,
+    ks_types,
 )
 
 _T = TypeVar("_T")
@@ -119,13 +123,8 @@ class TokenStream:
         self.tokens = tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self.tokens[self.pos + ahead]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
 
     def accept(self, kind: str) -> bool:
         """Whether the next token is of this kind; if so, it is read."""
@@ -209,23 +208,90 @@ def parse_type(text: str) -> TypeExpr:
 # ---------------------------------------------------------------------------
 
 _ATOM_START = frozenset({"IDENT", "LPAREN", "LANGLE"})
+# what an entry of the term loop's stack waits for: the next atom of an
+# application, a parenthesized term's ')', a pair's first or second
+# component, a let's or break's scrutinee, or a binder's body
+_APP, _PAREN, _FIRST, _SECOND, _LET, _BREAK, _BODY = range(7)
+# the token that ends the term each entry waits for, and its name in errors
+_CLOSERS = {_PAREN: ("RPAREN", "')'"), _FIRST: ("COMMA", "','"),
+            _SECOND: ("RANGLE", "'>'"), _LET: ("in", "in"),
+            _BREAK: ("as", "as")}
 
 
-class _TermParser:
-    def __init__(self, ts: TokenStream):
-        self.ts = ts
-        self.free_types: dict[str, TypeExpr] = {}
+def _read_term(ts: TokenStream, used: set[str]
+               ) -> tuple[Term, dict[str, TypeExpr], bool]:
+    """The term at ts with its binders canonically named, its free names'
+    types, and whether a free name turned up that a binder was given.
 
-    def term(self, bound: dict[str, TypeExpr]) -> Term:
-        ts = self.ts
-        if ts.accept("LAMBDA"):
+    One loop over the tokens, so a term of any depth parses: `stack` holds
+    the constructs begun and not yet closed.  A binder is named when its
+    scope is entered, in the renaming walk's order (see
+    syntax._canonical_names): a lambda's at its '.', a let's or break's
+    after its scrutinee.  _freshen names it, with one cursor, away from
+    `used`, which grows by the free names read and the names given.
+    `scope` maps a source name in scope to its binder's name and type, and
+    the entry that the binder hides, which leaving the scope restores.
+
+    The names equal the renaming walk's unless a free name read late
+    equals a name given earlier, which the flag reports: run again with
+    `used` seeded by the free names, the loop is the renaming walk."""
+    tokens, pos = ts.tokens, ts.pos
+    stack: list[tuple] = []
+    push, pop = stack.append, stack.pop
+    scope: dict[str, tuple] = {}
+    free_types: dict[str, TypeExpr] = {}
+    cursor: dict[str, str] = {}
+    clash = False
+
+    def enter(names, types):
+        """The names given to a let's or break's two binders, names, of
+        types, whose scope starts.  A lambda's one binder is named the same
+        way inline: a call per lambda made lambda-heavy text parse about 10%
+        slower than the recursive descent did."""
+        given = _freshen(names, used, cursor)[0]
+        used.update(given)
+        (x, y), (gx, gy) = names, given
+        scope[x] = (gx, types[0], scope.get(x))
+        scope[y] = (gy, types[1], scope.get(y))
+        return given
+
+    while True:
+        # a term starts at pos, or an application's next atom when an _APP
+        # entry is on top
+        tok = tokens[pos]
+        kind = tok[0]
+        ty = None
+        if kind == "IDENT":
+            pos += 1
+        elif kind == "LPAREN":
+            if tokens[pos + 1][0] != "IDENT" or tokens[pos + 2][0] != "COLON":
+                push((_PAREN,))
+                pos += 1
+                continue
+            ts.pos = pos + 3
+            ty = parse_type_stream(ts)
+            ts.expect("RPAREN", "')'")
+            tok = tokens[pos + 1]
+            pos = ts.pos
+        elif kind == "LANGLE":
+            push((_FIRST,))
+            pos += 1
+            continue
+        elif kind == "LAMBDA":
+            ts.pos = pos + 1
             name = ts.expect("IDENT", "binder name")[1]
             ts.expect("COLON", "':'")
             ty = parse_type_stream(ts)
             ts.expect("DOT", "'.'")
-            body = self.term(bound | {name: ty})
-            return Lam(name, ty, body)
-        if ts.accept("let"):
+            pos = ts.pos
+            given = name if name not in used else _freshen(
+                (name,), used, cursor)[0][0]
+            used.add(given)
+            scope[name] = (given, ty, scope.get(name))
+            push((_BODY, Lam, (given, ty), (name,)))
+            continue
+        elif kind == "let":
+            ts.pos = pos + 1
             ts.expect("LANGLE", "'<'")
             x = ts.expect("IDENT", "binder name")[1]
             ts.expect("COLON", "':'")
@@ -239,14 +305,89 @@ class _TermParser:
             yt = parse_type_stream(ts)
             ts.expect("RANGLE", "'>'")
             ts.expect("EQUALS", "'='")
-            scrut = self.term(bound)
-            ts.expect("in")
-            body = self.term(bound | {x: xt, y: yt})
-            return Let(x, xt, y, yt, scrut, body)
-        if ts.accept("break"):
-            scrut_offset = ts.peek()[2]
-            scrut = self.term(bound)
-            ts.expect("as")
+            pos = ts.pos
+            push((_LET, (x, y), (xt, yt)))
+            continue
+        elif kind == "break":
+            push((_BREAK, tokens[pos + 1][2]))  # where the scrutinee starts
+            pos += 1
+            continue
+        else:
+            raise ts.error(tok, f"unexpected {tok[1]!r}",
+                           ["identifier", "'('", "'<'"])
+        # a variable: bound at its binder's type, free at its first
+        # ascription's
+        name = tok[1]
+        entry = scope.get(name)
+        if entry is not None:
+            if ty is None:
+                ty = entry[1]
+            elif ty != entry[1]:
+                raise ts.error(tok, f"variable {name!r} ascribed a type"
+                                    " differing from its binder")
+            name = entry[0]
+        else:
+            known = free_types.get(name)
+            if ty is None:
+                if known is None:
+                    raise ts.error(
+                        tok, f"free variable {name!r} needs a type ascription"
+                        f" at first use, e.g. ({name} : A)")
+                ty = known
+            elif known is None:
+                free_types[name] = ty
+                clash = clash or name in used
+                used.add(name)
+            elif ty != known:
+                raise ts.error(tok, f"free variable {name!r} ascribed two"
+                                    " different types")
+        t = Var(name, ty)
+        atom = True
+        while True:  # t is read: close what it completes
+            if atom:
+                if stack and stack[-1][0] == _APP:
+                    t = App(pop()[1], t)
+                if tokens[pos][0] in _ATOM_START:
+                    push((_APP, t))
+                    break
+            if not stack:
+                ts.pos = pos
+                return t, free_types, clash
+            entry = pop()
+            kind = entry[0]
+            if kind == _BODY:  # leaving the binders' scope
+                _, cls, fields, names = entry
+                for n in names:
+                    outer = scope[n][2]
+                    if outer is None:
+                        del scope[n]
+                    else:
+                        scope[n] = outer
+                t = cls(*fields, t)
+                atom = False
+                continue
+            closer, what = _CLOSERS[kind]
+            tok = tokens[pos]
+            if tok[0] != closer:
+                raise ts.error(tok, f"unexpected {tok[1]!r}", [what])
+            pos += 1
+            if kind == _PAREN:
+                atom = True
+                continue
+            if kind == _SECOND:
+                t = Pair(entry[1], t)
+                atom = True
+                continue
+            if kind == _FIRST:
+                push((_SECOND, t))
+                break
+            if kind == _LET:
+                _, names, types = entry
+                x, y = enter(names, types)
+                push((_BODY, Let, (x, types[0], y, types[1], t), names))
+                break
+            # _BREAK: its scrutinee and 'as' are read
+            ts.pos = pos
             ts.expect("LANGLE", "'<'")
             p = ts.expect("IDENT", "binder name")[1]
             ts.expect("COMMA", "','")
@@ -259,69 +400,29 @@ class _TermParser:
             residue = parse_type_stream(ts)
             ts.expect("in")
             try:
-                scrut_type = annotated_type(scrut)
+                scrut_type = annotated_type(t)
             except IllFormedTermError as exc:
-                line, column = _line_column(ts.text, scrut_offset)
+                line, column = _line_column(ts.text, entry[1])
                 raise IllFormedTermError(
                     f"line {line}, column {column}: {exc}") from None
-            k, s = ks_types(scrut_type, residue)
-            body = self.term(bound | {p: k, f: s})
-            return Break(scrut, p, f, residue, body)
-        return self.appterm(bound)
-
-    def appterm(self, bound: dict[str, TypeExpr]) -> Term:
-        t = self.atom(bound)
-        while self.ts.peek()[0] in _ATOM_START:
-            t = App(t, self.atom(bound))
-        return t
-
-    def atom(self, bound: dict[str, TypeExpr]) -> Term:
-        ts = self.ts
-        tok = ts.peek()
-        if ts.accept("IDENT"):
-            return self._var(tok, bound)
-        if ts.accept("LPAREN"):
-            if ts.peek()[0] == "IDENT" and ts.peek(1)[0] == "COLON":
-                name_tok = ts.next()
-                ts.next()  # colon
-                ty = parse_type_stream(ts)
-                ts.expect("RPAREN", "')'")
-                return self._var(name_tok, bound, ty)
-            t = self.term(bound)
-            ts.expect("RPAREN", "')'")
-            return t
-        if ts.accept("LANGLE"):
-            first = self.term(bound)
-            ts.expect("COMMA", "','")
-            second = self.term(bound)
-            ts.expect("RANGLE", "'>'")
-            return Pair(first, second)
-        raise ts.error(tok, f"unexpected {tok[1]!r}",
-                       ["identifier", "'('", "'<'"])
-
-    def _var(self, tok: tuple[str, str, int], bound: dict[str, TypeExpr],
-             ty: TypeExpr | None = None) -> Var:
-        """The variable tok names, ascribed ty unless ty is None: a bound
-        one at its binder's type, a free one at its first ascription's."""
-        name = tok[1]
-        free = name not in bound
-        known = self.free_types.get(name) if free else bound[name]
-        if ty is None:
-            if known is None:
-                raise self.ts.error(
-                    tok, f"free variable {name!r} needs a type ascription at"
-                    f" first use, e.g. ({name} : A)")
-            ty = known
-        elif known is not None and known != ty:
-            raise self.ts.error(tok, (
-                f"free variable {name!r} ascribed two different types" if free
-                else f"variable {name!r} ascribed a type differing from its"
-                " binder"))
-        elif free:
-            self.free_types[name] = ty
-        return Var(name, ty)
+            names = (p, f)
+            given = enter(names, ks_types(scrut_type, residue))
+            push((_BODY, Break, (t, *given, residue), names))
+            pos = ts.pos
+            break
 
 
 def parse_term(text: str) -> Term:
-    return canonicalize(
-        TokenStream(text).parse(lambda ts: _TermParser(ts).term({})))
+    """The term text spells, with its binders canonically named (see
+    syntax.canonicalize) as they are read.
+
+    When a free name read late equals a name given to an earlier binder,
+    the text is read once more with every free name known from the start.
+    canonicalize then costs one _scan of the result, and its memo answers
+    check(parse_term(text)) without renaming again."""
+    ts = TokenStream(text)
+    t, free_types, clash = ts.parse(lambda ts: _read_term(ts, set()))
+    if clash:
+        ts.pos = 0
+        t = ts.parse(lambda ts: _read_term(ts, set(free_types)))[0]
+    return canonicalize(t)

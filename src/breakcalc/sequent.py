@@ -128,16 +128,28 @@ class Rule(NamedTuple):
     value: Callable | None = None  # (g, t1): the discharge's term, unbound
     term: Callable | None = None  # (formula, g, t1, names, body): the term
     translate: tuple[type, Callable] | None = None  # term class, clause
+    takes_formula: bool = True  # a builder's last argument is a formula
 
     def __call__(self, *args) -> SDerivation:
-        if not self.arity:
+        """The node over args: an axiom's antecedent and succedent, or the
+        premises, then the formula if the rule takes one."""
+        arity = self.arity
+        if len(args) != (arity + self.takes_formula if arity else 2):
+            what = (f"{arity} premise{'s' * (arity > 1)}"
+                    + " and a formula" * self.takes_formula if arity
+                    else "an antecedent and a succedent")
+            raise TypeError(f"{self.rule.value} takes {what}, got"
+                            f" {len(args)} argument{'s' * (len(args) != 1)}")
+        if not arity:
             return SDerivation(self.rule, sequent(*args))
-        premises, formula = args[:self.arity], args[self.arity:] or (None,)
-        if len(premises) < self.arity:
-            raise TypeError(f"{self.rule.value} wants {self.arity} premises")
-        ant, suc = self.conclude(premises, *formula)
+        return self.build(args[:arity], *args[arity:])
+
+    def build(self, premises: tuple[SDerivation, ...],
+              formula: TypeExpr | None = None) -> SDerivation:
+        """The node over premises and formula (see conclude)."""
+        ant, suc = self.conclude(premises, formula)
         return SDerivation(self.rule, sequent(ant, suc), premises,
-                           None if self.datum is _NO_DATUM else formula[0])
+                           None if self.datum is _NO_DATUM else formula)
 
     def conclude(self, premises: tuple[SDerivation, ...],
                  formula: TypeExpr | None = None) -> tuple[list, TypeExpr]:
@@ -162,7 +174,7 @@ asm = Rule(SRule.ASM, 0, translate=(
     Var, lambda t, pending, names: asm((t.type, *pending), t.type)))
 
 cut = Rule(SRule.CUT, 2, discharges=lambda a, f: (a,), texts=("cut formula",),
-           value=lambda g, t1: t1)
+           value=lambda g, t1: t1, takes_formula=False)
 
 
 def _from_break(t: Break, pending, names) -> SDerivation:
@@ -222,6 +234,7 @@ arr_l = Rule(SRule.ArrL, 2, (Arrow, "an arrow"), _codomain,
              translate=(App, _from_app))
 
 tens_r = Rule(SRule.TensR, 2, succedent=lambda a, b, f: Tensor(a, b),
+              takes_formula=False,
               term=lambda f, g, t1, names, body: Pair(t1, body),
               translate=(Pair, lambda t, pending, names: tens_r(
                   _translate(t.first, (), names),
@@ -474,7 +487,7 @@ def eliminate_cuts(d: SDerivation, node_budget: int = 1_000_000) -> SDerivation:
         premises = list(d.premises)
         premises[i] = inner
         rule = RULES[d.rule]
-        return rule(*premises, rule.formula(d))
+        return rule.build(tuple(premises), rule.formula(d))
 
     return elim(d)
 

@@ -304,7 +304,8 @@ class TestDeepNesting:
         assert proc.stdout == ""
 
     def test_deep_lambda_nest(self):
-        # three times the default recursion limit of 1000
+        # three times the default recursion limit of 1000: the parser reads
+        # it on its own stack, and typing, which recurses per level, raises
         source = "".join(f"\\x{i}:A. " for i in range(3000)) + "x0\n"
         self._assert_budget_exit(self._run(["check", "-"], stdin=source))
 

@@ -1,15 +1,25 @@
 """Parser and printer: grammar cases, error reporting, and the round trip."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
+import breakcalc.parser as parser_module
+from breakcalc import catalog
 from breakcalc.parser import ParseError, parse_term, parse_type, tokenize
 from breakcalc.printer import print_term, print_type
 from breakcalc.syntax import (
-    App, Arrow, Atom, Break, Lam, Let, Pair, Tensor, Var, alpha_eq,
+    App, Arrow, Atom, Break, IllFormedTermError, Lam, Let, Pair, Tensor,
+    Term, Var, _canonical_names, alpha_eq, canonicalize,
 )
-from termgen import random_typable_term
+from reference_parser import raw_parse, reference_parse_term
+from termgen import clashing_copy, random_typable_term
+from test_parse_errors import (
+    SAMPLES, inputs as parse_error_inputs, mutations as parse_error_mutations,
+)
+from test_reduction import break_chain, identity_chain, permuting_chain
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -144,3 +154,147 @@ class TestRoundTrip:
         for _ in range(300):
             ty = random_type(rng, 4)
             assert parse_type(print_type(ty)) == ty
+
+
+def outcome(parse, text: str):
+    """parse(text), its printed text and its variables' names; or the
+    error's class, text, span and expected list."""
+    try:
+        t = parse(text)
+    except (ParseError, IllFormedTermError) as exc:
+        return (type(exc), str(exc), getattr(exc, "span", None),
+                getattr(exc, "expected", None))
+    return t, print_term(t), _canonical_names(t)[1]
+
+
+def count_passes(monkeypatch) -> list[int]:
+    """A list that gets, per parse_term call, how many times it read the
+    text."""
+    counts: list[int] = []
+    read = parser_module._read_term
+
+    def counting(ts, used):
+        if ts.pos == 0 and not used:
+            counts.append(0)
+        counts[-1] += 1
+        return read(ts, used)
+
+    monkeypatch.setattr(parser_module, "_read_term", counting)
+    return counts
+
+
+class TestOneLoopAgainstRecursiveDescent:
+    """parse_term, one loop that names each binder as its scope is entered,
+    gives what the recursive descent followed by canonical renaming gives:
+    the same term, text and names, or the same error.  The renaming reads
+    sets, so these run under two hash seeds too."""
+
+    def assert_as_reference(self, text: str, reference=None) -> None:
+        """reference, a term built in code whose printed text is text, stands
+        for the descent where that would run out of recursion."""
+        got = outcome(parse_term, text)
+        if reference is None:
+            want = outcome(reference_parse_term, text)
+            raw_names = (_canonical_names(raw_parse(text))[1]
+                         if isinstance(want[0], Term) else None)
+        else:
+            want = outcome(canonicalize, reference)
+            raw_names = _canonical_names(reference)[1]
+        assert got == want, text
+        if isinstance(got[0], Term):
+            # the name set the renaming walk lists is the _scan of the result
+            assert got[2] == raw_names, text
+            assert _canonical_names(got[0])[0] is got[0]
+
+    @pytest.mark.parametrize("chain", [identity_chain, break_chain,
+                                       permuting_chain])
+    def test_chains(self, chain):
+        for n in [*range(1, 81), 120, 160, 240, 320]:
+            t = chain(n)
+            self.assert_as_reference(print_term(t),
+                                     t if n > 80 else None)
+
+    def test_random_terms_and_their_clashing_copies(self, monkeypatch):
+        passes = count_passes(monkeypatch)
+        rng = random.Random(20261103)
+        for _ in range(400):
+            t = random_typable_term(rng, max_size=30)
+            for u in (t, clashing_copy(t, rng), clashing_copy(t, rng)):
+                self.assert_as_reference(print_term(u))
+        # the population reaches the second pass, and mostly needs none
+        assert 50 < passes.count(2) < passes.count(1)
+
+    def test_samples_and_catalog_templates(self):
+        texts = [p.read_text(encoding="utf-8")
+                 for p in sorted(SAMPLES.glob("*.bterm"))]
+        texts += [text for _, text in [*catalog.AXIOMS.values(),
+                                       *catalog.NAMED.values()]]
+        assert len(texts) == 4 + len(catalog.AXIOMS) + len(catalog.NAMED)
+        for text in texts:
+            self.assert_as_reference(text)
+
+    def test_mutated_inputs_raise_as_the_reference_does(self):
+        rng = random.Random(20261104)
+        errors = 0
+        for _, kind, text in parse_error_inputs():
+            if kind == "term":
+                for _, mutated in parse_error_mutations(text, rng):
+                    self.assert_as_reference(mutated)
+                    errors += not isinstance(
+                        outcome(parse_term, mutated)[0], Term)
+        assert errors > 500
+
+    @pytest.mark.parametrize("text, printed, passes", [
+        # a free name read after a binder that kept it: read again
+        (r"<\x:A. x, (x : A)>", r"<\x':A. x', (x : A)>", 2),
+        (r"<let <x:A, y:B> = (p : A * B) in x, (y : B)>",
+         r"<let <x:A, y':B> = (p : A * B) in x, (y : B)>", 2),
+        (r"<break (c : A) as <phi, f> @ B in f, (phi : A)>",
+         r"<break (c : A) as <phi', f> @ B in f, (phi : A)>", 2),
+        # ... or after a binder that was given its name as a primed one
+        (r"<\x:A. <\x:A. x, x>, (x' : A)>",
+         r"<\x:A. <\x'':A. x'', x>, (x' : A)>", 2),
+        (r"<\x:A. \x':A. x, (x' : A)>", r"<\x:A. \x'':A. x, (x' : A)>", 2),
+        # a free name read before the binder: one pass
+        (r"<(x : A), \x:A. x>", r"<(x : A), \x':A. x'>", 1),
+        (r"<(x : A), <\x:A. x, \x:A. x>>",
+         r"<(x : A), <\x':A. x', \x'':A. x''>>", 1),
+        # a let's binders are named after its scrutinee's
+        (r"let <x:A, y:A> = (\x:A. <x, (z : A)>) (w : A) in <x, y>",
+         r"let <x':A, y:A> = (\x:A. <x, (z : A)>) (w : A) in <x', y>", 1),
+    ])
+    def test_free_name_after_a_binder_of_that_name(self, monkeypatch, text,
+                                                   printed, passes):
+        counted = count_passes(monkeypatch)
+        self.assert_as_reference(text)
+        assert print_term(parse_term(text)) == printed
+        assert counted == [passes, passes]
+
+
+class TestNestingDepth:
+    """The term parser keeps its own stack, so a term of any depth parses
+    under the default recursion limit."""
+
+    def test_3000_deep_nests_parse_without_recursion(self):
+        # a fresh interpreter, so the limit is the default one
+        code = (
+            "import sys\n"
+            "from breakcalc.parser import parse_term\n"
+            "from breakcalc.syntax import App, Arrow, Atom, Lam, Pair, Var\n"
+            "A = Atom('A'); n = 3000\n"
+            "assert sys.getrecursionlimit() == 1000\n"
+            "lam = Var('x0', A)\n"
+            "for i in reversed(range(n)): lam = Lam(f'x{i}', A, lam)\n"
+            "f = Var('f', Arrow(A, A)); app = Var('a', A)\n"
+            "for _ in range(n): app = App(f, app)\n"
+            "pair = Var('a', A)\n"
+            "for _ in range(n): pair = Pair(pair, Var('b', A))\n"
+            "texts = [''.join(f'\\\\x{i}:A. ' for i in range(n)) + 'x0',\n"
+            "         '(f : A -> A) (' * n + '(a : A)' + ')' * n,\n"
+            "         '<' * n + '(a : A)' + ', (b : A)>' * n]\n"
+            "for text, want in zip(texts, (lam, app, pair)):\n"
+            "    assert parse_term(text) == want\n"
+            "print('ok')\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")

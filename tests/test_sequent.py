@@ -144,6 +144,33 @@ class TestCheckDerivation:
                 assert err.value.path == ()
                 assert "premises" in err.value.reason
 
+    def test_every_builder_rejects_a_wrong_argument_count(self):
+        # each builder's arguments that build a valid node, and what its
+        # TypeError says it takes; a surplus formula was once dropped, and
+        # a missing one failed inside conclude with another error
+        leaf = asm([A], A)
+        tensor = asm([Tensor(A, B)], Tensor(A, B))
+        calls = {
+            asm: (([A], A), "an antecedent and a succedent"),
+            cut: ((leaf, leaf), "2 premises"),
+            brk: ((leaf, asm(ks_types(A, A), Arrow(A, A)), A),
+                  "2 premises and a formula"),
+            arr_r: ((leaf, A), "1 premise and a formula"),
+            arr_l: ((leaf, leaf, Arrow(A, A)), "2 premises and a formula"),
+            tens_r: ((leaf, tensor), "2 premises"),
+            tens_l: ((asm([A, B], A), Tensor(A, B)),
+                     "1 premise and a formula"),
+        }
+        assert sorted(r.rule for r in calls) == sorted(SRule)
+        for rule, (args, takes) in calls.items():
+            check_derivation(rule(*args))
+            for bad in (args + (B,), args[:-1]):
+                with pytest.raises(TypeError) as err:
+                    rule(*bad)
+                assert str(err.value) == (
+                    f"{rule.rule.value} takes {takes}, got {len(bad)}"
+                    f" argument{'s' * (len(bad) != 1)}")
+
     def test_every_rule_rejects_a_wrong_conclusion_at_its_path(self):
         def at(d, path, node):
             if not path:

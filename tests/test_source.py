@@ -104,6 +104,7 @@ def test_every_nested_function_is_referenced_by_its_encloser():
 #: as (importer, module, name).  A new one fails the test until it is
 #: listed here, and CHANGES.md says why the two modules share it.
 PRIVATE_IMPORTS = {
+    ("parser.py", "syntax", "_freshen"),
     ("reduction.py", "syntax", "_freshen"),
     ("reduction.py", "syntax", "_rebuild"),
     ("sequent.py", "syntax", "_PARSED"),
@@ -291,3 +292,41 @@ def test_only_the_rebuild_step_builds_a_term_past_its_constructor():
         ("syntax.py", "_rebuild"),
         ("syntax.py", "replace_child"),
     ]
+
+
+def calls(fn: ast.AST) -> set[str]:
+    """The names fn calls, outside its nested functions: f for f(...), and
+    for a method call such as ts.f(...) or self.f(...), but not for
+    super().f(...), a base class's method."""
+    out, stack = set(), list(ast.iter_child_nodes(fn))
+    while stack:
+        n = stack.pop()
+        if isinstance(n, FUNCTIONS):
+            continue
+        if isinstance(n, ast.Call):
+            f = n.func
+            if isinstance(f, ast.Name):
+                out.add(f.id)
+            elif isinstance(f, ast.Attribute) and not (
+                    isinstance(f.value, ast.Call)
+                    and isinstance(f.value.func, ast.Name)
+                    and f.value.func.id == "super"):
+                out.add(f.attr)
+        stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def test_the_parser_does_not_recurse():
+    """Terms, types and tokens are read by loops, so no function or method
+    in parser.py calls itself, directly or through another one there, and
+    the nesting depth of the input is bounded by memory, not by the
+    recursion limit."""
+    tree = MODULES["parser.py"]
+    functions = [n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)]
+    names = {fn.name for fn in functions}
+    assert {"tokenize", "parse_type_stream", "_read_term",
+            "parse_term"} <= names
+    sorter = graphlib.TopologicalSorter()
+    for fn in functions:
+        sorter.add(fn.name, *(calls(fn) & names))
+    sorter.prepare()  # raises CycleError, naming a cycle, if there is one

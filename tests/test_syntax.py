@@ -13,7 +13,7 @@ import pytest
 from breakcalc.lambda_pair import (
     LApp, LLam, LPair, LProj0, LProj1, LVar, star_translate,
 )
-from breakcalc.parser import TokenStream, _TermParser, parse_type
+from breakcalc.parser import parse_type
 from breakcalc.printer import print_term
 from breakcalc.reduction import Redex, RuleName, reducts_one_step
 from breakcalc.sequent import arr_r, asm, sequent
@@ -29,6 +29,7 @@ from breakcalc.syntax import (
     _rebuild, _scan, _subst,
 )
 from breakcalc.typecheck import UApp, UBreak, ULam, ULet, UPair, UVar, erase
+from reference_parser import raw_parse
 from termgen import (
     clashing_copy, random_large_term, random_type, random_typable_term,
 )
@@ -464,11 +465,6 @@ def quadratic_canonical_names(t):
 
     t = go(t, {})
     return t, _scan(t)[1]
-
-
-def raw_parse(text: str):
-    """parse_term(text) without its canonical renaming."""
-    return TokenStream(text).parse(lambda ts: _TermParser(ts).term({}))
 
 
 class TestFreeNamesWalk:

@@ -174,8 +174,8 @@ class TestRepeatedCheck:
 
     def test_check_after_a_renaming_parse_runs_no_scan(self, monkeypatch):
         # each layer of the text binds x, phi and f again, so parse_term
-        # renames; the renamed term is its own canonical form, and its
-        # names are listed by the renaming walk, with no scan of it
+        # renames, as it reads the binders; the one scan is canonicalize's
+        # of the parsed term, whose memo lists its names for check
         layer = r"(\x:A -> A. break x as <phi, f> @ A -> A in phi f)"
         text = f"{layer} ({layer} (\\w:A. w))"
         scanned = []
@@ -183,7 +183,7 @@ class TestRepeatedCheck:
         monkeypatch.setattr(syntax_module, "_scan",
                             lambda t: scanned.append(t) or real(t))
         t = parse_term(text)
-        assert len(scanned) == 1 and scanned[0] is not t
+        assert len(scanned) == 1 and scanned[0] is t
         assert t.arg.fun.binder != "x"
         scanned.clear()
         assert check(t) == Arrow(A, A)
